@@ -1,9 +1,10 @@
 """Max-min fair joint BS association and power allocation.
 
-Solvers for the per-BS-budget downlink problem (fixed-point power control,
-sum-power relaxation bounds, two-stage association heuristics, one-to-one
-matching via Hungarian/auction), exhaustive oracles including a 3-SAT
-network gadget, and a reproducible HetNet Monte-Carlo harness.
+Solvers for the per-BS-budget downlink problem (exact Perron-root and
+fixed-point power control, sum-power relaxation bounds, two-stage
+association heuristics, one-to-one matching via Hungarian/auction),
+exhaustive oracles including a 3-SAT network gadget, and a reproducible
+HetNet Monte-Carlo harness.
 """
 
 from .model import (
@@ -20,9 +21,12 @@ from .model import (
 from .power import (
     FixedPointOptions,
     TargetPowerResult,
+    PerronPair,
     load_norm,
     min_power_for_target,
+    perron_pair,
     solve_power,
+    solve_power_exact,
     unit_sinr_power,
 )
 from .sumpower import (
@@ -31,6 +35,7 @@ from .sumpower import (
     convergence_rate_bound,
     dl_sumpower_power,
     ulsum,
+    ulsum_exact,
     uplink_unit_sinr_power,
     upper_bound_sum,
 )
@@ -39,6 +44,7 @@ from .twostage import (
     dlsum,
     dlsuma,
     power_balance_transform,
+    ulsuma,
     ulsuma_upper_bound,
 )
 from .matching import (

@@ -11,7 +11,6 @@ import math
 import sys
 
 import click
-import numpy as np
 
 from .harness import (
     experiment_from_json,
@@ -34,10 +33,10 @@ from .oracle import (
     cnf_from_dimacs,
     verify_sat_equivalence,
 )
-from .power import FixedPointOptions, solve_power
+from .power import FixedPointOptions, solve_power_exact
 from .scenario import generate_hetnet, geometry_to_json, scenario_from_json
-from .sumpower import ulsum
-from .twostage import dlsum, dlsuma, power_balance_transform
+from .sumpower import ulsum_exact
+from .twostage import dlsum, dlsuma, ulsuma
 
 # Usage errors must exit with 1 (click defaults to 2, which is reserved here
 # for infeasible / not-converged outcomes).
@@ -100,32 +99,23 @@ def gen(config_path, seed, out_path, geometry_out):
 
 
 def _solve_one(net, alg: str, eps: float | None, opts: FixedPointOptions):
-    """Run one solver; returns (document, exit_code)."""
+    """Run one solver; returns (document, exit_code).
+
+    ``opts`` reaches only the brute-force oracle; every other algorithm
+    solves its power problems exactly.
+    """
     if alg == "maxsnr":
-        res = solve_power(net, max_snr_association(net), opts)
+        res = solve_power_exact(net, max_snr_association(net))
     elif alg == "brute":
         res = brute_force_optimum(net, opts=opts)
-    elif alg == "ulsum":
-        r = ulsum(net, None, opts)
+    elif alg in ("ulsum", "ulsuma"):
+        if alg == "ulsum":
+            r, problem = ulsum_exact(net), "uplink sum-power relaxation"
+        else:
+            r, problem = ulsuma(net), "uplink sum-power relaxation (power-balanced)"
         doc = {
             "algorithm": alg,
-            "problem": "uplink sum-power relaxation",
-            "association": r.assoc.tolist(),
-            "power": r.power_ul.tolist(),
-            "min_sinr": r.gamma_sum,
-            "min_sinr_db": _db(r.gamma_sum),
-            "upper_bound": r.gamma_sum,
-            "iterations": r.iterations,
-            "converged": r.converged,
-            "residual": r.residual,
-        }
-        return doc, 0 if r.converged else 2
-    elif alg == "ulsuma":
-        balanced = power_balance_transform(net)
-        r = ulsum(balanced.network, float(np.sum(balanced.network.budget)), opts)
-        doc = {
-            "algorithm": alg,
-            "problem": "uplink sum-power relaxation (power-balanced)",
+            "problem": problem,
             "association": r.assoc.tolist(),
             "power": r.power_ul.tolist(),
             "min_sinr": r.gamma_sum,
@@ -137,7 +127,7 @@ def _solve_one(net, alg: str, eps: float | None, opts: FixedPointOptions):
         }
         return doc, 0 if r.converged else 2
     elif alg in ("dlsum", "dlsuma"):
-        two = dlsum(net, opts) if alg == "dlsum" else dlsuma(net, opts)
+        two = dlsum(net) if alg == "dlsum" else dlsuma(net)
         res = two.result
         doc = _solve_result_doc(alg, res)
         doc["upper_bound"] = two.upper_bound
@@ -154,7 +144,7 @@ def _solve_one(net, alg: str, eps: float | None, opts: FixedPointOptions):
         ]
         return doc, 0 if res.converged else 2
     elif alg in ("p1prime", "aufp"):
-        one = solve_p1prime(net, opts) if alg == "p1prime" else aufp(net, eps, opts)
+        one = solve_p1prime(net) if alg == "p1prime" else aufp(net, eps)
         doc = _solve_result_doc(alg, one.result)
         doc["status"] = one.status
         doc["assignment_total_gain"] = one.total_gain
@@ -184,18 +174,19 @@ def _solve_result_doc(alg: str, res) -> dict:
 @click.option("--net", "net_path", required=True, type=click.Path(), help="Network JSON")
 @click.option("--alg", required=True, type=click.Choice(_SOLVE_ALGS))
 @click.option("--eps", type=float, default=None, help="Auction bidding increment (aufp)")
-@click.option("--tol", type=float, default=None, help="Fixed-point stopping tolerance")
-@click.option("--seed", type=int, default=None, help="Seed for random initial power")
+@click.option(
+    "--tol",
+    type=float,
+    default=None,
+    help="Fixed-point tolerance of the brute-force oracle (brute); other algorithms solve exactly",
+)
 @click.option("--out", "out_path", default=None, help="Output JSON (default stdout)")
-def solve(net_path, alg, eps, tol, seed, out_path):
+def solve(net_path, alg, eps, tol, out_path):
     """Solve one network with the chosen algorithm and print the result."""
     doc = _load_json(net_path)
     try:
         net = network_from_json(doc)
-        opts = FixedPointOptions(
-            tol=tol if tol is not None else 1e-10,
-            random_init_seed=seed,
-        )
+        opts = FixedPointOptions(tol=tol if tol is not None else 1e-10)
         result_doc, code = _solve_one(net, alg, eps, opts)
     except (ValidationError, InfeasibleMatchingError, ValueError) as exc:
         _fail(str(exc))
@@ -225,7 +216,10 @@ def sweep(spec_path, out_path, json_out, jobs, timings):
         _fail(str(exc))
     for (name, snr), cell in result.means.items():
         mean = "nan" if cell.mean_min_sinr is None else f"{cell.mean_min_sinr:.6g}"
-        click.echo(f"{name} @ {snr:g} dB: mean min-SINR {mean} ({cell.n_ok} ok, {cell.n_failed} failed)")
+        click.echo(
+            f"{name} @ {snr:g} dB: mean min-SINR {mean} ({cell.n_ok} ok, "
+            f"{cell.n_nonconverged} non-converged, {cell.n_failed} failed)"
+        )
 
 
 @main.command()

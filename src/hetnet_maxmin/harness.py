@@ -22,10 +22,10 @@ import numpy as np
 from .matching import AssignmentProblem, auction, aufp, hungarian, solve_p1prime
 from .model import Network, max_snr_association
 from .oracle import brute_force_optimum, gadget_pair_values
-from .power import FixedPointOptions, solve_power
+from .power import FixedPointOptions, solve_power_exact
 from .scenario import ScenarioConfig, generate_hetnet, scenario_from_json, scenario_to_json
-from .sumpower import dl_sumpower_power, ulsum, upper_bound_sum
-from .twostage import dlsum, dlsuma, power_balance_transform
+from .sumpower import dl_sumpower_power, ulsum, ulsum_exact, upper_bound_sum
+from .twostage import dlsum, dlsuma, ulsuma
 
 __all__ = [
     "ALGORITHMS",
@@ -79,43 +79,44 @@ class TrialRecord:
     cells: dict[str, AlgoCell]
 
 
+# Every entry takes (net, opts, eps); only the brute-force oracle still runs
+# the fixed point and reads ``opts``, the others solve exactly.
 def _run_maxsnr(net: Network, opts: FixedPointOptions, eps: float | None):
-    res = solve_power(net, max_snr_association(net), opts)
+    res = solve_power_exact(net, max_snr_association(net))
     return res.min_sinr, None, res.converged, None
 
 
 def _run_ulsum(net: Network, opts: FixedPointOptions, eps: float | None):
-    res = ulsum(net, None, opts)
+    res = ulsum_exact(net)
     return res.gamma_sum, res.gamma_sum, res.converged, None
 
 
 def _run_ulsuma(net: Network, opts: FixedPointOptions, eps: float | None):
-    balanced = power_balance_transform(net).network
-    res = ulsum(balanced, float(np.sum(balanced.budget)), opts)
+    res = ulsuma(net)
     return res.gamma_sum, res.gamma_sum, res.converged, None
 
 
 def _run_dlsum(net: Network, opts: FixedPointOptions, eps: float | None):
-    res = dlsum(net, opts)
+    res = dlsum(net)
     return res.result.min_sinr, res.upper_bound, res.result.converged, None
 
 
 def _run_dlsuma(net: Network, opts: FixedPointOptions, eps: float | None):
-    res = dlsuma(net, opts)
+    res = dlsuma(net)
     return res.result.min_sinr, res.upper_bound, res.result.converged, None
 
 
 def _run_p1prime(net: Network, opts: FixedPointOptions, eps: float | None):
     if net.n_bs != net.n_users:
         return None, None, None, "skipped: requires n_bs == n_users"
-    res = solve_p1prime(net, opts)
+    res = solve_p1prime(net)
     return res.result.min_sinr, None, res.result.converged, f"status={res.status}"
 
 
 def _run_aufp(net: Network, opts: FixedPointOptions, eps: float | None):
     if net.n_bs != net.n_users:
         return None, None, None, "skipped: requires n_bs == n_users"
-    res = aufp(net, eps, opts)
+    res = aufp(net, eps)
     return res.result.min_sinr, None, res.result.converged, f"status={res.status}"
 
 
@@ -203,9 +204,17 @@ def run_trial(spec: ExperimentSpec, trial_index: int, snr_db: float) -> TrialRec
 
 @dataclass(frozen=True)
 class MeanCell:
+    """Aggregate of one (algorithm, snr) column.
+
+    Only converged values count: ``n_ok`` values enter the mean and the CDF,
+    ``n_nonconverged`` values were returned with ``converged=False`` and
+    ``n_failed`` cells returned no value (errors and skips).
+    """
+
     mean_min_sinr: float | None
     n_ok: int
     n_failed: int
+    n_nonconverged: int = 0
 
 
 @dataclass(frozen=True)
@@ -245,11 +254,13 @@ def monte_carlo(spec: ExperimentSpec, jobs: int = 1) -> MonteCarloResult:
     for snr in spec.snr_db:
         at_snr = [r for r in records if r.snr_db == snr]
         for name in spec.algorithms:
-            values = [r.cells[name].min_sinr for r in at_snr]
-            ok = np.array([v for v in values if v is not None])
-            n_failed = sum(v is None for v in values)
+            cells = [r.cells[name] for r in at_snr]
+            valued = [c for c in cells if c.min_sinr is not None]
+            ok = np.array([c.min_sinr for c in valued if c.converged is not False])
             mean = float(ok.mean()) if ok.size else None
-            means[(name, snr)] = MeanCell(mean, int(ok.size), n_failed)
+            means[(name, snr)] = MeanCell(
+                mean, int(ok.size), len(cells) - len(valued), len(valued) - int(ok.size)
+            )
             clipped = np.sort(np.minimum(ok, spec.cdf_clip)) if ok.size else np.array([])
             probs = (np.arange(clipped.size) + 1) / clipped.size if clipped.size else np.array([])
             cdf[(name, snr)] = (clipped, probs)
@@ -368,6 +379,7 @@ def export_json(result: MonteCarloResult, path) -> None:
                 "mean_min_sinr": cell.mean_min_sinr,
                 "n_ok": cell.n_ok,
                 "n_failed": cell.n_failed,
+                "n_nonconverged": cell.n_nonconverged,
             }
             for (name, snr), cell in result.means.items()
         ],

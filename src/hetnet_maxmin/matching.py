@@ -3,8 +3,8 @@
 When users and BSs are equally many and every user must clear SINR 1, at
 most one association can be feasible, and it is the maximum-total-log-gain
 perfect matching.  That turns the joint problem into: solve an assignment
-problem on log gains (Hungarian, or a distributed auction), then run the
-per-BS max-min power fixed point at the matched association.  A final
+problem on log gains (Hungarian, or a distributed auction), then solve the
+per-BS max-min power problem at the matched association.  A final
 min-SINR >= 1 certifies global optimality; below 1 the one-to-one problem
 with the SINR floor is infeasible and the matched solution is returned as a
 plain heuristic.
@@ -18,7 +18,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .model import Network, SolveResult, ValidationError
-from .power import FixedPointOptions, solve_power
+from .power import solve_power_exact
 
 __all__ = [
     "FORBIDDEN",
@@ -323,30 +323,33 @@ class OneToOneResult:
     auction: AuctionState | None = None
 
 
-def solve_p1prime(net: Network, opts: FixedPointOptions | None = None) -> OneToOneResult:
+def solve_p1prime(net: Network) -> OneToOneResult:
     """Hungarian matching on log gains, then max-min power at the match."""
     prob = log_gain_matrix(net)
     assignment, total_gain = hungarian(prob)
-    result = solve_power(net, assignment, opts)
+    result = solve_power_exact(net, assignment)
     status = "optimal" if result.min_sinr >= 1.0 else "infeasible"
     return OneToOneResult(status=status, result=result, total_gain=total_gain)
 
 
-def aufp(
-    net: Network,
-    eps: float | None = None,
-    opts: FixedPointOptions | None = None,
-) -> OneToOneResult:
+def aufp(net: Network, eps: float | None = None) -> OneToOneResult:
     """Auction matching on log gains, then max-min power at the match.
 
     The distributed counterpart of :func:`solve_p1prime`: for small enough
     eps the auction reaches the same matching whenever the assignment
     optimum is unique, and a final min-SINR >= 1 certifies the globally
-    optimal value.
+    optimal value.  Raises :class:`InfeasibleMatchingError` at once when the
+    links admit no perfect matching, where the auction would otherwise bid
+    until its round cap.
     """
     prob = log_gain_matrix(net)
+    # a maximum-cardinality matching of the link pattern is perfect iff one exists
+    linked = net.gain > 0
+    rows, cols = linear_sum_assignment(linked, maximize=True)
+    if not np.all(linked[rows, cols]):
+        raise InfeasibleMatchingError("no perfect matching avoids zero-gain links")
     state = auction(prob, default_eps(prob) if eps is None else eps)
-    result = solve_power(net, state.assignment, opts)
+    result = solve_power_exact(net, state.assignment)
     status = "optimal" if result.min_sinr >= 1.0 else "infeasible"
     return OneToOneResult(
         status=status, result=result, total_gain=state.total_gain, auction=state

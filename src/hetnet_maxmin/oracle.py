@@ -3,8 +3,8 @@ closed-form constants for the two-cell variable block.
 
 The brute-force solver enumerates every association that avoids zero-gain
 links (or every permutation in one-to-one mode), solves the power problem at
-each, and keeps the best.  It is the reference every other algorithm is
-checked against at desk scale.
+each with the batched fixed point, and keeps the best.  It is the reference
+every other algorithm is checked against at desk scale.
 
 The gadget encodes a 3-SAT formula as a network whose achievable min-SINR
 hits the threshold (sqrt(7) - 1) / 3 exactly when the formula is
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import Network, SolveResult, ValidationError
-from .power import FixedPointOptions, solve_power
+from .power import FixedPointOptions, solve_power_exact
 
 __all__ = [
     "SAT_GAMMA",
@@ -334,16 +334,15 @@ def brute_force_optimum(
 ) -> SolveResult:
     """Global optimum by exhausting associations (or permutations).
 
-    Associations never cross zero-gain links.  Ties on the optimal value
-    resolve to the first candidate in lexicographic enumeration order.  The
-    returned result is the direct per-association solve at the winning
-    association, so its telemetry matches a plain
-    :func:`hetnet_maxmin.power.solve_power` call.
+    Associations never cross zero-gain links.  Every candidate is scored by
+    the batched fixed point (``opts`` sets its tolerance and cap); ties on
+    the score resolve to the first candidate in lexicographic enumeration
+    order.  The returned result is the exact solve
+    :func:`hetnet_maxmin.power.solve_power_exact` at the winning
+    association, so the reported value carries no fixed-point residual.
 
     Refuses instances whose candidate count exceeds ``max_candidates``.
     """
-    # default matches the per-association solver's tolerance, so the winner's
-    # value is never looser than a direct solve_power call
     opts = opts or FixedPointOptions(max_iter=20_000)
     count = _candidate_count(net, restrict_one_to_one)
     if count > max_candidates:
@@ -365,4 +364,4 @@ def brute_force_optimum(
             best_assoc = batch[idx]
     if best_assoc is None:
         raise ValidationError("no association avoids zero-gain links")
-    return solve_power(net, best_assoc, opts)
+    return solve_power_exact(net, best_assoc)

@@ -1,10 +1,15 @@
 """Max-min power allocation for a fixed association.
 
-The solver iterates a normalized fixed-point map: compute, for every user,
-the power its serving BS would need for that user to hit SINR 1 against the
-current interference, then rescale the whole vector so the most loaded BS
-sits exactly at its budget.  The iteration converges geometrically to the
-global max-min solution, where all per-user SINRs are equal.
+The paper's solver iterates a normalized fixed-point map: compute, for
+every user, the power its serving BS would need for that user to hit SINR 1
+against the current interference, then rescale the whole vector so the most
+loaded BS sits exactly at its budget.  The iteration converges geometrically
+to the global max-min solution, where all per-user SINRs are equal.
+
+At a fixed association the problem is linear, so the same optimum is also
+the inverse Perron root of a K x K matrix per BS budget.
+:func:`solve_power_exact` computes it directly with :func:`perron_pair`;
+the pipelines use it, and the fixed point stays as the reference.
 
 A separate monotone iteration answers the dual question "is SINR target
 gamma feasible, and at what minimal power" and serves as an independent
@@ -14,8 +19,10 @@ oracle for the solver in tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
+from scipy.linalg.lapack import dgesv
 
 from .model import (
     Network,
@@ -30,6 +37,9 @@ __all__ = [
     "unit_sinr_power",
     "load_norm",
     "solve_power",
+    "PerronPair",
+    "perron_pair",
+    "solve_power_exact",
     "min_power_for_target",
     "TargetPowerResult",
 ]
@@ -90,17 +100,68 @@ def load_norm(power, assoc, budget) -> float:
     return float(np.max(sums / budget))
 
 
-def _initial_power(net: Network, assoc: np.ndarray, opts: FixedPointOptions) -> np.ndarray:
+def _initial_power(net: Network, opts: FixedPointOptions, level) -> np.ndarray:
+    """Starting power of a fixed-point run: ``level / K`` per user.
+
+    ``level`` is the power scale, one number or one entry per user; a
+    seeded random start multiplies it by a uniform draw from (0, 1].
+    """
     if opts.initial_power is not None:
-        p0 = check_power(net, opts.initial_power)
-        if np.any(p0 <= 0):
-            raise ValueError("initial_power must be strictly positive")
-        return p0
+        return check_power(net, opts.initial_power)
     if opts.random_init_seed is not None:
         rng = np.random.default_rng(opts.random_init_seed)
         # 1 - random() lies in (0, 1], keeping the start strictly positive
-        return (1.0 - rng.random(net.n_users)) * net.budget[assoc] / net.n_users
-    return net.budget[assoc] / net.n_users
+        return (1.0 - rng.random(net.n_users)) * level / net.n_users
+    return np.full(net.n_users, level / net.n_users)
+
+
+class FixedPointRun(NamedTuple):
+    """Final iterate and residual trace of :func:`_run_fixed_point`."""
+
+    power: np.ndarray
+    iterations: int
+    converged: bool
+    residual: float
+    residuals: np.ndarray
+
+
+def _run_fixed_point(step, net: Network, opts: FixedPointOptions, level, scale: float) -> FixedPointRun:
+    """Iterate ``p <- step(p, it)`` from :func:`_initial_power` until the step is small.
+
+    The one loop behind every normalized fixed-point solver.  The residual
+    of a step is max |p_new - p| / scale and the run converges when it is
+    at most ``opts.tol``; a run that exhausts ``max_iter`` ends with
+    ``converged=False``.
+    """
+    p = _initial_power(net, opts, level)
+    residuals = np.empty(opts.max_iter)
+    converged = False
+    iterations = 0
+    res = np.inf
+    for it in range(opts.max_iter):
+        p_new = step(p, it)
+        res = float(np.max(np.abs(p_new - p))) / scale
+        residuals[it] = res
+        p = p_new
+        iterations = it + 1
+        if res <= opts.tol:
+            converged = True
+            break
+    return FixedPointRun(p, iterations, converged, res, residuals[:iterations].copy())
+
+
+def _downlink_result(net: Network, assoc: np.ndarray, run: FixedPointRun) -> SolveResult:
+    sinr = downlink_sinr(net, assoc, run.power)
+    return SolveResult(
+        association=assoc,
+        power=run.power,
+        sinr=sinr,
+        min_sinr=float(np.min(sinr)),
+        iterations=run.iterations,
+        converged=run.converged,
+        residual=run.residual,
+        residuals=run.residuals,
+    )
 
 
 def solve_power(net: Network, assoc, opts: FixedPointOptions | None = None) -> SolveResult:
@@ -116,33 +177,172 @@ def solve_power(net: Network, assoc, opts: FixedPointOptions | None = None) -> S
     """
     opts = opts or FixedPointOptions()
     a = check_association(net, assoc)
-    p = _initial_power(net, a, opts)
-    scale = float(np.max(net.budget))
-    residuals = np.empty(opts.max_iter)
-    converged = False
-    iterations = 0
-    res = np.inf
-    for it in range(opts.max_iter):
+
+    def step(p, it):
         m = unit_sinr_power(net, a, p)
-        omega = load_norm(m, a, net.budget)
-        p_new = m / omega
-        res = float(np.max(np.abs(p_new - p))) / scale
-        residuals[it] = res
-        p = p_new
-        iterations = it + 1
-        if res <= opts.tol:
-            converged = True
+        return m / load_norm(m, a, net.budget)
+
+    run = _run_fixed_point(step, net, opts, net.budget[a], float(np.max(net.budget)))
+    return _downlink_result(net, a, run)
+
+
+# Relative width of the Collatz-Wielandt bracket at which a Perron root is
+# final; rounding in Ax / x alone spreads the bracket by about 1e-13.
+_PERRON_RTOL = 1e-12
+_NODA_MAX_STEPS = 100
+# Relative margin of the shift above lam: lam can equal rho to the last bit
+# (a diagonal entry of a reducible matrix), and a solve there is singular.
+_SHIFT_MARGIN = 1e-10
+# Widest relative Collatz-Wielandt bracket accepted when the Noda iteration
+# stalls or its solve fails.  The bracket is the spread of the SINRs the
+# kernels assign, user by user.
+_STALL_RTOL = 1e-8
+# Power-iteration steps that smooth the start vector before the first solve:
+# a matrix-vector product is far cheaper than a solve and saves one or two.
+_POWER_STEPS = 4
+
+
+class PerronPair(NamedTuple):
+    """Perron root ``rho`` and a non-negative Perron vector with max entry 1.
+
+    ``steps`` counts shifted solves; ``dense`` is True when the pair came
+    from the dense eigendecomposition fallback.
+    """
+
+    rho: float
+    vector: np.ndarray
+    steps: int
+    converged: bool
+    dense: bool = False
+
+
+def _dense_perron(matrix: np.ndarray, steps: int) -> PerronPair:
+    values, vectors = np.linalg.eig(matrix)
+    top = int(np.argmax(values.real))
+    x = np.abs(vectors[:, top].real)
+    ok = bool(np.all(np.isfinite(x)) and x.max() > 0)
+    return PerronPair(max(float(values[top].real), 0.0), x / x.max() if ok else x, steps, ok, True)
+
+
+def perron_pair(matrix, start=None) -> PerronPair:
+    """Perron root and vector of a non-negative matrix by Noda iteration.
+
+    Built for the kernels' matrices B + u c^T (u > 0, c >= 0 and not zero),
+    whose Perron root is positive.  A matrix with rho = 0 converges only
+    linearly and may stop with rho overestimated.
+
+    Each step solves (s I - A) y = x just above the upper Collatz-Wielandt
+    bound lam = max(Ax / x) >= rho, at s = lam (1 + ``_SHIFT_MARGIN``), and
+    takes x <- Ay / max(Ay); lam decreases monotonically and converges
+    superlinearly to rho.  The product with A recomputes every entry as a
+    sum of positive terms: a solve's error is small only next to max(y),
+    and entries 1e-10 below it would otherwise hold the bracket open.  The
+    iteration stops when the bracket [min(Ax / x), lam] is narrower than
+    ``_PERRON_RTOL`` relative, or when lam is below ``_PERRON_RTOL`` times
+    the largest entry (rho = 0 to working precision).
+
+    A solve that fails or comes back non-positive or non-finite, or a lam
+    that stops falling, means the shift is within rounding of rho.  Then
+    the pair with the narrower bracket is kept if that bracket is narrower
+    than ``_STALL_RTOL``, and a dense eigendecomposition is the fallback
+    otherwise: a reducible matrix whose Perron vector has zero entries
+    never closes the bracket.
+
+    ``start``, strictly positive, warm-starts the vector, which first gets
+    ``_POWER_STEPS`` power-iteration steps while they keep it positive.  The
+    solves call LAPACK ``dgesv`` directly: at K = 100 ``numpy.linalg.solve``
+    costs twice as much CPU time.
+    """
+    a = np.asarray(matrix, dtype=float)
+    x = np.ones(a.shape[0]) if start is None else start / np.max(start)
+    for _ in range(_POWER_STEPS):
+        y = a @ x
+        if not y.min() > 0:
             break
-    sinr = downlink_sinr(net, a, p)
+        x = y / y.max()
+    ratios = (a @ x) / x
+    lam = float(ratios.max())
+    floor = _PERRON_RTOL * float(a.max(initial=0.0))
+    eye = np.eye(a.shape[0])
+    for steps in range(_NODA_MAX_STEPS):
+        if lam - float(ratios.min()) <= _PERRON_RTOL * lam or lam <= floor:
+            return PerronPair(lam, x, steps, True)
+        y, info = dgesv(lam * (1.0 + _SHIFT_MARGIN) * eye - a, x, overwrite_a=1)[2:]
+        if info == 0 and y.min() > 0 and np.isfinite(y.max()):
+            ay = a @ y
+            x_new = ay / ay.max() if ay.min() > 0 else y / y.max()
+            ratios_new = (a @ x_new) / x_new
+            lam_new = float(ratios_new.max())
+            if lam_new < lam * (1.0 - _PERRON_RTOL):
+                x, ratios, lam = x_new, ratios_new, lam_new
+                continue
+            if float(ratios_new.min()) / lam_new > float(ratios.min()) / lam:
+                x, ratios, lam = x_new, ratios_new, lam_new
+        if lam - float(ratios.min()) <= _STALL_RTOL * lam:
+            return PerronPair(lam, x, steps + 1, True)
+        return _dense_perron(a, steps + 1)
+    return PerronPair(lam, x, _NODA_MAX_STEPS, False)
+
+
+# Relative overload of another BS below which the per-BS climb stops.  Loads
+# within a factor 1 + d of each other bound the two Perron roots within the
+# same factor, so stopping costs at most d of the value and rounding in the
+# Perron vector cannot trigger a switch.
+_SWITCH_RTOL = 1e-9
+
+
+def solve_power_exact(net: Network, assoc) -> SolveResult:
+    """Max-min power at a fixed association from Perron roots, no fixed point.
+
+    With B[k, i] = gain[a_i, k] / gain[a_k, k] off the diagonal, u = noise
+    over direct gain and c_n the users of BS n, the optimum is
+    t* = 1 / max_n rho(B + u c_n^T / P_n), attained by the Perron vector of
+    the binding BS scaled to its budget.  The climb starts at the BS most
+    loaded after one fixed-point step.  While the scaled Perron vector x of
+    BS n overloads some BS m it moves to the most overloaded one: then
+    (B + u c_m^T / P_m) x > rho_n x, so rho_m > rho_n (Collatz-Wielandt)
+    and no BS is visited twice, at most N Perron solves.
+
+    ``iterations`` counts shifted solves over the climb.  ``residual`` is
+    the normalized fixed-point step at the answer, on the scale of
+    :func:`solve_power`'s residual; ``residuals`` is None.
+    """
+    a = check_association(net, assoc)
+    k = net.n_users
+    direct = net.gain[a, np.arange(k)]
+    cross = net.gain[a, :].T / direct[:, None]
+    np.fill_diagonal(cross, 0.0)
+    u = net.noise_dl / direct
+    members = (a[None, :] == np.arange(net.n_bs)[:, None]) / net.budget[:, None]
+
+    x = u + cross @ (net.budget[a] / k)
+    n = int(np.argmax(members @ x))
+    visited = set()
+    steps = 0
+    converged = False
+    while n not in visited:
+        visited.add(n)
+        pair = perron_pair(cross + np.outer(u, members[n]), x)
+        steps += pair.steps
+        loads = members @ pair.vector
+        m = int(np.argmax(loads))
+        if loads[m] <= loads[n] * (1.0 + _SWITCH_RTOL):
+            converged = pair.converged
+            break
+        n = m
+        x = np.maximum(pair.vector, np.finfo(float).tiny)
+    p = pair.vector / float(loads.max())
+    unit = u + cross @ p
+    image = unit / float(np.max(members @ unit))
+    sinr = p / unit
     return SolveResult(
         association=a,
         power=p,
         sinr=sinr,
         min_sinr=float(np.min(sinr)),
-        iterations=iterations,
+        iterations=steps,
         converged=converged,
-        residual=res,
-        residuals=residuals[:iterations].copy(),
+        residual=float(np.max(np.abs(image - p))) / float(np.max(net.budget)),
     )
 
 

@@ -7,6 +7,11 @@ and the resulting normalized fixed-point iteration converges to the unique
 optimum.  With equal uplink/downlink noise, the optimal value and
 association transfer to the downlink sum-power problem, giving a cheap
 upper bound for the per-BS-constrained problem.
+
+At a fixed association the sum-power value is the inverse Perron root of
+the extended coupling matrix B + u 1^T / P.  :func:`ulsum_exact` solves the
+joint problem as a policy iteration over such exact solves; the pipelines
+use it, and the fixed point :func:`ulsum` stays as the reference.
 """
 
 from __future__ import annotations
@@ -16,14 +21,21 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import Network, SolveResult, check_association, check_power, downlink_sinr
-from .power import FixedPointOptions, unit_sinr_power
+from .model import Network, SolveResult, check_association, check_power
+from .power import (
+    FixedPointOptions,
+    _downlink_result,
+    _run_fixed_point,
+    perron_pair,
+    unit_sinr_power,
+)
 
 __all__ = [
     "UplinkUnitPower",
     "uplink_unit_sinr_power",
     "UlsumResult",
     "ulsum",
+    "ulsum_exact",
     "dl_sumpower_power",
     "upper_bound_sum",
     "convergence_rate_bound",
@@ -96,48 +108,96 @@ def ulsum(
     is normalized by ``sum_budget``.
     """
     opts = opts or FixedPointOptions()
-    budget = float(np.sum(net.budget)) if sum_budget is None else float(sum_budget)
-    if not budget > 0:
-        raise ValueError("sum_budget must be positive")
-    if opts.initial_power is not None:
-        p = check_power(net, opts.initial_power)
-        if np.any(p <= 0):
-            raise ValueError("initial_power must be strictly positive")
-    elif opts.random_init_seed is not None:
-        rng = np.random.default_rng(opts.random_init_seed)
-        p = (1.0 - rng.random(net.n_users)) * budget / net.n_users
-    else:
-        p = np.full(net.n_users, budget / net.n_users)
-
+    budget = _sum_budget(net, sum_budget)
     assoc = np.full(net.n_users, -1)
     last_change = 0
-    residuals = np.empty(opts.max_iter)
-    converged = False
-    iterations = 0
-    res = np.inf
-    for it in range(opts.max_iter):
+
+    def step(p, it):
+        nonlocal assoc, last_change
         maps = uplink_unit_sinr_power(net, p)
         if not np.array_equal(maps.best_bs, assoc):
             last_change = it
         assoc = maps.best_bs
-        p_new = maps.best * (budget / float(maps.best.sum()))
-        res = float(np.max(np.abs(p_new - p))) / budget
-        residuals[it] = res
-        p = p_new
-        iterations = it + 1
-        if res <= opts.tol:
-            converged = True
-            break
+        return maps.best * (budget / float(maps.best.sum()))
 
-    final = uplink_unit_sinr_power(net, p)
+    run = _run_fixed_point(step, net, opts, budget, budget)
+    final = uplink_unit_sinr_power(net, run.power)
     return UlsumResult(
-        power_ul=p,
+        power_ul=run.power,
         assoc=final.best_bs,
         gamma_sum=budget / float(final.best.sum()),
-        iterations=iterations,
+        iterations=run.iterations,
+        converged=run.converged,
+        residual=run.residual,
+        residuals=run.residuals,
+        last_assoc_change=last_change,
+    )
+
+
+def _sum_budget(net: Network, sum_budget: float | None) -> float:
+    budget = float(np.sum(net.budget)) if sum_budget is None else float(sum_budget)
+    if not budget > 0:
+        raise ValueError("sum_budget must be positive")
+    return budget
+
+
+# Relative saving a user's cheapest BS must offer for the policy step to move it.
+_MOVE_RTOL = 1e-12
+_POLICY_MAX_STEPS = 100
+
+
+def ulsum_exact(net: Network, sum_budget: float | None = None) -> UlsumResult:
+    """Joint association + power, sum-power uplink, by exact policy iteration.
+
+    At a fixed association a, user k's row of the extended coupling matrix
+    M(a) = B(a) + u(a) 1^T / P depends on a_k only, and the optimal value
+    is 1 / rho(M(a)).  Each step solves that Perron pair exactly, scales the
+    vector to spend the pool, and moves every user whose cheapest BS at that
+    power is cheaper than its current one.  The moved users' rows shrink, so
+    rho never increases; when nobody moves, M(a) q = min over associations
+    of M(a') q = rho q, which makes a a global optimum.  This is the
+    fixed point of :func:`ulsum` without the inner iteration.
+
+    ``iterations`` counts policy steps, ``residuals`` holds each step's
+    normalized fixed-point residual max |T(q) - q| / sum_budget with T the
+    step of :func:`ulsum`, and ``residual`` the last of them.  A run that
+    hits ``_POLICY_MAX_STEPS`` returns ``converged=False``.
+    """
+    budget = _sum_budget(net, sum_budget)
+    k = net.n_users
+    users = np.arange(k)
+    assoc = uplink_unit_sinr_power(net, np.full(k, budget / k)).best_bs
+    x = None
+    residuals = []
+    last_change = 0
+    converged = False
+    for step in range(_POLICY_MAX_STEPS):
+        solved = assoc
+        direct = net.gain[solved, users]
+        coupling = net.gain[solved, :] / direct[:, None]
+        np.fill_diagonal(coupling, 0.0)
+        coupling += (net.noise_ul[solved] / direct)[:, None] / budget
+        pair = perron_pair(coupling, x)
+        q = pair.vector * (budget / float(pair.vector.sum()))
+        maps = uplink_unit_sinr_power(net, q)
+        current = maps.per_bs[solved, users]
+        image = maps.best * (budget / float(maps.best.sum()))
+        residuals.append(float(np.max(np.abs(image - q))) / budget)
+        moved = maps.best < current * (1.0 - _MOVE_RTOL)
+        if not moved.any():
+            converged = pair.converged
+            break
+        assoc = np.where(moved, maps.best_bs, solved)
+        last_change = step + 1
+        x = pair.vector
+    return UlsumResult(
+        power_ul=q,
+        assoc=solved,
+        gamma_sum=budget / float(current.sum()),
+        iterations=len(residuals),
         converged=converged,
-        residual=res,
-        residuals=residuals[:iterations].copy(),
+        residual=residuals[-1],
+        residuals=np.array(residuals),
         last_assoc_change=last_change,
     )
 
@@ -158,52 +218,23 @@ def dl_sumpower_power(
     ``sum_budget``.
     """
     opts = opts or FixedPointOptions()
-    budget = float(np.sum(net.budget)) if sum_budget is None else float(sum_budget)
-    if not budget > 0:
-        raise ValueError("sum_budget must be positive")
+    budget = _sum_budget(net, sum_budget)
     a = check_association(net, assoc)
-    if opts.initial_power is not None:
-        p = check_power(net, opts.initial_power)
-    elif opts.random_init_seed is not None:
-        rng = np.random.default_rng(opts.random_init_seed)
-        p = (1.0 - rng.random(net.n_users)) * budget / net.n_users
-    else:
-        p = np.full(net.n_users, budget / net.n_users)
 
-    residuals = np.empty(opts.max_iter)
-    converged = False
-    iterations = 0
-    res = np.inf
-    for it in range(opts.max_iter):
+    def step(p, it):
         m = unit_sinr_power(net, a, p)
-        p_new = m * (budget / float(m.sum()))
-        res = float(np.max(np.abs(p_new - p))) / budget
-        residuals[it] = res
-        p = p_new
-        iterations = it + 1
-        if res <= opts.tol:
-            converged = True
-            break
-    sinr = downlink_sinr(net, a, p)
-    return SolveResult(
-        association=a,
-        power=p,
-        sinr=sinr,
-        min_sinr=float(np.min(sinr)),
-        iterations=iterations,
-        converged=converged,
-        residual=res,
-        residuals=residuals[:iterations].copy(),
-    )
+        return m * (budget / float(m.sum()))
+
+    return _downlink_result(net, a, _run_fixed_point(step, net, opts, budget, budget))
 
 
-def upper_bound_sum(net: Network, opts: FixedPointOptions | None = None) -> float:
+def upper_bound_sum(net: Network) -> float:
     """Upper bound on the per-BS-constrained optimum via the sum relaxation.
 
     Any allocation respecting the per-BS budgets also respects their sum,
     so the sum-power optimum dominates the true optimum.
     """
-    return ulsum(net, float(np.sum(net.budget)), opts).gamma_sum
+    return ulsum_exact(net, float(np.sum(net.budget))).gamma_sum
 
 
 def convergence_rate_bound(net: Network, sum_budget: float | None = None) -> float:
@@ -214,9 +245,7 @@ def convergence_rate_bound(net: Network, sum_budget: float | None = None) -> flo
     and the all-interference ceiling with every user at the sum budget.
     Diagnostic only; observed decay is usually much faster.
     """
-    budget = float(np.sum(net.budget)) if sum_budget is None else float(sum_budget)
-    if not budget > 0:
-        raise ValueError("sum_budget must be positive")
+    budget = _sum_budget(net, sum_budget)
     with np.errstate(divide="ignore"):
         linked = net.gain > 0
         safe_gain = np.where(linked, net.gain, 1.0)

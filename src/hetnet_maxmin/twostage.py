@@ -1,13 +1,15 @@
 """Two-stage algorithms: pick an association from the sum-power relaxation,
 then solve the per-BS-constrained power problem at that association.
 
-The basic variant runs the uplink sum-power fixed point for the association
-and the per-BS fixed point for the power.  The advanced variant adds two
-HetNet-specific refinements: "power balancing" (rescale gains and budgets so
-every BS has the same cap, which does not change the constrained optimum)
-and "effective sum power" (re-run the relaxation with the power actually
-consumed by the feasible solution, a much tighter pool than the sum of
-budgets when most BSs transmit far below their cap).
+The basic variant solves the uplink sum-power relaxation for the
+association and the per-BS power problem at it, both exactly
+(:func:`~hetnet_maxmin.sumpower.ulsum_exact`,
+:func:`~hetnet_maxmin.power.solve_power_exact`).  The advanced variant adds
+two HetNet-specific refinements: "power balancing" (rescale gains and
+budgets so every BS has the same cap, which does not change the constrained
+optimum) and "effective sum power" (re-run the relaxation with the power
+actually consumed by the feasible solution, a much tighter pool than the
+sum of budgets when most BSs transmit far below their cap).
 """
 
 from __future__ import annotations
@@ -17,14 +19,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import Network, SolveResult, downlink_sinr
-from .power import FixedPointOptions, solve_power
-from .sumpower import ulsum
+from .power import solve_power_exact
+from .sumpower import UlsumResult, ulsum_exact
 
 __all__ = [
     "StageInfo",
     "TwoStageResult",
     "BalancedNetwork",
     "power_balance_transform",
+    "ulsuma",
     "ulsuma_upper_bound",
     "dlsum",
     "dlsuma",
@@ -85,20 +88,30 @@ def power_balance_transform(net: Network) -> BalancedNetwork:
     return BalancedNetwork(network=scaled, alpha=alpha)
 
 
-def ulsuma_upper_bound(net: Network, opts: FixedPointOptions | None = None) -> float:
+def ulsuma(net: Network) -> UlsumResult:
+    """The sum-power relaxation solved on the power-balanced network.
+
+    The association, powers and value belong to the balanced network; its
+    ``gamma_sum`` bounds the original per-BS optimum (see
+    :func:`ulsuma_upper_bound`).
+    """
+    balanced = power_balance_transform(net).network
+    return ulsum_exact(balanced, float(np.sum(balanced.budget)))
+
+
+def ulsuma_upper_bound(net: Network) -> float:
     """Sum-power upper bound computed on the power-balanced network.
 
     Valid for the original per-BS problem for any positive weights; the
     balancing weights typically tighten it when budgets are very uneven.
     """
-    balanced = power_balance_transform(net)
-    return ulsum(balanced.network, float(np.sum(balanced.network.budget)), opts).gamma_sum
+    return ulsuma(net).gamma_sum
 
 
-def dlsum(net: Network, opts: FixedPointOptions | None = None) -> TwoStageResult:
+def dlsum(net: Network) -> TwoStageResult:
     """Two-stage solver: sum-relaxation association, then per-BS power."""
-    stage1 = ulsum(net, float(np.sum(net.budget)), opts)
-    stage2 = solve_power(net, stage1.assoc, opts)
+    stage1 = ulsum_exact(net, float(np.sum(net.budget)))
+    stage2 = solve_power_exact(net, stage1.assoc)
     stages = (
         StageInfo(
             name="sum-relaxation association",
@@ -134,7 +147,7 @@ def _to_original_domain(net: Network, scaled_budget_max: float, res: SolveResult
     )
 
 
-def dlsuma(net: Network, opts: FixedPointOptions | None = None) -> TwoStageResult:
+def dlsuma(net: Network) -> TwoStageResult:
     """Two-stage solver with power balancing and effective sum power.
 
     Pipeline on the balanced network: (1) sum-relaxation association at pool
@@ -151,10 +164,10 @@ def dlsuma(net: Network, opts: FixedPointOptions | None = None) -> TwoStageResul
     p_max = float(np.max(net.budget))
     pool1 = float(net.n_bs * p_max)
 
-    stage1 = ulsum(bnet, pool1, opts)
-    stage2 = solve_power(bnet, stage1.assoc, opts)
+    stage1 = ulsum_exact(bnet, pool1)
+    stage2 = solve_power_exact(bnet, stage1.assoc)
     spent = float(stage2.power.sum())
-    stage3 = ulsum(bnet, spent, opts)
+    stage3 = ulsum_exact(bnet, spent)
 
     stages = [
         StageInfo("balanced sum-relaxation association", stage1.iterations,
@@ -170,7 +183,7 @@ def dlsuma(net: Network, opts: FixedPointOptions | None = None) -> TwoStageResul
         stages.append(StageInfo("per-BS power (reused: association unchanged)",
                                 0, stage1.assoc, spent, stage2.min_sinr))
     else:
-        stage4 = solve_power(bnet, stage3.assoc, opts)
+        stage4 = solve_power_exact(bnet, stage3.assoc)
         stages.append(StageInfo("per-BS power at refreshed association",
                                 stage4.iterations, stage4.association,
                                 float(stage4.power.sum()), stage4.min_sinr))

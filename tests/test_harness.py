@@ -111,6 +111,33 @@ class TestMonteCarlo:
         assert result.means[("maxsnr", 10.0)].mean_min_sinr == record_value
         assert result.means[("maxsnr", 10.0)].n_ok == 1
 
+    def test_nonconverged_values_are_counted_not_averaged(self, monkeypatch):
+        def stalled(net, opts, eps):
+            return 1e6, None, False, None
+
+        monkeypatch.setitem(ALGORITHMS, "stalled", stalled)
+        spec = small_spec(algorithms=("maxsnr", "stalled"), n_runs=2)
+        result = monte_carlo(spec)
+        cell = result.means[("stalled", 10.0)]
+        assert cell.mean_min_sinr is None
+        assert (cell.n_ok, cell.n_nonconverged, cell.n_failed) == (0, 2, 0)
+        assert result.cdf[("stalled", 10.0)][0].size == 0
+        ok = result.means[("maxsnr", 10.0)]
+        assert (ok.n_ok, ok.n_nonconverged, ok.n_failed) == (2, 0, 0)
+
+    def test_nonconverged_trial_left_out_of_mean(self, monkeypatch):
+        calls = []
+
+        def flaky(net, opts, eps):
+            calls.append(None)
+            return float(len(calls)), None, len(calls) != 2, None
+
+        monkeypatch.setitem(ALGORITHMS, "flaky", flaky)
+        result = monte_carlo(small_spec(algorithms=("flaky",), n_runs=3))
+        cell = result.means[("flaky", 10.0)]
+        assert cell.mean_min_sinr == pytest.approx((1.0 + 3.0) / 2)
+        assert (cell.n_ok, cell.n_nonconverged) == (2, 1)
+
     def test_registry_twins_give_identical_columns(self, monkeypatch):
         monkeypatch.setitem(ALGORITHMS, "dlsumtwin", ALGORITHMS["dlsum"])
         spec = small_spec(algorithms=("dlsum", "dlsumtwin"), n_runs=2)
@@ -302,6 +329,50 @@ class TestCli:
         res = runner.invoke(cli_main, ["cdf", "--spec", str(spec_path), "--out", str(out_cdf)])
         assert res.exit_code == 0, res.output
         assert out_cdf.read_text().startswith("algorithm,snr_db,value,cumulative_probability")
+
+    def test_sweep_summary_lists_nonconverged(self, tmp_path, monkeypatch):
+        monkeypatch.setitem(ALGORITHMS, "stalled", lambda net, opts, eps: (1.0, None, False, None))
+        spec_path = tmp_path / "exp.json"
+        spec_path.write_text(
+            json.dumps(
+                {
+                    "scenario": scenario_to_json(
+                        ScenarioConfig(n_macro=4, picos_per_macro=0, n_users=4)
+                    ),
+                    "snr_db": [10.0],
+                    "algorithms": ["maxsnr", "stalled"],
+                    "n_runs": 2,
+                }
+            )
+        )
+        res = CliRunner().invoke(
+            cli_main, ["sweep", "--spec", str(spec_path), "--out", str(tmp_path / "r.csv")]
+        )
+        assert res.exit_code == 0, res.output
+        assert "stalled @ 10 dB: mean min-SINR nan (0 ok, 2 non-converged, 0 failed)" in res.output
+        assert "(2 ok, 0 non-converged, 0 failed)" in res.output
+
+    def test_solve_seed_flag_is_gone(self, tmp_path):
+        net_path = tmp_path / "net.json"
+        net_path.write_text(
+            json.dumps(
+                {
+                    "n_bs": 1,
+                    "n_users": 1,
+                    "gain": [[2.0]],
+                    "budget": [1.0],
+                    "noise_dl": [1.0],
+                    "noise_ul": [1.0],
+                }
+            )
+        )
+        res = CliRunner().invoke(
+            cli_main, ["solve", "--net", str(net_path), "--alg", "maxsnr", "--seed", "3"]
+        )
+        assert res.exit_code == 1
+        res = CliRunner().invoke(cli_main, ["solve", "--net", str(net_path), "--alg", "maxsnr"])
+        assert res.exit_code == 0, res.output
+        assert json.loads(res.output)["min_sinr"] == pytest.approx(2.0)
 
     def test_gadget_verify(self, tmp_path):
         cnf = tmp_path / "f.cnf"

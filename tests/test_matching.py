@@ -304,6 +304,22 @@ class TestMatchedSolvers:
         with pytest.raises(ValidationError):
             solve_p1prime(random_network(rng, 3, 2))
 
+    def test_aufp_fails_fast_without_perfect_matching(self):
+        # users 1 and 2 both reach only BS 0; the auction alone would bid
+        # for millions of rounds before its cap proves this
+        import time
+
+        net = Network(
+            gain=[[math.e, 1.0, 1.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]],
+            budget=[1.0] * 3,
+            noise_dl=[1.0] * 3,
+            noise_ul=[1.0] * 3,
+        )
+        start = time.perf_counter()
+        with pytest.raises(InfeasibleMatchingError):
+            aufp(net)
+        assert time.perf_counter() - start < 1.0
+
     def test_feasible_association_is_unique_and_matches_matching(self):
         # any association that can give everyone SINR >= 1 must be the
         # max-total-log-gain matching, and no second one can exist
