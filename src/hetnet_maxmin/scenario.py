@@ -42,7 +42,10 @@ _HEX_AXES = np.array(
         [-0.5, _SQRT3 / 2.0],
     ]
 )
-_MAX_REJECTION_TRIES = 200_000
+# Rejection sampling gives up after this many candidates per point.
+_MAX_CANDIDATES = 200_000
+# Caps one rejection round's memory: block rows, or candidate-by-BS entries.
+_BLOCK_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -79,6 +82,10 @@ class ScenarioConfig:
             raise ValidationError("shadow_std_db must be non-negative")
         if self.user_dist not in ("congested", "uni_in_cell"):
             raise ValidationError(f"unknown user_dist {self.user_dist!r}")
+        if self.picos_per_macro > 0 and not self.pico_min_dist_m < self.macro_spacing_m / _SQRT3:
+            raise ValidationError(
+                "pico_min_dist_m must be below macro_spacing_m/sqrt(3), a macro's corner distance"
+            )
 
     @property
     def n_bs(self) -> int:
@@ -136,23 +143,29 @@ def _in_hex(points: np.ndarray, center: np.ndarray, spacing: float) -> np.ndarra
     return np.all(np.abs(rel @ _HEX_AXES.T) <= spacing / 2.0 + 1e-9, axis=1)
 
 
-def _sample_in_hex(rng: np.random.Generator, center: np.ndarray, spacing: float) -> np.ndarray:
-    half = spacing / 2.0
-    radius = spacing / _SQRT3
-    for _ in range(_MAX_REJECTION_TRIES):
-        p = center + np.array(
-            [rng.uniform(-half, half), rng.uniform(-radius, radius)]
-        )
-        if _in_hex(p, center, spacing)[0]:
-            return p
-    raise ValidationError("hexagon sampling failed; geometry unsatisfiable")
+def _nearest(centers: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Index of the nearest centre for each point, the lowest on ties."""
+    dx, dy = (np.subtract.outer(centers[:, i], points[:, i]) for i in (0, 1))
+    return np.argmin(dx * dx + dy * dy, axis=0)
 
 
-def _sample_in_area(
-    rng: np.random.Generator, macro_centers: np.ndarray, spacing: float
+def _hex_offsets(
+    rng: np.random.Generator, count: int, spacing: float, min_radius: float = 0.0
 ) -> np.ndarray:
-    cell = int(rng.integers(len(macro_centers)))
-    return _sample_in_hex(rng, macro_centers[cell], spacing)
+    """``count`` points uniform in the origin-centred hexagon and at least
+    ``min_radius`` from its centre, by block rejection from its bounding box."""
+    bound = np.array([spacing / 2.0, spacing / _SQRT3])
+    kept, n_kept, drawn, scale = [np.zeros((0, 2))], 0, 0, 1
+    while n_kept < count:
+        if drawn >= _MAX_CANDIDATES * count:
+            raise ValidationError("hexagon sampling failed; geometry unsatisfiable")
+        size = min((2 * (count - n_kept) + 8) * scale, _BLOCK_ENTRIES)
+        block = rng.uniform(-bound, bound, size=(size, 2))
+        drawn, scale = drawn + size, 2 * scale
+        block = block[_in_hex(block, 0.0, spacing) & (np.hypot(*block.T) >= min_radius)]
+        kept.append(block)
+        n_kept += len(block)
+    return np.concatenate(kept)[:count]
 
 
 def _wrap_deltas(deltas: np.ndarray, span: np.ndarray) -> np.ndarray:
@@ -188,33 +201,45 @@ def place_users(
     congested: floor(sqrt(K)) users uniform in the congested macro cell, the
     rest uniform over the whole network area.  uni_in_cell: user k lands
     uniformly in the Voronoi cell of BS perm[k mod N] for a seeded random
-    permutation perm of the BSs.
+    permutation perm of the BSs.  A cell no candidate lands in within the
+    candidate cap (an empty one, say) raises ValidationError.
     """
     s = config.macro_spacing_m
     macro_centers = geometry.bs_positions[geometry.bs_is_macro]
-    positions = np.zeros((config.n_users, 2))
     if config.user_dist == "congested":
         hot = _congested_cell_index(config, macro_centers)
         n_hot = int(math.floor(math.sqrt(config.n_users)))
-        for k in range(config.n_users):
-            if k < n_hot:
-                positions[k] = _sample_in_hex(rng, macro_centers[hot], s)
-            else:
-                positions[k] = _sample_in_area(rng, macro_centers, s)
-        return positions
+        hot_users = macro_centers[hot] + _hex_offsets(rng, n_hot, s)
+        cells = rng.integers(len(macro_centers), size=config.n_users - n_hot)
+        return np.vstack([hot_users, macro_centers[cells] + _hex_offsets(rng, len(cells), s)])
 
-    perm = rng.permutation(geometry.bs_positions.shape[0])
-    for k in range(config.n_users):
-        target = int(perm[k % len(perm)])
-        for _ in range(_MAX_REJECTION_TRIES):
-            p = _sample_in_area(rng, macro_centers, s)
-            if int(np.argmin(((geometry.bs_positions - p) ** 2).sum(axis=1))) == target:
-                positions[k] = p
-                break
-        else:
+    # Candidates come from the square of half-side s/sqrt(3) around the target
+    # BS t, which holds t's cell clipped to the area: a point of the area is
+    # within s/sqrt(3) of its macro, and a point of t's cell no farther from
+    # t.  Keep those nearest to t that lie in their nearest macro's hexagon.
+    bs = geometry.bs_positions
+    perm = rng.permutation(len(bs))
+    targets = perm[np.arange(config.n_users) % len(perm)]
+    positions = np.zeros((config.n_users, 2))
+    pending = np.arange(config.n_users)
+    drawn, per_user = 0, 32
+    while pending.size:
+        if drawn >= _MAX_CANDIDATES:
             raise ValidationError(
-                f"could not place a user in the Voronoi cell of BS {target}"
+                f"could not place a user in the Voronoi cell of BS {targets[pending[0]]}"
             )
+        m = max(1, min(per_user, _BLOCK_ENTRIES // (pending.size * len(bs))))
+        cand = bs[targets[pending], None, :] + rng.uniform(
+            -s / _SQRT3, s / _SQRT3, size=(pending.size, m, 2)
+        )
+        drawn, per_user = drawn + m, 2 * per_user
+        flat = cand.reshape(-1, 2)
+        home = macro_centers[_nearest(macro_centers, flat)]
+        ok = (_nearest(bs, flat) == np.repeat(targets[pending], m)) & _in_hex(flat, home, s)
+        ok = ok.reshape(pending.size, m)
+        done = ok.any(axis=1)
+        positions[pending[done]] = cand[done, ok[done].argmax(axis=1)]
+        pending = pending[~done]
     return positions
 
 
@@ -224,37 +249,16 @@ def generate_hetnet(config: ScenarioConfig) -> HetnetInstance:
     s = config.macro_spacing_m
     macro_centers = _macro_grid(config)
 
-    pico_positions = []
-    pico_parent = []
-    for m, center in enumerate(macro_centers):
-        for _ in range(config.picos_per_macro):
-            for _ in range(_MAX_REJECTION_TRIES):
-                p = _sample_in_hex(rng, center, s)
-                if np.linalg.norm(p - center) >= config.pico_min_dist_m:
-                    break
-            else:
-                raise ValidationError(
-                    "pico placement unsatisfiable: pico_min_dist_m too large for the cell"
-                )
-            pico_positions.append(p)
-            pico_parent.append(m)
-
     n_macro = len(macro_centers)
-    if pico_positions:
-        bs_positions = np.vstack([macro_centers, np.array(pico_positions)])
-    else:
-        bs_positions = macro_centers.copy()
+    pico_parent = np.repeat(np.arange(n_macro), config.picos_per_macro)
+    pico_offsets = _hex_offsets(rng, len(pico_parent), s, config.pico_min_dist_m)
+    bs_positions = np.vstack([macro_centers, macro_centers[pico_parent] + pico_offsets])
     bs_is_macro = np.arange(len(bs_positions)) < n_macro
-    bs_parent = np.concatenate(
-        [np.arange(n_macro), np.array(pico_parent, dtype=int)]
-        if pico_positions
-        else [np.arange(n_macro)]
-    )
 
     skeleton = Geometry(
         bs_positions=bs_positions,
         bs_is_macro=bs_is_macro,
-        bs_parent_macro=bs_parent,
+        bs_parent_macro=np.concatenate([np.arange(n_macro), pico_parent]),
         user_positions=np.zeros((0, 2)),
         user_cell=np.zeros(0, dtype=int),
     )
@@ -272,15 +276,10 @@ def generate_hetnet(config: ScenarioConfig) -> HetnetInstance:
         noise_dl=np.full(config.n_users, config.noise),
         noise_ul=np.full(len(bs_positions), config.noise),
     )
-    user_cell = np.argmin(
-        ((bs_positions[:, None, :] - user_positions[None, :, :]) ** 2).sum(axis=-1), axis=0
-    ).astype(int)
-    geometry = Geometry(
-        bs_positions=bs_positions,
-        bs_is_macro=bs_is_macro,
-        bs_parent_macro=bs_parent,
+    geometry = replace(
+        skeleton,
         user_positions=user_positions,
-        user_cell=user_cell,
+        user_cell=_nearest(bs_positions, user_positions).astype(int),
     )
     return HetnetInstance(network=network, geometry=geometry)
 

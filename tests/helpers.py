@@ -8,11 +8,21 @@ against arithmetic that shares no code with them.
 from __future__ import annotations
 
 import itertools
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 
-from hetnet_maxmin.model import Network
+from hetnet_maxmin.model import Network, network_from_json
+
+DATA = Path(__file__).parent / "data"
+
+
+def frozen_network(name: str) -> Network:
+    """A scenario draw kept in ``tests/data/<name>.json`` so that a test keeps
+    its instance when the generator's random stream changes."""
+    return network_from_json(json.loads((DATA / f"{name}.json").read_text()))
 
 
 def random_network(
@@ -188,6 +198,34 @@ def exhaustive_assignment(gain: np.ndarray, forbidden_cutoff: float = -5e17):
             best_total = total
             best = perm
     return (None, -math.inf) if best is None else (np.array(best), best_total)
+
+
+def naive_cell_points(
+    rng: np.random.Generator,
+    bs_positions: np.ndarray,
+    macro_centers: np.ndarray,
+    spacing: float,
+    n_draws: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Points uniform over the network area, with the index of their nearest
+    BS; the points of one label are uniform in that BS's cell.
+
+    The area is the union of the macro hexagons (apothem spacing/2, corners
+    up and down); a point is drawn in a uniformly chosen hexagon's bounding
+    box and redrawn until it falls inside.
+    """
+    points = np.empty((n_draws, 2))
+    for i in range(n_draws):
+        center = macro_centers[rng.integers(len(macro_centers))]
+        while True:
+            x = rng.uniform(-spacing / 2.0, spacing / 2.0)
+            y = rng.uniform(-spacing / math.sqrt(3.0), spacing / math.sqrt(3.0))
+            if abs(x) * 0.5 + abs(y) * math.sqrt(3.0) / 2.0 <= spacing / 2.0:
+                break
+        points[i] = center + (x, y)
+    labels = [min(range(len(bs_positions)), key=lambda n: math.dist(bs_positions[n], p))
+              for p in points]
+    return points, np.array(labels)
 
 
 def truth_table_sat(n_vars: int, clauses) -> bool:

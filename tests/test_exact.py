@@ -21,9 +21,10 @@ from hetnet_maxmin.power import (
     solve_power,
     solve_power_exact,
 )
-from hetnet_maxmin.scenario import ScenarioConfig, generate_hetnet
 from hetnet_maxmin.sumpower import ulsum, ulsum_exact, uplink_unit_sinr_power
 from hetnet_maxmin.twostage import dlsuma
+
+from helpers import frozen_network
 
 REFERENCE = FixedPointOptions(tol=1e-12, max_iter=20_000)
 PROPERTY = settings(max_examples=150, deadline=None)
@@ -183,11 +184,7 @@ class TestPerBsKernel:
         # criterion-08 scenario, 35 dB, maxsnr: budgets 1.26e5 (macro) and
         # 3.16e3 (pico), six idle BSs; a solve at a shift equal to the Perron
         # root is singular here and must never turn into non-finite power
-        config = ScenarioConfig(
-            n_macro=4, picos_per_macro=2, n_users=18, user_dist="uni_in_cell",
-            snr_db=35.0, seed=7000015,
-        )
-        net = generate_hetnet(config).network
+        net = frozen_network("uni_4x2_k18_35db_seed7000015")
         assoc = max_snr_association(net)
         res = solve_power_exact(net, assoc)
         assert res.converged
@@ -238,11 +235,8 @@ class TestPerBsKernel:
             raise AssertionError("dense fallback used")
 
         monkeypatch.setattr(power, "_dense_perron", forbidden)
-        config = ScenarioConfig(
-            n_macro=9, picos_per_macro=1, n_users=18, user_dist="uni_in_cell",
-            snr_db=35.0, seed=1000021,
-        )
-        res = dlsuma(generate_hetnet(config).network).result
+        # scale draw: 9 macros x 1 pico, 18 users, uni_in_cell, 35 dB
+        res = dlsuma(frozen_network("uni_9x1_k18_35db_seed1000021")).result
         assert res.converged
         assert res.sinr.max() - res.sinr.min() <= 1e-12 * res.sinr.min()
 

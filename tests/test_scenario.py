@@ -1,11 +1,14 @@
 """HetNet generation tests: determinism, grid geometry, shadowing
-statistics, path-loss anchoring, user layouts, and config serialization."""
+statistics, path-loss anchoring, user layouts, sampler invariants and
+uniformity, and config serialization."""
 
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.stats import ks_2samp
 
 from hetnet_maxmin.model import ValidationError
 from hetnet_maxmin.scenario import (
@@ -18,6 +21,24 @@ from hetnet_maxmin.scenario import (
     scenario_to_json,
     _in_hex,
 )
+
+from helpers import naive_cell_points
+
+
+def _skeleton(bs_positions, n_macro):
+    n_bs = len(bs_positions)
+    return Geometry(
+        bs_positions=np.asarray(bs_positions, dtype=float),
+        bs_is_macro=np.arange(n_bs) < n_macro,
+        bs_parent_macro=np.zeros(n_bs, dtype=int),
+        user_positions=np.zeros((0, 2)),
+        user_cell=np.zeros(0, dtype=int),
+    )
+
+
+def _nearest_bs(bs_positions, points):
+    return [min(range(len(bs_positions)), key=lambda n: math.dist(bs_positions[n], p))
+            for p in points]
 
 
 class TestDeterminism:
@@ -67,11 +88,10 @@ class TestGeometry:
             assert _in_hex(geo.bs_positions[idx], macros[parent], 1000.0)[0]
 
     def test_unsatisfiable_pico_distance_raises(self):
-        config = ScenarioConfig(
-            n_macro=1, picos_per_macro=1, n_users=1, pico_min_dist_m=2000.0, seed=0
-        )
         with pytest.raises(ValidationError):
-            generate_hetnet(config)
+            ScenarioConfig(
+                n_macro=1, picos_per_macro=1, n_users=1, pico_min_dist_m=2000.0, seed=0
+            )
 
 
 class TestChannel:
@@ -196,6 +216,82 @@ class TestUserLayouts:
         first = place_users(config, skeleton, np.random.default_rng(33))
         second = place_users(config, skeleton, np.random.default_rng(33))
         np.testing.assert_array_equal(first, second)
+
+
+class TestSamplerInvariants:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        user_dist=st.sampled_from(["congested", "uni_in_cell"]),
+        n_macro=st.integers(1, 9),
+        picos_per_macro=st.integers(0, 3),
+        n_users=st.integers(1, 30),
+        pico_min_dist_m=st.floats(1.0, 500.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_generator_invariants(
+        self, user_dist, n_macro, picos_per_macro, n_users, pico_min_dist_m, seed
+    ):
+        config = ScenarioConfig(
+            n_macro=n_macro, picos_per_macro=picos_per_macro, n_users=n_users,
+            user_dist=user_dist, pico_min_dist_m=pico_min_dist_m, seed=seed,
+        )
+        inst = generate_hetnet(config)
+        geo = inst.geometry
+        macros = geo.bs_positions[geo.bs_is_macro]
+        for idx in np.flatnonzero(~geo.bs_is_macro):
+            parent = macros[geo.bs_parent_macro[idx]]
+            assert np.linalg.norm(geo.bs_positions[idx] - parent) >= pico_min_dist_m
+            assert _in_hex(geo.bs_positions[idx], parent, 1000.0)[0]
+        for pos in geo.user_positions:
+            assert any(_in_hex(pos, center, 1000.0)[0] for center in macros)
+
+        again = generate_hetnet(config)
+        np.testing.assert_array_equal(inst.network.gain, again.network.gain)
+        np.testing.assert_array_equal(geo.bs_positions, again.geometry.bs_positions)
+        np.testing.assert_array_equal(geo.user_positions, again.geometry.user_positions)
+
+        if user_dist == "uni_in_cell":
+            # place_users draws its permutation first
+            perm = np.random.default_rng(seed).permutation(config.n_bs)
+            users = place_users(config, geo, np.random.default_rng(seed))
+            served = _nearest_bs(geo.bs_positions, users)
+            assert served == [perm[k % config.n_bs] for k in range(n_users)]
+        assert geo.user_cell.tolist() == _nearest_bs(geo.bs_positions, geo.user_positions)
+
+    def test_uni_in_cell_matches_naive_sampler(self):
+        # 4 macros, one pico in an open cell and a pico (index 5) ringed by
+        # three more at 160 m, whose cell is a ~33,000 m^2 triangle
+        small = np.array([1250.0, 700.0])
+        ring = [small + 160.0 * np.array([math.cos(a), math.sin(a)]) for a in (0.0, 2.1, 4.2)]
+        macros = np.array([[0.0, 0.0], [1000.0, 0.0], [500.0, 866.0254037844386],
+                           [1500.0, 866.0254037844386]])
+        bs = np.vstack([macros, [[300.0, 250.0]], [small], ring])
+        reps = 300
+        config = ScenarioConfig(n_macro=4, picos_per_macro=1, n_users=reps * len(bs))
+        users = place_users(config, _skeleton(bs, 4), np.random.default_rng(20))
+        cells = np.array(_nearest_bs(bs, users))
+        assert np.bincount(cells).tolist() == [reps] * len(bs)
+
+        points, labels = naive_cell_points(np.random.default_rng(21), bs, macros, 1000.0, 50_000)
+        assert np.bincount(labels).min() >= reps
+        naive = np.concatenate([np.flatnonzero(labels == n)[:reps] for n in range(len(bs))])
+
+        def stats(pos, serving):
+            return [np.linalg.norm(pos - bs[serving], axis=1), pos[:, 0], pos[:, 1]]
+
+        for pick, ref in ((np.arange(len(users)), naive), (cells == 5, naive[labels[naive] == 5])):
+            ours = stats(users[pick], cells[pick])
+            theirs = stats(points[ref], labels[ref])
+            for a, b in zip(ours, theirs):
+                assert ks_2samp(a, b).pvalue > 0.01
+
+    def test_empty_voronoi_cell_raises(self):
+        # BS 2 sits on BS 1, so ties give every point to BS 1 and BS 2's
+        # cell is empty; a user assigned to it cannot be placed
+        bs = [[0.0, 0.0], [200.0, 300.0], [200.0, 300.0]]
+        config = ScenarioConfig(n_macro=1, picos_per_macro=2, n_users=3)
+        with pytest.raises(ValidationError, match="Voronoi cell of BS 2"):
+            place_users(config, _skeleton(bs, 1), np.random.default_rng(0))
 
 
 class TestConfigSerialization:

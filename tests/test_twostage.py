@@ -19,7 +19,7 @@ from hetnet_maxmin.twostage import (
     ulsuma_upper_bound,
 )
 
-from helpers import random_network
+from helpers import frozen_network, random_network
 
 
 def congested_pair_net() -> Network:
@@ -146,11 +146,9 @@ class TestDlsuma:
         assert certified >= 5
 
     def test_keeps_first_power_stage_when_refresh_is_worse(self):
-        # the refreshed association can genuinely lose; the better stage wins
-        base = ScenarioConfig(
-            n_macro=2, picos_per_macro=1, n_users=6, user_dist="congested", snr_db=10.0
-        )
-        net = generate_hetnet(replace(base, seed=6)).network
+        # the refreshed association can genuinely lose; the better stage wins.
+        # congested draw: 2 macros x 1 pico, 6 users, 10 dB
+        net = frozen_network("congested_2x1_k6_10db_seed6")
         res = dlsuma(net)
         assert "refreshed" in res.stages[3].name
         assert res.selected_stage == 1
