@@ -55,9 +55,7 @@ from .matching import (
     OneToOneResult,
     aufp,
     auction,
-    auction_eps_scaling,
     default_eps,
-    default_eps_schedule,
     hungarian,
     log_gain_matrix,
     solve_p1prime,

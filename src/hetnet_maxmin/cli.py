@@ -1,7 +1,7 @@
 """Batch CLI: generate networks, solve them, run Monte-Carlo sweeps.
 
 Exit codes: 0 success, 2 infeasible / not-converged / failed verification,
-1 usage or I/O error.
+1 usage or I/O error, or an algorithm that skips the network.
 """
 
 from __future__ import annotations
@@ -13,6 +13,8 @@ import sys
 import click
 
 from .harness import (
+    ALGORITHMS,
+    Outcome,
     experiment_from_json,
     export_cdf_csv,
     export_csv,
@@ -20,29 +22,14 @@ from .harness import (
     monte_carlo,
     selftest as run_selftest,
 )
-from .matching import InfeasibleMatchingError, aufp, solve_p1prime
-from .model import (
-    ValidationError,
-    max_snr_association,
-    network_from_json,
-    network_to_json,
-)
-from .oracle import (
-    brute_force_optimum,
-    build_3sat_gadget,
-    cnf_from_dimacs,
-    verify_sat_equivalence,
-)
-from .power import FixedPointOptions, solve_power_exact
+from .matching import InfeasibleMatchingError
+from .model import ValidationError, network_from_json, network_to_json
+from .oracle import build_3sat_gadget, cnf_from_dimacs, verify_sat_equivalence
 from .scenario import generate_hetnet, geometry_to_json, scenario_from_json
-from .sumpower import ulsum_exact
-from .twostage import dlsum, dlsuma, ulsuma
 
 # Usage errors must exit with 1 (click defaults to 2, which is reserved here
 # for infeasible / not-converged outcomes).
 click.UsageError.exit_code = 1
-
-_SOLVE_ALGS = ["dlsuma", "dlsum", "ulsum", "ulsuma", "aufp", "p1prime", "maxsnr", "brute"]
 
 
 def _fail(message: str, code: int = 1):
@@ -98,41 +85,11 @@ def gen(config_path, seed, out_path, geometry_out):
         _dump(geometry_to_json(instance.geometry), geometry_out)
 
 
-def _solve_one(net, alg: str, eps: float | None, opts: FixedPointOptions):
-    """Run one solver; returns (document, exit_code).
-
-    ``opts`` reaches only the brute-force oracle; every other algorithm
-    solves its power problems exactly.
-    """
-    if alg == "maxsnr":
-        res = solve_power_exact(net, max_snr_association(net))
-    elif alg == "brute":
-        res = brute_force_optimum(net, opts=opts)
-    elif alg in ("ulsum", "ulsuma"):
-        if alg == "ulsum":
-            r, problem = ulsum_exact(net), "uplink sum-power relaxation"
-        else:
-            r, problem = ulsuma(net), "uplink sum-power relaxation (power-balanced)"
-        doc = {
-            "algorithm": alg,
-            "problem": problem,
-            "association": r.assoc.tolist(),
-            "power": r.power_ul.tolist(),
-            "min_sinr": r.gamma_sum,
-            "min_sinr_db": _db(r.gamma_sum),
-            "upper_bound": r.gamma_sum,
-            "iterations": r.iterations,
-            "converged": r.converged,
-            "residual": r.residual,
-        }
-        return doc, 0 if r.converged else 2
-    elif alg in ("dlsum", "dlsuma"):
-        two = dlsum(net) if alg == "dlsum" else dlsuma(net)
-        res = two.result
-        doc = _solve_result_doc(alg, res)
-        doc["upper_bound"] = two.upper_bound
-        doc["selected_stage"] = two.selected_stage
-        doc["stages"] = [
+def _solve_document(alg: str, out: Outcome) -> dict:
+    """The ``solve`` JSON document; fields the algorithm does not fill are left out."""
+    stages = None
+    if out.stages is not None:
+        stages = [
             {
                 "name": s.name,
                 "iterations": s.iterations,
@@ -140,58 +97,55 @@ def _solve_one(net, alg: str, eps: float | None, opts: FixedPointOptions):
                 "sum_power": s.sum_power,
                 "gamma": s.gamma,
             }
-            for s in two.stages
+            for s in out.stages
         ]
-        return doc, 0 if res.converged else 2
-    elif alg in ("p1prime", "aufp"):
-        one = solve_p1prime(net) if alg == "p1prime" else aufp(net, eps)
-        doc = _solve_result_doc(alg, one.result)
-        doc["status"] = one.status
-        doc["assignment_total_gain"] = one.total_gain
-        code = 0 if (one.status == "optimal" and one.result.converged) else 2
-        return doc, code
-    else:  # pragma: no cover - guarded by click.Choice
-        raise ValueError(alg)
-    return _solve_result_doc(alg, res), 0 if res.converged else 2
-
-
-def _solve_result_doc(alg: str, res) -> dict:
-    return {
+    doc = {
         "algorithm": alg,
-        "problem": "per-BS power budgets",
-        "association": res.association.tolist(),
-        "power": res.power.tolist(),
-        "sinr": res.sinr.tolist(),
-        "min_sinr": res.min_sinr,
-        "min_sinr_db": _db(res.min_sinr),
-        "iterations": res.iterations,
-        "converged": res.converged,
-        "residual": res.residual,
+        "problem": out.problem,
+        "association": out.association.tolist(),
+        "power": out.power.tolist(),
+        "sinr": None if out.sinr is None else out.sinr.tolist(),
+        "min_sinr": out.min_sinr,
+        "min_sinr_db": _db(out.min_sinr),
+        "upper_bound": out.upper_bound,
+        "iterations": out.iterations,
+        "converged": out.converged,
+        "residual": out.residual,
+        "selected_stage": out.selected_stage,
+        "stages": stages,
+        "status": out.status,
+        "assignment_total_gain": out.assignment_total_gain,
     }
+    return {key: value for key, value in doc.items() if value is not None}
 
 
 @main.command()
 @click.option("--net", "net_path", required=True, type=click.Path(), help="Network JSON")
-@click.option("--alg", required=True, type=click.Choice(_SOLVE_ALGS))
+@click.option("--alg", required=True, type=click.Choice(list(ALGORITHMS)))
 @click.option("--eps", type=float, default=None, help="Auction bidding increment (aufp)")
 @click.option(
     "--tol",
     type=float,
-    default=None,
+    default=1e-10,
+    show_default=True,
     help="Fixed-point tolerance of the brute-force oracle (brute); other algorithms solve exactly",
 )
 @click.option("--out", "out_path", default=None, help="Output JSON (default stdout)")
 def solve(net_path, alg, eps, tol, out_path):
-    """Solve one network with the chosen algorithm and print the result."""
+    """Solve one network with the chosen algorithm and print the result.
+
+    Exits 2 when the run did not converge or a matched solve is not optimal,
+    and 1 when the algorithm skips the network.
+    """
     doc = _load_json(net_path)
     try:
-        net = network_from_json(doc)
-        opts = FixedPointOptions(tol=tol if tol is not None else 1e-10)
-        result_doc, code = _solve_one(net, alg, eps, opts)
+        outcome = ALGORITHMS[alg](network_from_json(doc), eps, tol)
     except (ValidationError, InfeasibleMatchingError, ValueError) as exc:
         _fail(str(exc))
-    _dump(result_doc, out_path)
-    sys.exit(code)
+    if outcome.min_sinr is None:
+        _fail(outcome.note)
+    _dump(_solve_document(alg, outcome), out_path)
+    sys.exit(0 if outcome.converged and outcome.status in (None, "optimal") else 2)
 
 
 @main.command()

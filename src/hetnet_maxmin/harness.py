@@ -1,5 +1,9 @@
-"""Monte-Carlo experiment driver: algorithm registry, per-trial records,
-aggregation (means and CDFs) and CSV/JSON export.
+"""Monte-Carlo experiment driver: the algorithm registry, per-trial
+records, aggregation (means and CDFs) and CSV/JSON export.
+
+:data:`ALGORITHMS` is the one table of algorithms: the sweeps run its
+entries through :func:`run_algorithm`, and ``hetnet-maxmin solve`` renders
+their :class:`Outcome` as its JSON document.
 
 Trial i always uses seed ``seed_base + i``, independent of worker order, so
 serial and parallel sweeps produce bit-identical outputs.  Means are taken
@@ -20,15 +24,16 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .matching import AssignmentProblem, auction, aufp, hungarian, solve_p1prime
-from .model import Network, max_snr_association
-from .oracle import brute_force_optimum, gadget_pair_values
+from .model import Network, SolveResult, max_snr_association
+from .oracle import MAX_CANDIDATES, brute_force_optimum, gadget_pair_values
 from .power import FixedPointOptions, solve_power_exact
 from .scenario import ScenarioConfig, generate_hetnet, scenario_from_json, scenario_to_json
-from .sumpower import dl_sumpower_power, ulsum, ulsum_exact, upper_bound_sum
-from .twostage import dlsum, dlsuma, ulsuma
+from .sumpower import UlsumResult, dl_sumpower_power, ulsum, ulsum_exact, upper_bound_sum
+from .twostage import StageInfo, TwoStageResult, dlsum, dlsuma, ulsuma
 
 __all__ = [
     "ALGORITHMS",
+    "Outcome",
     "ExperimentSpec",
     "AlgoCell",
     "TrialRecord",
@@ -44,8 +49,6 @@ __all__ = [
     "experiment_to_json",
     "selftest",
 ]
-
-_BRUTE_CAP = 1_000_000
 
 
 def _canonical_name(name: str) -> str:
@@ -79,85 +82,118 @@ class TrialRecord:
     cells: dict[str, AlgoCell]
 
 
-# Every entry takes (net, opts, eps); only the brute-force oracle still runs
-# the fixed point and reads ``opts``, the others solve exactly.
-def _run_maxsnr(net: Network, opts: FixedPointOptions, eps: float | None):
-    res = solve_power_exact(net, max_snr_association(net))
-    return res.min_sinr, None, res.converged, None
+@dataclass(frozen=True)
+class Outcome:
+    """One algorithm's answer on one network.
+
+    ``min_sinr``, ``upper_bound``, ``converged`` and ``note`` are what a
+    sweep records; a skipped run has ``min_sinr=None`` and the reason in
+    ``note``.  The remaining fields are what ``hetnet-maxmin solve`` prints;
+    each family fills its own extras (``stages``/``selected_stage`` for the
+    two-stage solvers, ``status``/``assignment_total_gain`` for the matched
+    ones) and leaves the others None.
+    """
+
+    min_sinr: float | None
+    upper_bound: float | None = None
+    converged: bool | None = None
+    note: str | None = None
+    problem: str = "per-BS power budgets"
+    association: np.ndarray | None = None
+    power: np.ndarray | None = None
+    sinr: np.ndarray | None = None
+    iterations: int | None = None
+    residual: float | None = None
+    stages: tuple[StageInfo, ...] | None = None
+    selected_stage: int | None = None
+    status: str | None = None
+    assignment_total_gain: float | None = None
 
 
-def _run_ulsum(net: Network, opts: FixedPointOptions, eps: float | None):
-    res = ulsum_exact(net)
-    return res.gamma_sum, res.gamma_sum, res.converged, None
+def _per_bs(res: SolveResult, **extras) -> Outcome:
+    return Outcome(
+        res.min_sinr,
+        converged=res.converged,
+        association=res.association,
+        power=res.power,
+        sinr=res.sinr,
+        iterations=res.iterations,
+        residual=res.residual,
+        **extras,
+    )
 
 
-def _run_ulsuma(net: Network, opts: FixedPointOptions, eps: float | None):
-    res = ulsuma(net)
-    return res.gamma_sum, res.gamma_sum, res.converged, None
+def _relaxation(res: UlsumResult, problem: str) -> Outcome:
+    return Outcome(
+        res.gamma_sum,
+        upper_bound=res.gamma_sum,
+        converged=res.converged,
+        problem=problem,
+        association=res.assoc,
+        power=res.power_ul,
+        iterations=res.iterations,
+        residual=res.residual,
+    )
 
 
-def _run_dlsum(net: Network, opts: FixedPointOptions, eps: float | None):
-    res = dlsum(net)
-    return res.result.min_sinr, res.upper_bound, res.result.converged, None
+def _two_stage(res: TwoStageResult) -> Outcome:
+    return _per_bs(
+        res.result,
+        upper_bound=res.upper_bound,
+        stages=res.stages,
+        selected_stage=res.selected_stage,
+    )
 
 
-def _run_dlsuma(net: Network, opts: FixedPointOptions, eps: float | None):
-    res = dlsuma(net)
-    return res.result.min_sinr, res.upper_bound, res.result.converged, None
-
-
-def _run_p1prime(net: Network, opts: FixedPointOptions, eps: float | None):
+def _matched(net: Network, solver, *args) -> Outcome:
     if net.n_bs != net.n_users:
-        return None, None, None, "skipped: requires n_bs == n_users"
-    res = solve_p1prime(net)
-    return res.result.min_sinr, None, res.result.converged, f"status={res.status}"
+        return Outcome(None, note="skipped: requires n_bs == n_users")
+    res = solver(net, *args)
+    return _per_bs(
+        res.result,
+        note=f"status={res.status}",
+        status=res.status,
+        assignment_total_gain=res.total_gain,
+    )
 
 
-def _run_aufp(net: Network, opts: FixedPointOptions, eps: float | None):
-    if net.n_bs != net.n_users:
-        return None, None, None, "skipped: requires n_bs == n_users"
-    res = aufp(net, eps)
-    return res.result.min_sinr, None, res.result.converged, f"status={res.status}"
-
-
-def _run_brute(net: Network, opts: FixedPointOptions, eps: float | None):
-    if net.n_bs**net.n_users > _BRUTE_CAP:
-        return None, None, None, "skipped: instance too large for brute force"
-    res = brute_force_optimum(net, opts=opts)
-    return res.min_sinr, None, res.converged, None
-
-
+# Every entry is run(net, eps, tol) -> Outcome.  ``eps`` is the auction's
+# bidding increment (aufp) and ``tol`` the fixed-point tolerance of the
+# brute-force oracle; every other algorithm solves its power problems exactly.
 ALGORITHMS = {
-    "maxsnr": _run_maxsnr,
-    "ulsum": _run_ulsum,
-    "ulsuma": _run_ulsuma,
-    "dlsum": _run_dlsum,
-    "dlsuma": _run_dlsuma,
-    "p1prime": _run_p1prime,
-    "aufp": _run_aufp,
-    "brute": _run_brute,
+    "maxsnr": lambda net, eps, tol: _per_bs(solve_power_exact(net, max_snr_association(net))),
+    "ulsum": lambda net, eps, tol: _relaxation(ulsum_exact(net), "uplink sum-power relaxation"),
+    "ulsuma": lambda net, eps, tol: _relaxation(
+        ulsuma(net), "uplink sum-power relaxation (power-balanced)"
+    ),
+    "dlsum": lambda net, eps, tol: _two_stage(dlsum(net)),
+    "dlsuma": lambda net, eps, tol: _two_stage(dlsuma(net)),
+    "p1prime": lambda net, eps, tol: _matched(net, solve_p1prime),
+    "aufp": lambda net, eps, tol: _matched(net, aufp, eps),
+    "brute": lambda net, eps, tol: _per_bs(
+        brute_force_optimum(net, opts=FixedPointOptions(tol=tol))
+    ),
 }
 
 
 def run_algorithm(
     name: str,
     net: Network,
-    opts: FixedPointOptions | None = None,
     eps: float | None = None,
+    tol: float = 1e-10,
 ) -> AlgoCell:
     """Run one registered algorithm, timing it and trapping failures."""
     key = _canonical_name(name)
     if key not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {name!r}; choose from {sorted(ALGORITHMS)}")
-    opts = opts or FixedPointOptions()
     start = time.perf_counter()
     try:
-        value, bound, converged, note = ALGORITHMS[key](net, opts, eps)
+        out = ALGORITHMS[key](net, eps, tol)
     except Exception as exc:  # recorded per-cell, trial continues
         elapsed = (time.perf_counter() - start) * 1e3
         return AlgoCell(None, elapsed, None, None, note=f"error: {exc}")
     elapsed = (time.perf_counter() - start) * 1e3
-    return AlgoCell(value, elapsed, converged, bound, note=note)
+    return AlgoCell(out.min_sinr, elapsed, out.converged, out.upper_bound, note=out.note)
 
 
 @dataclass(frozen=True)
@@ -181,13 +217,19 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.n_runs < 1:
             raise ValueError("n_runs must be at least 1")
+        if self.eps is not None and (
+            isinstance(self.eps, bool)
+            or not isinstance(self.eps, (int, float))
+            or not 0 < self.eps < math.inf
+        ):
+            raise ValueError(f"eps must be None or a positive finite number, got {self.eps!r}")
         if not self.snr_db:
             raise ValueError("need at least one snr_db point")
         names = tuple(_canonical_name(a) for a in self.algorithms)
         unknown = [a for a in names if a not in ALGORITHMS]
         if unknown:
             raise ValueError(f"unknown algorithms {unknown}; choose from {sorted(ALGORITHMS)}")
-        if "brute" in names and self.scenario.n_bs**self.scenario.n_users > _BRUTE_CAP:
+        if "brute" in names and self.scenario.n_bs**self.scenario.n_users > MAX_CANDIDATES:
             raise ValueError("brute force not allowed at this scenario size")
         object.__setattr__(self, "algorithms", names)
         object.__setattr__(self, "snr_db", tuple(float(s) for s in self.snr_db))

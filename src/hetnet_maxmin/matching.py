@@ -28,9 +28,7 @@ __all__ = [
     "hungarian",
     "AuctionState",
     "auction",
-    "auction_eps_scaling",
     "default_eps",
-    "default_eps_schedule",
     "OneToOneResult",
     "solve_p1prime",
     "aufp",
@@ -129,30 +127,40 @@ def default_eps(prob: AssignmentProblem) -> float:
     return 1e-6 * spread if spread > 0 else 1e-6
 
 
-def default_eps_schedule(prob: AssignmentProblem) -> list[float]:
-    """Decreasing eps values: spread/10 down by factors of 10 to spread*1e-6."""
-    finite = prob.gain[prob.gain > _FINITE_CUTOFF]
-    spread = float(finite.max() - finite.min())
-    if spread <= 0:
-        return [1e-6]
-    return [spread * 10.0**-i for i in range(1, 7)]
-
-
-def _auction_rounds(
-    gain: np.ndarray,
+def auction(
+    prob: AssignmentProblem,
     eps: float,
-    prices: np.ndarray,
-    assignment: np.ndarray,
-    owner: np.ndarray,
-    max_rounds: int,
-    record_history: bool,
-) -> tuple[int, int, int, float, list[np.ndarray]]:
-    """Run Jacobi bidding rounds until everyone is assigned (in place)."""
-    k = gain.shape[0]
+    initial_prices: np.ndarray | None = None,
+    max_rounds: int | None = None,
+    record_history: bool = False,
+) -> AuctionState:
+    """Jacobi auction for the assignment problem.
+
+    All unassigned users bid simultaneously each round; every BS receiving
+    bids keeps the highest bidder and raises its price by the winning margin
+    plus eps.  With zero initial prices the number of rounds is bounded by
+    the largest absolute allowed gain over eps, and the final total gain is
+    within k * eps of the optimum.
+
+    ``initial_prices`` supports the distributed variant that starts from
+    -log(budget) per BS.  Exceeding the round cap signals that forbidden
+    pairs leave no perfect matching.
+    """
+    if not eps > 0:
+        raise ValueError("eps must be positive")
+    gain = prob.gain
+    k = prob.k
+    prices = np.zeros(k) if initial_prices is None else np.array(initial_prices, dtype=float)
+    if prices.shape != (k,):
+        raise ValidationError(f"initial_prices must have shape ({k},)")
     finite = gain > _FINITE_CUTOFF
     finite_vals = gain[finite]
+    if max_rounds is None:
+        max_rounds = k * (int(np.ceil(float(np.abs(finite_vals).max()) / eps)) + k + 16)
     # Bid increment when a user has no allowed alternative (including k = 1).
     solo_gap = float(finite_vals.max() - finite_vals.min()) + eps
+    assignment = np.full(k, -1)
+    owner = np.full(k, -1)
     rounds = bids = reassignments = 0
     min_increment = np.inf
     history: list[np.ndarray] = []
@@ -194,43 +202,6 @@ def _auction_rounds(
             min_increment = min(min_increment, increment)
         if record_history:
             history.append(prices.copy())
-    return rounds, bids, reassignments, float(min_increment), history
-
-
-def auction(
-    prob: AssignmentProblem,
-    eps: float,
-    initial_prices: np.ndarray | None = None,
-    max_rounds: int | None = None,
-    record_history: bool = False,
-) -> AuctionState:
-    """Jacobi auction for the assignment problem.
-
-    All unassigned users bid simultaneously each round; every BS receiving
-    bids keeps the highest bidder and raises its price by the winning margin
-    plus eps.  With zero initial prices the number of rounds is bounded by
-    the largest absolute allowed gain over eps, and the final total gain is
-    within k * eps of the optimum.
-
-    ``initial_prices`` supports the distributed variant that starts from
-    -log(budget) per BS.  Exceeding the round cap signals that forbidden
-    pairs leave no perfect matching.
-    """
-    if not eps > 0:
-        raise ValueError("eps must be positive")
-    gain = prob.gain
-    k = prob.k
-    prices = np.zeros(k) if initial_prices is None else np.array(initial_prices, dtype=float)
-    if prices.shape != (k,):
-        raise ValidationError(f"initial_prices must have shape ({k},)")
-    if max_rounds is None:
-        finite_max = float(np.abs(gain[gain > _FINITE_CUTOFF]).max())
-        max_rounds = k * (int(np.ceil(finite_max / eps)) + k + 16)
-    assignment = np.full(k, -1)
-    owner = np.full(k, -1)
-    rounds, bids, reassignments, min_inc, history = _auction_rounds(
-        gain, eps, prices, assignment, owner, max_rounds, record_history
-    )
     chosen = gain[assignment, np.arange(k)]
     if np.any(chosen <= _FINITE_CUTOFF):
         raise InfeasibleMatchingError("auction settled on a forbidden pair")
@@ -242,68 +213,9 @@ def auction(
         rounds=rounds,
         bids=bids,
         reassignments=reassignments,
-        min_increment=min_inc,
+        min_increment=float(min_increment),
         price_history=tuple(history) if record_history else None,
     )
-
-
-def auction_eps_scaling(
-    prob: AssignmentProblem,
-    schedule: list[float] | None = None,
-    max_rounds: int | None = None,
-) -> AuctionState:
-    """Run the auction over a decreasing eps schedule, warm-starting prices.
-
-    Each phase restarts the assignment but keeps the prices of the previous
-    phase, so late (small-eps) phases start nearly price-consistent and need
-    few bids.  The final state satisfies the auction contract at the last
-    eps of the schedule.
-    """
-    if schedule is None:
-        schedule = default_eps_schedule(prob)
-    if not schedule:
-        raise ValueError("eps schedule must be non-empty")
-    if any(e <= 0 for e in schedule):
-        raise ValueError("eps schedule must be positive")
-    if any(b >= a for a, b in zip(schedule, schedule[1:])):
-        raise ValueError("eps schedule must be strictly decreasing")
-
-    gain = prob.gain
-    k = prob.k
-    prices = np.zeros(k)
-    total_bids = total_rounds = total_reassign = 0
-    min_inc = np.inf
-    state: AuctionState | None = None
-    for eps in schedule:
-        if max_rounds is None:
-            finite_max = float(np.abs(gain[gain > _FINITE_CUTOFF]).max())
-            cap = k * (int(np.ceil(finite_max / eps)) + k + 16)
-        else:
-            cap = max_rounds
-        assignment = np.full(k, -1)
-        owner = np.full(k, -1)
-        rounds, bids, reassignments, inc, _ = _auction_rounds(
-            gain, eps, prices, assignment, owner, cap, record_history=False
-        )
-        total_rounds += rounds
-        total_bids += bids
-        total_reassign += reassignments
-        min_inc = min(min_inc, inc)
-        chosen = gain[assignment, np.arange(k)]
-        if np.any(chosen <= _FINITE_CUTOFF):
-            raise InfeasibleMatchingError("auction settled on a forbidden pair")
-        state = AuctionState(
-            assignment=assignment,
-            total_gain=float(chosen.sum()),
-            prices=prices,
-            eps=eps,
-            rounds=total_rounds,
-            bids=total_bids,
-            reassignments=total_reassign,
-            min_increment=min_inc,
-        )
-    assert state is not None
-    return state
 
 
 @dataclass(frozen=True)

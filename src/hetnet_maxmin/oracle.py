@@ -24,6 +24,7 @@ from .model import Network, SolveResult, ValidationError
 from .power import FixedPointOptions, solve_power_exact
 
 __all__ = [
+    "MAX_CANDIDATES",
     "SAT_GAMMA",
     "CLAUSE_GAIN",
     "CnfFormula",
@@ -42,8 +43,8 @@ __all__ = [
 SAT_GAMMA = (math.sqrt(7.0) - 1.0) / 3.0
 # Direct gain of each clause BS to its clause user.
 CLAUSE_GAIN = (2.0 * math.sqrt(7.0) + 1.0) / 3.0
-# Power of the "true" BS in a variable block at the block optimum.
-TRUE_POWER = (math.sqrt(7.0) - 1.0) / 2.0
+# Largest number of candidate associations the brute force will enumerate.
+MAX_CANDIDATES = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -187,7 +188,7 @@ class GadgetNetwork:
     neg_index: tuple[int, ...]
 
 
-def build_3sat_gadget(formula: CnfFormula, receiver_gains: bool = True) -> GadgetNetwork:
+def build_3sat_gadget(formula: CnfFormula) -> GadgetNetwork:
     """Build the network whose optimum encodes satisfiability.
 
     Gains: each clause BS reaches only its own clause user (gain
@@ -195,14 +196,10 @@ def build_3sat_gadget(formula: CnfFormula, receiver_gains: bool = True) -> Gadge
     to the clause user; variable blocks are internally connected and fully
     separated from other blocks.
 
-    ``receiver_gains=True`` (default) gives the variant where the block's
-    internal gain depends on the receiving user (first user hears 2 from
-    both block BSs, second hears 1 from both), which is the variant whose
-    split-configuration optimum matches :func:`gadget_pair_values` and makes
-    the end-to-end reduction arithmetic close.  ``False`` selects the
-    transmitter-indexed variant (direct gain 2, cross gain 1) for
-    documentation; its blocks behave differently and it is not used by
-    :func:`verify_sat_equivalence`.
+    A block's internal gain depends on the receiving user: its first user
+    hears 2 from both block BSs, its second hears 1 from both.  This is the
+    gain pattern whose split-configuration optimum matches
+    :func:`gadget_pair_values` and makes the reduction arithmetic close.
     """
     m = formula.n_clauses
     t = formula.n_vars
@@ -221,12 +218,8 @@ def build_3sat_gadget(formula: CnfFormula, receiver_gains: bool = True) -> Gadge
 
     for i in range(t):
         pos, neg = pos_index[i], neg_index[i]
-        if receiver_gains:
-            gain[pos, pos] = gain[neg, pos] = 2.0
-            gain[pos, neg] = gain[neg, neg] = 1.0
-        else:
-            gain[pos, pos] = gain[neg, neg] = 2.0
-            gain[pos, neg] = gain[neg, pos] = 1.0
+        gain[pos, pos] = gain[neg, pos] = 2.0
+        gain[pos, neg] = gain[neg, neg] = 1.0
 
     ones_users = np.ones(size)
     net = Network(gain=gain, budget=np.ones(size), noise_dl=ones_users, noise_ul=np.ones(size))
@@ -253,7 +246,7 @@ def verify_sat_equivalence(
     formula: CnfFormula,
     tol: float = 1e-6,
     opts: FixedPointOptions | None = None,
-    max_candidates: int = 1_000_000,
+    max_candidates: int = MAX_CANDIDATES,
 ) -> EquivalenceReport:
     """Check SAT(formula) <=> gadget optimum >= SAT_GAMMA - tol.
 
@@ -329,7 +322,7 @@ def brute_force_optimum(
     net: Network,
     restrict_one_to_one: bool = False,
     opts: FixedPointOptions | None = None,
-    max_candidates: int = 1_000_000,
+    max_candidates: int = MAX_CANDIDATES,
     batch_size: int = 2048,
 ) -> SolveResult:
     """Global optimum by exhausting associations (or permutations).

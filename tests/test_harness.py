@@ -14,6 +14,7 @@ from hetnet_maxmin.harness import (
     ALGORITHMS,
     ExperimentSpec,
     MonteCarloResult,
+    Outcome,
     experiment_from_json,
     experiment_to_json,
     export_cdf_csv,
@@ -27,6 +28,8 @@ from hetnet_maxmin.harness import (
 )
 from hetnet_maxmin.model import max_snr_association
 from hetnet_maxmin.scenario import ScenarioConfig, generate_hetnet, scenario_to_json
+
+from helpers import frozen_network
 
 
 def small_spec(**overrides) -> ExperimentSpec:
@@ -88,7 +91,7 @@ class TestRunTrial:
             assert "skipped" in cell.note
 
     def test_algorithm_error_is_recorded_not_raised(self, monkeypatch):
-        def boom(net, opts, eps):
+        def boom(net, eps, tol):
             raise RuntimeError("synthetic failure")
 
         monkeypatch.setitem(ALGORITHMS, "maxsnr", boom)
@@ -102,6 +105,11 @@ class TestRunTrial:
         with pytest.raises(ValueError):
             run_algorithm("simulated-annealing", net)
 
+    def test_oversized_brute_force_records_the_oracle_cap(self):
+        cell = run_algorithm("brute", frozen_network("uni_9x1_k18_35db_seed1000021"))
+        assert cell.min_sinr is None and cell.converged is None
+        assert cell.note.startswith("error:") and "exceed the cap" in cell.note
+
 
 class TestMonteCarlo:
     def test_single_run_mean_equals_record(self):
@@ -112,8 +120,8 @@ class TestMonteCarlo:
         assert result.means[("maxsnr", 10.0)].n_ok == 1
 
     def test_nonconverged_values_are_counted_not_averaged(self, monkeypatch):
-        def stalled(net, opts, eps):
-            return 1e6, None, False, None
+        def stalled(net, eps, tol):
+            return Outcome(1e6, converged=False)
 
         monkeypatch.setitem(ALGORITHMS, "stalled", stalled)
         spec = small_spec(algorithms=("maxsnr", "stalled"), n_runs=2)
@@ -128,9 +136,9 @@ class TestMonteCarlo:
     def test_nonconverged_trial_left_out_of_mean(self, monkeypatch):
         calls = []
 
-        def flaky(net, opts, eps):
+        def flaky(net, eps, tol):
             calls.append(None)
-            return float(len(calls)), None, len(calls) != 2, None
+            return Outcome(float(len(calls)), converged=len(calls) != 2)
 
         monkeypatch.setitem(ALGORITHMS, "flaky", flaky)
         result = monte_carlo(small_spec(algorithms=("flaky",), n_runs=3))
@@ -242,6 +250,16 @@ class TestExports:
                 algorithms=("brute",),
             )
 
+    @pytest.mark.parametrize("eps", ["1e-6", -1, 0, 0.0, math.nan, math.inf, True])
+    def test_spec_rejects_bad_eps(self, eps):
+        with pytest.raises(ValueError, match="eps"):
+            small_spec(algorithms=("aufp",), eps=eps)
+
+    def test_spec_accepts_positive_eps(self):
+        assert small_spec(eps=None).eps is None
+        assert small_spec(eps=1e-6).eps == 1e-6
+        assert small_spec(eps=2).eps == 2
+
 
 class TestSelftest:
     def test_passes_quietly(self):
@@ -331,7 +349,7 @@ class TestCli:
         assert out_cdf.read_text().startswith("algorithm,snr_db,value,cumulative_probability")
 
     def test_sweep_summary_lists_nonconverged(self, tmp_path, monkeypatch):
-        monkeypatch.setitem(ALGORITHMS, "stalled", lambda net, opts, eps: (1.0, None, False, None))
+        monkeypatch.setitem(ALGORITHMS, "stalled", lambda net, eps, tol: Outcome(1.0, converged=False))
         spec_path = tmp_path / "exp.json"
         spec_path.write_text(
             json.dumps(
@@ -351,6 +369,27 @@ class TestCli:
         assert res.exit_code == 0, res.output
         assert "stalled @ 10 dB: mean min-SINR nan (0 ok, 2 non-converged, 0 failed)" in res.output
         assert "(2 ok, 0 non-converged, 0 failed)" in res.output
+
+    def test_sweep_with_bad_eps_exits_one(self, tmp_path):
+        spec_path = tmp_path / "exp.json"
+        spec_path.write_text(
+            json.dumps(
+                {
+                    "scenario": scenario_to_json(
+                        ScenarioConfig(n_macro=4, picos_per_macro=0, n_users=4)
+                    ),
+                    "snr_db": [10.0],
+                    "algorithms": ["aufp"],
+                    "n_runs": 2,
+                    "eps": -1,
+                }
+            )
+        )
+        out_csv = tmp_path / "r.csv"
+        res = CliRunner().invoke(cli_main, ["sweep", "--spec", str(spec_path), "--out", str(out_csv)])
+        assert res.exit_code == 1
+        assert "eps" in res.output
+        assert not out_csv.exists()
 
     def test_solve_seed_flag_is_gone(self, tmp_path):
         net_path = tmp_path / "net.json"

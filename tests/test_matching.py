@@ -1,5 +1,5 @@
 """Assignment-layer tests: log-gain construction, Hungarian vs exhaustive
-search, the auction's optimality gap / price dynamics / eps-scaling, and the
+search, the auction's optimality gap and price dynamics, and the
 matched-association solvers with their optimality certificates."""
 
 import math
@@ -12,10 +12,8 @@ from hetnet_maxmin.matching import (
     AssignmentProblem,
     InfeasibleMatchingError,
     auction,
-    auction_eps_scaling,
     aufp,
     default_eps,
-    default_eps_schedule,
     hungarian,
     log_gain_matrix,
     solve_p1prime,
@@ -207,57 +205,6 @@ class TestAuction:
     def test_rejects_nonpositive_eps(self):
         with pytest.raises(ValueError):
             auction(AssignmentProblem(gain=np.eye(2)), eps=0.0)
-
-
-class TestEpsScaling:
-    def test_single_phase_equals_plain_auction(self):
-        rng = np.random.default_rng(8)
-        prob = random_problem(rng, 4)
-        plain = auction(prob, eps=1e-3)
-        scaled = auction_eps_scaling(prob, schedule=[1e-3])
-        assert scaled.assignment.tolist() == plain.assignment.tolist()
-        assert scaled.total_gain == pytest.approx(plain.total_gain)
-
-    def test_schedule_reaches_final_accuracy(self):
-        rng = np.random.default_rng(9)
-        for _ in range(15):
-            k = int(rng.integers(2, 7))
-            prob = random_problem(rng, k)
-            state = auction_eps_scaling(prob, schedule=[1.0, 0.1, 0.001])
-            _, best = exhaustive_assignment(prob.gain)
-            assert state.total_gain >= best - k * 0.001 - 1e-12
-
-    def test_price_war_needs_fewer_bids_with_scaling(self):
-        # three users tied on two good objects: a cold small-eps run fights a
-        # long bidding war (price must climb by the whole tie value in eps
-        # steps) while the scaled run resolves it at coarse eps first
-        c = 0.01
-        gain = np.array(
-            [
-                [c, c, c],
-                [c, c, c],
-                [0.0, 0.0, 0.0],
-            ]
-        )
-        prob = AssignmentProblem(gain=gain)
-        eps = 1e-6
-        cold = auction(prob, eps=eps)
-        warm = auction_eps_scaling(prob, schedule=[1e-3, 1e-4, 1e-5, eps])
-        _, best = exhaustive_assignment(prob.gain)
-        assert cold.total_gain >= best - 3 * eps - 1e-12
-        assert warm.total_gain >= best - 3 * eps - 1e-12
-        assert warm.bids < cold.bids
-
-    def test_default_schedule_shape(self):
-        rng = np.random.default_rng(11)
-        prob = random_problem(rng, 4)
-        schedule = default_eps_schedule(prob)
-        assert all(b < a for a, b in zip(schedule, schedule[1:]))
-        assert schedule[-1] == pytest.approx(default_eps(prob))
-        with pytest.raises(ValueError):
-            auction_eps_scaling(prob, schedule=[1e-3, 1e-2])
-        with pytest.raises(ValueError):
-            auction_eps_scaling(prob, schedule=[])
 
 
 class TestMatchedSolvers:
