@@ -123,15 +123,8 @@ def _solve_document(alg: str, out: Outcome) -> dict:
 @click.option("--net", "net_path", required=True, type=click.Path(), help="Network JSON")
 @click.option("--alg", required=True, type=click.Choice(list(ALGORITHMS)))
 @click.option("--eps", type=float, default=None, help="Auction bidding increment (aufp)")
-@click.option(
-    "--tol",
-    type=float,
-    default=1e-10,
-    show_default=True,
-    help="Fixed-point tolerance of the brute-force oracle (brute); other algorithms solve exactly",
-)
 @click.option("--out", "out_path", default=None, help="Output JSON (default stdout)")
-def solve(net_path, alg, eps, tol, out_path):
+def solve(net_path, alg, eps, out_path):
     """Solve one network with the chosen algorithm and print the result.
 
     Exits 2 when the run did not converge or a matched solve is not optimal,
@@ -139,7 +132,7 @@ def solve(net_path, alg, eps, tol, out_path):
     """
     doc = _load_json(net_path)
     try:
-        outcome = ALGORITHMS[alg](network_from_json(doc), eps, tol)
+        outcome = ALGORITHMS[alg](network_from_json(doc), eps)
     except (ValidationError, InfeasibleMatchingError, ValueError) as exc:
         _fail(str(exc))
     if outcome.min_sinr is None:

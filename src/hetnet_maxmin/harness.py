@@ -24,9 +24,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .matching import AssignmentProblem, auction, aufp, hungarian, solve_p1prime
-from .model import Network, SolveResult, max_snr_association
+from .model import Network, SolveResult, ValidationError, max_snr_association
 from .oracle import MAX_CANDIDATES, brute_force_optimum, gadget_pair_values
-from .power import FixedPointOptions, solve_power_exact
+from .power import solve_power_exact
 from .scenario import ScenarioConfig, generate_hetnet, scenario_from_json, scenario_to_json
 from .sumpower import UlsumResult, dl_sumpower_power, ulsum, ulsum_exact, upper_bound_sum
 from .twostage import StageInfo, TwoStageResult, dlsum, dlsuma, ulsuma
@@ -157,38 +157,31 @@ def _matched(net: Network, solver, *args) -> Outcome:
     )
 
 
-# Every entry is run(net, eps, tol) -> Outcome.  ``eps`` is the auction's
-# bidding increment (aufp) and ``tol`` the fixed-point tolerance of the
-# brute-force oracle; every other algorithm solves its power problems exactly.
+# Every entry is run(net, eps) -> Outcome.  ``eps`` is the auction's bidding
+# increment (aufp); every algorithm but the brute-force oracle solves its
+# power problems exactly.
 ALGORITHMS = {
-    "maxsnr": lambda net, eps, tol: _per_bs(solve_power_exact(net, max_snr_association(net))),
-    "ulsum": lambda net, eps, tol: _relaxation(ulsum_exact(net), "uplink sum-power relaxation"),
-    "ulsuma": lambda net, eps, tol: _relaxation(
+    "maxsnr": lambda net, eps: _per_bs(solve_power_exact(net, max_snr_association(net))),
+    "ulsum": lambda net, eps: _relaxation(ulsum_exact(net), "uplink sum-power relaxation"),
+    "ulsuma": lambda net, eps: _relaxation(
         ulsuma(net), "uplink sum-power relaxation (power-balanced)"
     ),
-    "dlsum": lambda net, eps, tol: _two_stage(dlsum(net)),
-    "dlsuma": lambda net, eps, tol: _two_stage(dlsuma(net)),
-    "p1prime": lambda net, eps, tol: _matched(net, solve_p1prime),
-    "aufp": lambda net, eps, tol: _matched(net, aufp, eps),
-    "brute": lambda net, eps, tol: _per_bs(
-        brute_force_optimum(net, opts=FixedPointOptions(tol=tol))
-    ),
+    "dlsum": lambda net, eps: _two_stage(dlsum(net)),
+    "dlsuma": lambda net, eps: _two_stage(dlsuma(net)),
+    "p1prime": lambda net, eps: _matched(net, solve_p1prime),
+    "aufp": lambda net, eps: _matched(net, aufp, eps),
+    "brute": lambda net, eps: _per_bs(brute_force_optimum(net)),
 }
 
 
-def run_algorithm(
-    name: str,
-    net: Network,
-    eps: float | None = None,
-    tol: float = 1e-10,
-) -> AlgoCell:
+def run_algorithm(name: str, net: Network, eps: float | None = None) -> AlgoCell:
     """Run one registered algorithm, timing it and trapping failures."""
     key = _canonical_name(name)
     if key not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {name!r}; choose from {sorted(ALGORITHMS)}")
     start = time.perf_counter()
     try:
-        out = ALGORITHMS[key](net, eps, tol)
+        out = ALGORITHMS[key](net, eps)
     except Exception as exc:  # recorded per-cell, trial continues
         elapsed = (time.perf_counter() - start) * 1e3
         return AlgoCell(None, elapsed, None, None, note=f"error: {exc}")
@@ -445,18 +438,25 @@ def experiment_to_json(spec: ExperimentSpec) -> dict:
 
 
 def experiment_from_json(doc: dict) -> ExperimentSpec:
-    scenario = scenario_from_json(doc.get("scenario", {}))
-    return ExperimentSpec(
-        scenario=scenario,
-        snr_db=tuple(doc["snr_db"]),
-        algorithms=tuple(doc["algorithms"]),
-        n_runs=int(doc.get("n_runs", 500)),
-        seed_base=int(doc.get("seed_base", 0)),
-        cdf_clip=float(doc.get("cdf_clip", 3.0)),
-        eps=doc.get("eps"),
-        out_csv=doc.get("out_csv"),
-        out_cdf=doc.get("out_cdf"),
-    )
+    if not isinstance(doc, dict) or not isinstance(doc.get("scenario", {}), dict):
+        raise ValidationError("experiment document and its scenario must be JSON objects")
+    for key in ("snr_db", "algorithms"):
+        if key in doc and not isinstance(doc[key], list):
+            raise ValidationError(f"experiment field {key!r} must be a JSON list")
+    try:
+        return ExperimentSpec(
+            scenario=scenario_from_json(doc.get("scenario", {})),
+            snr_db=tuple(doc["snr_db"]),
+            algorithms=tuple(doc["algorithms"]),
+            n_runs=int(doc.get("n_runs", 500)),
+            seed_base=int(doc.get("seed_base", 0)),
+            cdf_clip=float(doc.get("cdf_clip", 3.0)),
+            eps=doc.get("eps"),
+            out_csv=doc.get("out_csv"),
+            out_cdf=doc.get("out_cdf"),
+        )
+    except TypeError as exc:
+        raise ValidationError(f"experiment document has a field of the wrong type: {exc}") from exc
 
 
 def _random_small_network(rng: np.random.Generator, n_bs: int, n_users: int) -> Network:

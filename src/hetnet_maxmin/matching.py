@@ -146,8 +146,8 @@ def auction(
     -log(budget) per BS.  Exceeding the round cap signals that forbidden
     pairs leave no perfect matching.
     """
-    if not eps > 0:
-        raise ValueError("eps must be positive")
+    if not 0 < eps < np.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps!r}")
     gain = prob.gain
     k = prob.k
     prices = np.zeros(k) if initial_prices is None else np.array(initial_prices, dtype=float)

@@ -205,6 +205,8 @@ def network_to_json(net: Network) -> dict:
 
 def network_from_json(doc: dict) -> Network:
     """Inverse of :func:`network_to_json`; validates declared dimensions."""
+    if not isinstance(doc, dict):
+        raise ValidationError("network document must be a JSON object")
     try:
         n_bs = int(doc["n_bs"])
         n_users = int(doc["n_users"])
@@ -217,6 +219,8 @@ def network_from_json(doc: dict) -> Network:
         )
     except KeyError as exc:
         raise ValidationError(f"network document is missing field {exc}") from exc
+    except TypeError as exc:
+        raise ValidationError(f"network document has a field of the wrong type: {exc}") from exc
     if net.n_bs != n_bs or net.n_users != n_users:
         raise ValidationError(
             f"declared dimensions ({n_bs}, {n_users}) do not match gain shape {net.gain.shape}"

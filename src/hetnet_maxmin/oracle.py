@@ -3,8 +3,9 @@ closed-form constants for the two-cell variable block.
 
 The brute-force solver enumerates every association that avoids zero-gain
 links (or every permutation in one-to-one mode), solves the power problem at
-each with the batched fixed point, and keeps the best.  It is the reference
-every other algorithm is checked against at desk scale.
+each with the batched fixed point of :mod:`hetnet_maxmin.power`, and keeps
+the best.  It is the reference every other algorithm is checked against at
+desk scale.
 
 The gadget encodes a 3-SAT formula as a network whose achievable min-SINR
 hits the threshold (sqrt(7) - 1) / 3 exactly when the formula is
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import Network, SolveResult, ValidationError
-from .power import FixedPointOptions, solve_power_exact
+from .power import FixedPointOptions, _per_bs_fixed_point, solve_power_exact
 
 __all__ = [
     "MAX_CANDIDATES",
@@ -45,6 +46,10 @@ SAT_GAMMA = (math.sqrt(7.0) - 1.0) / 3.0
 CLAUSE_GAIN = (2.0 * math.sqrt(7.0) + 1.0) / 3.0
 # Largest number of candidate associations the brute force will enumerate.
 MAX_CANDIDATES = 1_000_000
+# Associations the brute force scores per batched fixed-point run.
+_BATCH_SIZE = 2048
+# Fixed-point controls of the gadget's brute force.
+_SAT_OPTS = FixedPointOptions(tol=1e-9, max_iter=20_000)
 
 
 @dataclass(frozen=True)
@@ -242,12 +247,7 @@ class EquivalenceReport:
     threshold: float
 
 
-def verify_sat_equivalence(
-    formula: CnfFormula,
-    tol: float = 1e-6,
-    opts: FixedPointOptions | None = None,
-    max_candidates: int = MAX_CANDIDATES,
-) -> EquivalenceReport:
+def verify_sat_equivalence(formula: CnfFormula, tol: float = 1e-6) -> EquivalenceReport:
     """Check SAT(formula) <=> gadget optimum >= SAT_GAMMA - tol.
 
     The left side comes from :func:`satisfiable`; the right side from the
@@ -255,9 +255,7 @@ def verify_sat_equivalence(
     candidate BSs, variable users two, so the zero-link-skipping enumeration
     is exactly the constrained search).
     """
-    gadget = build_3sat_gadget(formula)
-    opts = opts or FixedPointOptions(tol=1e-9, max_iter=20_000)
-    best = brute_force_optimum(gadget.network, opts=opts, max_candidates=max_candidates)
+    best = brute_force_optimum(build_3sat_gadget(formula).network, opts=_SAT_OPTS)
     sat = satisfiable(formula)
     achieves = best.min_sinr >= SAT_GAMMA - tol
     return EquivalenceReport(
@@ -288,42 +286,11 @@ def _candidate_associations(net: Network, one_to_one: bool):
         yield from itertools.product(*[c.tolist() for c in choices])
 
 
-def _batch_values(
-    net: Network, batch: np.ndarray, tol: float, max_iter: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Min-SINR of the max-min power solve for a whole batch of associations.
-
-    Vectorizes the normalized fixed-point update across associations; every
-    slice performs the same update as :func:`hetnet_maxmin.power.solve_power`.
-    """
-    n_assoc, k = batch.shape
-    direct = net.gain[batch, np.arange(k)]                    # (B, K)
-    gains_at_users = net.gain[batch]                          # (B, K, K): [b, i, k]
-    onehot = (batch[:, :, None] == np.arange(net.n_bs)).astype(float)
-    p = net.budget[batch] / k
-    scale = float(np.max(net.budget))
-    last_res = np.full(n_assoc, np.inf)
-    for _ in range(max_iter):
-        totals = np.einsum("bi,bik->bk", p, gains_at_users)
-        m = (net.noise_dl[None, :] + totals - p * direct) / direct
-        loads = np.einsum("bk,bkn->bn", m, onehot) / net.budget[None, :]
-        p_new = m / loads.max(axis=1)[:, None]
-        last_res = np.abs(p_new - p).max(axis=1) / scale
-        p = p_new
-        if last_res.max() <= tol:
-            break
-    totals = np.einsum("bi,bik->bk", p, gains_at_users)
-    own = p * direct
-    sinr = own / (net.noise_dl[None, :] + totals - own)
-    return sinr.min(axis=1), last_res <= tol
-
-
 def brute_force_optimum(
     net: Network,
     restrict_one_to_one: bool = False,
     opts: FixedPointOptions | None = None,
     max_candidates: int = MAX_CANDIDATES,
-    batch_size: int = 2048,
 ) -> SolveResult:
     """Global optimum by exhausting associations (or permutations).
 
@@ -346,11 +313,14 @@ def brute_force_optimum(
     best_assoc: np.ndarray | None = None
     candidates = _candidate_associations(net, restrict_one_to_one)
     while True:
-        chunk = list(itertools.islice(candidates, batch_size))
+        chunk = list(itertools.islice(candidates, _BATCH_SIZE))
         if not chunk:
             break
         batch = np.array(chunk, dtype=int)
-        values, _ = _batch_values(net, batch, opts.tol, opts.max_iter)
+        p = _per_bs_fixed_point(net, batch, opts).power
+        own = p * net.gain[batch, np.arange(net.n_users)]
+        totals = np.einsum("bi,bik->bk", p, net.gain[batch])
+        values = (own / (net.noise_dl[None, :] + totals - own)).min(axis=1)
         idx = int(np.argmax(values))
         if values[idx] > best_value:
             best_value = float(values[idx])

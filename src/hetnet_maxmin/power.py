@@ -11,9 +11,9 @@ the inverse Perron root of a K x K matrix per BS budget.
 :func:`solve_power_exact` computes it directly with :func:`perron_pair`;
 the pipelines use it, and the fixed point stays as the reference.
 
-A separate monotone iteration answers the dual question "is SINR target
-gamma feasible, and at what minimal power" and serves as an independent
-oracle for the solver in tests.
+The dual question "is SINR target gamma feasible, and at what minimal
+power" is one linear solve, :func:`min_power_for_target`, and serves as an
+independent oracle for the solvers in tests.
 """
 
 from __future__ import annotations
@@ -50,27 +50,19 @@ class FixedPointOptions:
     """Stopping controls shared by the fixed-point solvers.
 
     ``tol`` bounds the per-step residual relative to the iteration's power
-    scale (budget max, or the sum budget for sum-power solvers).  The
-    default initial power is a strictly positive uniform spread, which makes
-    runs reproducible; set ``random_init_seed`` to start from a seeded
-    random positive vector instead.
+    scale (budget max, or the sum budget for sum-power solvers).  Every run
+    starts from the strictly positive spread ``level / K``, which makes runs
+    reproducible.
     """
 
     tol: float = 1e-10
     max_iter: int = 100_000
-    initial_power: np.ndarray | None = None
-    random_init_seed: int | None = None
 
     def __post_init__(self):
         if not self.tol > 0:
             raise ValueError("tol must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        if self.initial_power is not None:
-            p0 = np.asarray(self.initial_power, dtype=float)
-            if np.any(p0 <= 0) or not np.all(np.isfinite(p0)):
-                raise ValueError("initial_power must be strictly positive and finite")
-            object.__setattr__(self, "initial_power", p0)
 
 
 def unit_sinr_power(net: Network, assoc, power) -> np.ndarray:
@@ -100,21 +92,6 @@ def load_norm(power, assoc, budget) -> float:
     return float(np.max(sums / budget))
 
 
-def _initial_power(net: Network, opts: FixedPointOptions, level) -> np.ndarray:
-    """Starting power of a fixed-point run: ``level / K`` per user.
-
-    ``level`` is the power scale, one number or one entry per user; a
-    seeded random start multiplies it by a uniform draw from (0, 1].
-    """
-    if opts.initial_power is not None:
-        return check_power(net, opts.initial_power)
-    if opts.random_init_seed is not None:
-        rng = np.random.default_rng(opts.random_init_seed)
-        # 1 - random() lies in (0, 1], keeping the start strictly positive
-        return (1.0 - rng.random(net.n_users)) * level / net.n_users
-    return np.full(net.n_users, level / net.n_users)
-
-
 class FixedPointRun(NamedTuple):
     """Final iterate and residual trace of :func:`_run_fixed_point`."""
 
@@ -125,15 +102,16 @@ class FixedPointRun(NamedTuple):
     residuals: np.ndarray
 
 
-def _run_fixed_point(step, net: Network, opts: FixedPointOptions, level, scale: float) -> FixedPointRun:
-    """Iterate ``p <- step(p, it)`` from :func:`_initial_power` until the step is small.
+def _run_fixed_point(step, opts: FixedPointOptions, level: np.ndarray, scale: float) -> FixedPointRun:
+    """Iterate ``p <- step(p, it)`` from ``level / K`` until the step is small.
 
-    The one loop behind every normalized fixed-point solver.  The residual
-    of a step is max |p_new - p| / scale and the run converges when it is
-    at most ``opts.tol``; a run that exhausts ``max_iter`` ends with
-    ``converged=False``.
+    The one loop behind every normalized fixed-point solver.  ``level`` is
+    the power scale of each user, shape (K,) or (B, K) for a batch of
+    associations.  The residual of a step is max |p_new - p| / scale over
+    the whole array and the run converges when it is at most ``opts.tol``;
+    a run that exhausts ``max_iter`` ends with ``converged=False``.
     """
-    p = _initial_power(net, opts, level)
+    p = level / level.shape[-1]
     residuals = np.empty(opts.max_iter)
     converged = False
     iterations = 0
@@ -148,6 +126,28 @@ def _run_fixed_point(step, net: Network, opts: FixedPointOptions, level, scale: 
             converged = True
             break
     return FixedPointRun(p, iterations, converged, res, residuals[:iterations].copy())
+
+
+def _per_bs_fixed_point(net: Network, batch: np.ndarray, opts: FixedPointOptions) -> FixedPointRun:
+    """Run the normalized per-BS update on a (B, K) batch of associations at once.
+
+    Slice b iterates p <- U(p) / load_norm(U(p)) for association ``batch[b]``,
+    with U the unit-SINR power map, from p = budget / K.  The batch stops
+    when its largest step, relative to the largest budget, is at most tol.
+    Entries of ``batch`` must already be checked associations.
+    """
+    k = batch.shape[1]
+    direct = net.gain[batch, np.arange(k)]                    # (B, K)
+    gains_at_users = net.gain[batch]                          # (B, K, K): [b, i, k]
+    onehot = (batch[:, :, None] == np.arange(net.n_bs)).astype(float)
+
+    def step(p, it):
+        totals = np.einsum("bi,bik->bk", p, gains_at_users)
+        m = (net.noise_dl[None, :] + totals - p * direct) / direct
+        loads = np.einsum("bk,bkn->bn", m, onehot) / net.budget[None, :]
+        return m / loads.max(axis=1)[:, None]
+
+    return _run_fixed_point(step, opts, net.budget[batch], float(np.max(net.budget)))
 
 
 def _downlink_result(net: Network, assoc: np.ndarray, run: FixedPointRun) -> SolveResult:
@@ -167,23 +167,17 @@ def _downlink_result(net: Network, assoc: np.ndarray, run: FixedPointRun) -> Sol
 def solve_power(net: Network, assoc, opts: FixedPointOptions | None = None) -> SolveResult:
     """Globally solve max-min SINR power allocation at a fixed association.
 
-    Iterates p <- U(p) / load_norm(U(p)) where U is :func:`unit_sinr_power`.
-    At the fixed point all per-user SINRs are equal and the most loaded BS
-    is exactly at its budget.  The reported residual is the last per-step
+    Iterates p <- U(p) / load_norm(U(p)) where U is :func:`unit_sinr_power`,
+    as a batch of one association.  At the fixed point all per-user SINRs
+    are equal and the most loaded BS is exactly at its budget.  The reported residual is the last per-step
     change divided by max(budget); convergence means residual <= tol.
 
     A run that exhausts ``max_iter`` is returned with ``converged=False``,
     never silently wrong.
     """
-    opts = opts or FixedPointOptions()
     a = check_association(net, assoc)
-
-    def step(p, it):
-        m = unit_sinr_power(net, a, p)
-        return m / load_norm(m, a, net.budget)
-
-    run = _run_fixed_point(step, net, opts, net.budget[a], float(np.max(net.budget)))
-    return _downlink_result(net, a, run)
+    run = _per_bs_fixed_point(net, a[None, :], opts or FixedPointOptions())
+    return _downlink_result(net, a, run._replace(power=run.power[0]))
 
 
 # Relative width of the Collatz-Wielandt bracket at which a Perron root is
@@ -291,6 +285,14 @@ def perron_pair(matrix, start=None) -> PerronPair:
 _SWITCH_RTOL = 1e-9
 
 
+def _coupling(net: Network, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """B[k, i] = gain[a_i, k] / gain[a_k, k] off the diagonal, and u = noise / direct gain."""
+    direct = net.gain[a, np.arange(net.n_users)]
+    cross = net.gain[a, :].T / direct[:, None]
+    np.fill_diagonal(cross, 0.0)
+    return cross, net.noise_dl / direct
+
+
 def solve_power_exact(net: Network, assoc) -> SolveResult:
     """Max-min power at a fixed association from Perron roots, no fixed point.
 
@@ -309,10 +311,7 @@ def solve_power_exact(net: Network, assoc) -> SolveResult:
     """
     a = check_association(net, assoc)
     k = net.n_users
-    direct = net.gain[a, np.arange(k)]
-    cross = net.gain[a, :].T / direct[:, None]
-    np.fill_diagonal(cross, 0.0)
-    u = net.noise_dl / direct
+    cross, u = _coupling(net, a)
     members = (a[None, :] == np.arange(net.n_bs)[:, None]) / net.budget[:, None]
 
     x = u + cross @ (net.budget[a] / k)
@@ -352,39 +351,25 @@ class TargetPowerResult:
 
     feasible: bool
     power: np.ndarray
-    iterations: int
-    converged: bool
 
 
-def min_power_for_target(
-    net: Network,
-    assoc,
-    gamma: float,
-    opts: FixedPointOptions | None = None,
-) -> TargetPowerResult:
+def min_power_for_target(net: Network, assoc, gamma: float) -> TargetPowerResult:
     """Minimal power meeting SINR >= gamma for every user, if one exists.
 
-    Runs the monotone iteration p <- gamma * U(p) from p = 0, which grows
-    towards the minimal power profile achieving the target.  Because the
-    iterates increase monotonically, the target is declared infeasible as
-    soon as any BS exceeds its budget (the limit could only be larger), or
-    when the iteration cap is hit while the norm is still growing.
+    SINR = gamma for every user means (I - gamma B) p = gamma u, with B and
+    u as in :func:`solve_power_exact`; this is one LAPACK ``dgesv`` solve.
+    I - gamma B is a Z-matrix, and a Z-matrix A is a nonsingular M-matrix
+    exactly when A x > 0 for some x >= 0 (Berman & Plemmons, 1979).  With
+    u > 0, a solution p >= 0 therefore exists iff rho(gamma B) < 1, and
+    then it is the least power vector that meets the target.  The target is
+    feasible iff the solve succeeds, p is finite and non-negative, and p
+    fits the per-BS budgets (load norm at most 1 + 1e-12).
     """
     if not gamma > 0:
         raise ValueError("gamma must be positive")
-    opts = opts or FixedPointOptions()
     a = check_association(net, assoc)
-    p = np.zeros(net.n_users)
-    norms = []
-    for it in range(opts.max_iter):
-        p_new = gamma * unit_sinr_power(net, a, p)
-        if load_norm(p_new, a, net.budget) > 1.0 + 1e-12:
-            return TargetPowerResult(False, p_new, it + 1, converged=False)
-        res = float(np.max(np.abs(p_new - p)))
-        p = p_new
-        norms.append(float(np.max(p)))
-        if res <= opts.tol * max(norms[-1], 1e-300):
-            return TargetPowerResult(True, p, it + 1, converged=True)
-    # Iteration cap: still growing means divergence towards infeasibility.
-    growing = len(norms) > 100 and norms[-1] > norms[-101] * (1.0 + 1e-12)
-    return TargetPowerResult(not growing, p, opts.max_iter, converged=False)
+    cross, u = _coupling(net, a)
+    p, info = dgesv(np.eye(net.n_users) - gamma * cross, gamma * u, overwrite_a=1)[2:]
+    # a NaN entry fails p.min() >= 0 and an infinite one the load test
+    feasible = info == 0 and p.min() >= 0 and load_norm(p, a, net.budget) <= 1.0 + 1e-12
+    return TargetPowerResult(bool(feasible), p)

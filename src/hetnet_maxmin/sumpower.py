@@ -107,7 +107,6 @@ def ulsum(
     ``sum_budget`` defaults to the sum of the per-BS budgets.  The residual
     is normalized by ``sum_budget``.
     """
-    opts = opts or FixedPointOptions()
     budget = _sum_budget(net, sum_budget)
     assoc = np.full(net.n_users, -1)
     last_change = 0
@@ -120,7 +119,7 @@ def ulsum(
         assoc = maps.best_bs
         return maps.best * (budget / float(maps.best.sum()))
 
-    run = _run_fixed_point(step, net, opts, budget, budget)
+    run = _run_fixed_point(step, opts or FixedPointOptions(), np.full(net.n_users, budget), budget)
     final = uplink_unit_sinr_power(net, run.power)
     return UlsumResult(
         power_ul=run.power,
@@ -217,7 +216,6 @@ def dl_sumpower_power(
     satisfies sum(power) == sum_budget; the residual is normalized by
     ``sum_budget``.
     """
-    opts = opts or FixedPointOptions()
     budget = _sum_budget(net, sum_budget)
     a = check_association(net, assoc)
 
@@ -225,7 +223,8 @@ def dl_sumpower_power(
         m = unit_sinr_power(net, a, p)
         return m * (budget / float(m.sum()))
 
-    return _downlink_result(net, a, _run_fixed_point(step, net, opts, budget, budget))
+    run = _run_fixed_point(step, opts or FixedPointOptions(), np.full(net.n_users, budget), budget)
+    return _downlink_result(net, a, run)
 
 
 def upper_bound_sum(net: Network) -> float:

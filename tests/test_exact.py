@@ -3,7 +3,9 @@
 ``solve_power_exact`` and ``ulsum_exact`` must reach the optimum the
 normalized fixed points ``solve_power`` and ``ulsum`` converge to (run here
 at tol 1e-12), on random small networks with idle BSs, zero links and a
-single user, and on the reducible 3-SAT gadget networks.
+single user, and on the reducible 3-SAT gadget networks.  The exact
+target-power test ``min_power_for_target`` must put that optimum on the
+boundary between feasible and infeasible targets.
 """
 
 import numpy as np
@@ -12,11 +14,12 @@ from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from hetnet_maxmin import power, sumpower
-from hetnet_maxmin.model import Network, max_snr_association, uplink_sinr
+from hetnet_maxmin.model import Network, downlink_sinr, max_snr_association, uplink_sinr
 from hetnet_maxmin.oracle import CnfFormula, build_3sat_gadget
 from hetnet_maxmin.power import (
     FixedPointOptions,
     load_norm,
+    min_power_for_target,
     perron_pair,
     solve_power,
     solve_power_exact,
@@ -89,6 +92,31 @@ def test_per_bs_kernel_matches_fixed_point(case):
 @given(associated(gadgets()))
 def test_per_bs_kernel_on_sat_gadgets(case):
     check_per_bs(*case)
+
+
+@PROPERTY
+@given(associated(networks()))
+def test_target_power_test_brackets_the_optimum(case):
+    net, assoc = case
+    t_star = solve_power_exact(net, assoc).min_sinr
+    gamma = t_star * (1.0 - 1e-9)
+    below = min_power_for_target(net, assoc, gamma)
+    assert below.feasible
+    assert downlink_sinr(net, assoc, below.power).min() >= gamma * (1.0 - 1e-9)
+    assert load_norm(below.power, assoc, net.budget) <= 1.0 + 1e-9
+    assert not min_power_for_target(net, assoc, t_star * (1.0 + 1e-6)).feasible
+
+
+def test_target_at_unit_spectral_radius_is_infeasible():
+    # gamma B = [[0, 1], [1, 0]] has rho = 1: no finite power meets the
+    # target, however large the budgets, and an iteration towards the
+    # least power grows without end instead of settling
+    import time
+
+    net = Network(gain=[[1.0, 0.5], [0.5, 1.0]], budget=[1e12, 1e12], noise_dl=[1.0, 1.0], noise_ul=[1.0, 1.0])
+    start = time.perf_counter()
+    assert not min_power_for_target(net, [0, 1], 2.0).feasible
+    assert time.perf_counter() - start < 1.0
 
 
 def check_sum_power(net: Network, pool: float) -> None:

@@ -91,7 +91,7 @@ class TestRunTrial:
             assert "skipped" in cell.note
 
     def test_algorithm_error_is_recorded_not_raised(self, monkeypatch):
-        def boom(net, eps, tol):
+        def boom(net, eps):
             raise RuntimeError("synthetic failure")
 
         monkeypatch.setitem(ALGORITHMS, "maxsnr", boom)
@@ -120,7 +120,7 @@ class TestMonteCarlo:
         assert result.means[("maxsnr", 10.0)].n_ok == 1
 
     def test_nonconverged_values_are_counted_not_averaged(self, monkeypatch):
-        def stalled(net, eps, tol):
+        def stalled(net, eps):
             return Outcome(1e6, converged=False)
 
         monkeypatch.setitem(ALGORITHMS, "stalled", stalled)
@@ -136,7 +136,7 @@ class TestMonteCarlo:
     def test_nonconverged_trial_left_out_of_mean(self, monkeypatch):
         calls = []
 
-        def flaky(net, eps, tol):
+        def flaky(net, eps):
             calls.append(None)
             return Outcome(float(len(calls)), converged=len(calls) != 2)
 
@@ -268,6 +268,22 @@ class TestSelftest:
         assert all(line.startswith("PASS") for line in lines)
 
 
+_ONE_LINK_NETWORK = {
+    "n_bs": 1,
+    "n_users": 1,
+    "gain": [[2.0]],
+    "budget": [1.0],
+    "noise_dl": [1.0],
+    "noise_ul": [1.0],
+}
+_SMALL_SPEC = {
+    "scenario": scenario_to_json(ScenarioConfig(n_macro=1, picos_per_macro=0, n_users=1)),
+    "snr_db": [10.0],
+    "algorithms": ["maxsnr"],
+    "n_runs": 1,
+}
+
+
 class TestCli:
     def _write_scenario(self, tmp_path):
         path = tmp_path / "scenario.json"
@@ -349,7 +365,7 @@ class TestCli:
         assert out_cdf.read_text().startswith("algorithm,snr_db,value,cumulative_probability")
 
     def test_sweep_summary_lists_nonconverged(self, tmp_path, monkeypatch):
-        monkeypatch.setitem(ALGORITHMS, "stalled", lambda net, eps, tol: Outcome(1.0, converged=False))
+        monkeypatch.setitem(ALGORITHMS, "stalled", lambda net, eps: Outcome(1.0, converged=False))
         spec_path = tmp_path / "exp.json"
         spec_path.write_text(
             json.dumps(
@@ -412,6 +428,54 @@ class TestCli:
         res = CliRunner().invoke(cli_main, ["solve", "--net", str(net_path), "--alg", "maxsnr"])
         assert res.exit_code == 0, res.output
         assert json.loads(res.output)["min_sinr"] == pytest.approx(2.0)
+
+    def test_solve_tol_flag_is_gone(self, tmp_path):
+        net_path = tmp_path / "net.json"
+        net_path.write_text(json.dumps(_ONE_LINK_NETWORK))
+        res = CliRunner().invoke(
+            cli_main, ["solve", "--net", str(net_path), "--alg", "brute", "--tol", "1e-8"]
+        )
+        assert res.exit_code == 1
+
+    def test_solve_aufp_with_infinite_eps_exits_one(self, tmp_path):
+        net_path = tmp_path / "net.json"
+        net_path.write_text(json.dumps(_ONE_LINK_NETWORK))
+        res = CliRunner().invoke(
+            cli_main, ["solve", "--net", str(net_path), "--alg", "aufp", "--eps", "inf"]
+        )
+        assert res.exit_code == 1
+        assert "error:" in res.output and "eps" in res.output
+
+    @pytest.mark.parametrize(
+        "command, doc",
+        [
+            ("solve", []),
+            ("solve", {**_ONE_LINK_NETWORK, "n_bs": None}),
+            ("sweep", {**_SMALL_SPEC, "snr_db": 10.0}),
+            ("sweep", {**_SMALL_SPEC, "snr_db": "10"}),
+            ("sweep", {**_SMALL_SPEC, "scenario": []}),
+            ("sweep", []),
+            ("cdf", []),
+        ],
+        ids=[
+            "solve-list",
+            "solve-null-n_bs",
+            "sweep-scalar-snr",
+            "sweep-string-snr",
+            "sweep-list-scenario",
+            "sweep-list",
+            "cdf-list",
+        ],
+    )
+    def test_malformed_document_is_an_error_not_a_traceback(self, tmp_path, command, doc):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        args = ["--net", str(path), "--alg", "maxsnr"] if command == "solve" else ["--spec", str(path)]
+        res = CliRunner().invoke(cli_main, [command, *args, "--out", str(tmp_path / "out")])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit), res.exception
+        assert "error:" in res.output
+        assert "Traceback" not in res.output
 
     def test_gadget_verify(self, tmp_path):
         cnf = tmp_path / "f.cnf"

@@ -206,6 +206,11 @@ class TestAuction:
         with pytest.raises(ValueError):
             auction(AssignmentProblem(gain=np.eye(2)), eps=0.0)
 
+    def test_rejects_infinite_eps(self):
+        # with eps = inf the k * eps optimality bound says nothing
+        with pytest.raises(ValueError):
+            auction(AssignmentProblem(gain=np.eye(2)), eps=math.inf)
+
 
 class TestMatchedSolvers:
     def test_single_user(self):

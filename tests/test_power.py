@@ -1,6 +1,6 @@
 """Power-allocation tests: the unit-power map, the budget load norm, the
 normalized fixed point against independent oracles, and the target-SINR
-feasibility iteration."""
+feasibility test."""
 
 import math
 
@@ -212,14 +212,6 @@ class TestSolvePower:
         per_user_rule = m * p_max / np.max(m)
         np.testing.assert_array_equal(one_step, per_user_rule)
 
-    def test_random_and_explicit_initialization(self):
-        net = pair_block_network()
-        seeded = solve_power(net, [0, 1], FixedPointOptions(random_init_seed=77))
-        explicit = solve_power(
-            net, [0, 1], FixedPointOptions(initial_power=np.array([0.2, 0.9]))
-        )
-        assert seeded.min_sinr == pytest.approx(explicit.min_sinr, rel=1e-9)
-
     def test_unconverged_flagged(self):
         net = pair_block_network()
         res = solve_power(net, [0, 1], FixedPointOptions(tol=1e-10, max_iter=2))
@@ -231,8 +223,6 @@ class TestSolvePower:
             FixedPointOptions(tol=0.0)
         with pytest.raises(ValueError):
             FixedPointOptions(max_iter=0)
-        with pytest.raises(ValueError):
-            FixedPointOptions(initial_power=np.array([0.0, 1.0]))
 
 
 class TestMinPowerForTarget:
