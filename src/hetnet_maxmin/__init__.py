@@ -15,7 +15,6 @@ from .model import (
     max_snr_association,
     network_from_json,
     network_to_json,
-    serving_sets,
     uplink_sinr,
 )
 from .power import (

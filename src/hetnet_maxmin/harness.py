@@ -52,8 +52,7 @@ __all__ = [
 
 
 def _canonical_name(name: str) -> str:
-    key = name.strip().lower().replace("-", "").replace("_", "")
-    return {"bruteforce": "brute"}.get(key, key)
+    return name.strip().lower().replace("-", "").replace("_", "")
 
 
 @dataclass(frozen=True)
@@ -158,8 +157,8 @@ def _matched(net: Network, solver, *args) -> Outcome:
 
 
 # Every entry is run(net, eps) -> Outcome.  ``eps`` is the auction's bidding
-# increment (aufp); every algorithm but the brute-force oracle solves its
-# power problems exactly.
+# increment (aufp); every algorithm, the brute-force oracle included, solves
+# its power problems exactly.
 ALGORITHMS = {
     "maxsnr": lambda net, eps: _per_bs(solve_power_exact(net, max_snr_association(net))),
     "ulsum": lambda net, eps: _relaxation(ulsum_exact(net), "uplink sum-power relaxation"),

@@ -117,7 +117,6 @@ class AuctionState:
     bids: int
     reassignments: int
     min_increment: float
-    price_history: tuple[np.ndarray, ...] | None = None
 
 
 def default_eps(prob: AssignmentProblem) -> float:
@@ -127,43 +126,30 @@ def default_eps(prob: AssignmentProblem) -> float:
     return 1e-6 * spread if spread > 0 else 1e-6
 
 
-def auction(
-    prob: AssignmentProblem,
-    eps: float,
-    initial_prices: np.ndarray | None = None,
-    max_rounds: int | None = None,
-    record_history: bool = False,
-) -> AuctionState:
+def auction(prob: AssignmentProblem, eps: float) -> AuctionState:
     """Jacobi auction for the assignment problem.
 
     All unassigned users bid simultaneously each round; every BS receiving
     bids keeps the highest bidder and raises its price by the winning margin
-    plus eps.  With zero initial prices the number of rounds is bounded by
+    plus eps.  Prices start at zero, so the number of rounds is bounded by
     the largest absolute allowed gain over eps, and the final total gain is
-    within k * eps of the optimum.
-
-    ``initial_prices`` supports the distributed variant that starts from
-    -log(budget) per BS.  Exceeding the round cap signals that forbidden
-    pairs leave no perfect matching.
+    within k * eps of the optimum.  Exceeding a round cap just above that
+    bound signals that forbidden pairs leave no perfect matching.
     """
     if not 0 < eps < np.inf:
         raise ValueError(f"eps must be positive and finite, got {eps!r}")
     gain = prob.gain
     k = prob.k
-    prices = np.zeros(k) if initial_prices is None else np.array(initial_prices, dtype=float)
-    if prices.shape != (k,):
-        raise ValidationError(f"initial_prices must have shape ({k},)")
+    prices = np.zeros(k)
     finite = gain > _FINITE_CUTOFF
     finite_vals = gain[finite]
-    if max_rounds is None:
-        max_rounds = k * (int(np.ceil(float(np.abs(finite_vals).max()) / eps)) + k + 16)
+    max_rounds = k * (int(np.ceil(float(np.abs(finite_vals).max()) / eps)) + k + 16)
     # Bid increment when a user has no allowed alternative (including k = 1).
     solo_gap = float(finite_vals.max() - finite_vals.min()) + eps
     assignment = np.full(k, -1)
     owner = np.full(k, -1)
     rounds = bids = reassignments = 0
     min_increment = np.inf
-    history: list[np.ndarray] = []
     while np.any(assignment < 0):
         rounds += 1
         if rounds > max_rounds:
@@ -200,8 +186,6 @@ def auction(
             increment = gamma + eps
             prices[bs] += increment
             min_increment = min(min_increment, increment)
-        if record_history:
-            history.append(prices.copy())
     chosen = gain[assignment, np.arange(k)]
     if np.any(chosen <= _FINITE_CUTOFF):
         raise InfeasibleMatchingError("auction settled on a forbidden pair")
@@ -214,7 +198,6 @@ def auction(
         bids=bids,
         reassignments=reassignments,
         min_increment=float(min_increment),
-        price_history=tuple(history) if record_history else None,
     )
 
 

@@ -19,7 +19,6 @@ __all__ = [
     "ValidationError",
     "Network",
     "SolveResult",
-    "serving_sets",
     "check_association",
     "check_power",
     "downlink_sinr",
@@ -109,12 +108,6 @@ class SolveResult:
     converged: bool
     residual: float
     residuals: np.ndarray | None = None
-
-
-def serving_sets(assoc, n_bs: int) -> list[np.ndarray]:
-    """User-index sets served by each BS; disjoint and covering all users."""
-    a = np.asarray(assoc, dtype=int)
-    return [np.flatnonzero(a == n) for n in range(n_bs)]
 
 
 def check_association(net: Network, assoc) -> np.ndarray:

@@ -2,10 +2,11 @@
 closed-form constants for the two-cell variable block.
 
 The brute-force solver enumerates every association that avoids zero-gain
-links (or every permutation in one-to-one mode), solves the power problem at
-each with the batched fixed point of :mod:`hetnet_maxmin.power`, and keeps
-the best.  It is the reference every other algorithm is checked against at
-desk scale.
+links (or every permutation in one-to-one mode) and keeps the best, scoring
+exactly: a batched target-power test screens candidates against the best
+value so far, and the Perron-root solve of :mod:`hetnet_maxmin.power`
+scores the survivors.  No fixed point runs.  It is the reference every
+other algorithm is checked against at desk scale.
 
 The gadget encodes a 3-SAT formula as a network whose achievable min-SINR
 hits the threshold (sqrt(7) - 1) / 3 exactly when the formula is
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import Network, SolveResult, ValidationError
-from .power import FixedPointOptions, _per_bs_fixed_point, solve_power_exact
+from .power import _target_power, solve_power_exact
 
 __all__ = [
     "MAX_CANDIDATES",
@@ -46,10 +47,11 @@ SAT_GAMMA = (math.sqrt(7.0) - 1.0) / 3.0
 CLAUSE_GAIN = (2.0 * math.sqrt(7.0) + 1.0) / 3.0
 # Largest number of candidate associations the brute force will enumerate.
 MAX_CANDIDATES = 1_000_000
-# Associations the brute force scores per batched fixed-point run.
+# Associations the brute force screens per batched target-power test.
 _BATCH_SIZE = 2048
-# Fixed-point controls of the gadget's brute force.
-_SAT_OPTS = FixedPointOptions(tol=1e-9, max_iter=20_000)
+# Relative margin by which a candidate must beat the best value so far;
+# it keeps the first of exactly tied candidates despite rounding.
+_TIE_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -92,14 +94,18 @@ def cnf_from_dimacs(text: str) -> CnfFormula:
         line = raw.strip()
         if not line or line.startswith("c") or line.startswith("%"):
             continue
-        if line.startswith("p"):
-            parts = line.split()
-            if len(parts) != 4 or parts[1] != "cnf":
-                raise ValidationError(f"bad DIMACS header: {line!r}")
-            n_vars = int(parts[2])
+        parts = line.split()
+        header = line.startswith("p")
+        if header and (len(parts) != 4 or parts[1] != "cnf"):
+            raise ValidationError(f"bad DIMACS header: {line!r}")
+        try:
+            numbers = [int(tok) for tok in (parts[2:] if header else parts)]
+        except ValueError:
+            raise ValidationError(f"non-integer token in DIMACS line {line!r}") from None
+        if header:
+            n_vars = numbers[0]
             continue
-        for tok in line.split():
-            lit = int(tok)
+        for lit in numbers:
             if lit == 0:
                 if len(pending) != 3:
                     raise ValidationError(
@@ -255,7 +261,7 @@ def verify_sat_equivalence(formula: CnfFormula, tol: float = 1e-6) -> Equivalenc
     candidate BSs, variable users two, so the zero-link-skipping enumeration
     is exactly the constrained search).
     """
-    best = brute_force_optimum(build_3sat_gadget(formula).network, opts=_SAT_OPTS)
+    best = brute_force_optimum(build_3sat_gadget(formula).network)
     sat = satisfiable(formula)
     achieves = best.min_sinr >= SAT_GAMMA - tol
     return EquivalenceReport(
@@ -289,42 +295,39 @@ def _candidate_associations(net: Network, one_to_one: bool):
 def brute_force_optimum(
     net: Network,
     restrict_one_to_one: bool = False,
-    opts: FixedPointOptions | None = None,
     max_candidates: int = MAX_CANDIDATES,
 ) -> SolveResult:
     """Global optimum by exhausting associations (or permutations).
 
-    Associations never cross zero-gain links.  Every candidate is scored by
-    the batched fixed point (``opts`` sets its tolerance and cap); ties on
-    the score resolve to the first candidate in lexicographic enumeration
-    order.  The returned result is the exact solve
-    :func:`hetnet_maxmin.power.solve_power_exact` at the winning
-    association, so the reported value carries no fixed-point residual.
+    Associations never cross zero-gain links.  Candidates are walked in
+    lexicographic enumeration order, in chunks.  Against the best value g
+    so far, the batched target-power test keeps only the candidates that
+    can reach SINR g (1 + 1e-9); the first survivor is solved exactly with
+    :func:`hetnet_maxmin.power.solve_power_exact`, replaces the best if it
+    beats g by that margin, and the rest are screened again.  Ties thus
+    resolve to the first candidate in enumeration order, and the returned
+    result is the exact solve at the winning association.
 
     Refuses instances whose candidate count exceeds ``max_candidates``.
     """
-    opts = opts or FixedPointOptions(max_iter=20_000)
     count = _candidate_count(net, restrict_one_to_one)
     if count > max_candidates:
         raise ValueError(
             f"{count} candidate associations exceed the cap of {max_candidates}"
         )
-    best_value = -np.inf
-    best_assoc: np.ndarray | None = None
+    best: SolveResult | None = None
     candidates = _candidate_associations(net, restrict_one_to_one)
-    while True:
-        chunk = list(itertools.islice(candidates, _BATCH_SIZE))
-        if not chunk:
-            break
+    while chunk := list(itertools.islice(candidates, _BATCH_SIZE)):
         batch = np.array(chunk, dtype=int)
-        p = _per_bs_fixed_point(net, batch, opts).power
-        own = p * net.gain[batch, np.arange(net.n_users)]
-        totals = np.einsum("bi,bik->bk", p, net.gain[batch])
-        values = (own / (net.noise_dl[None, :] + totals - own)).min(axis=1)
-        idx = int(np.argmax(values))
-        if values[idx] > best_value:
-            best_value = float(values[idx])
-            best_assoc = batch[idx]
-    if best_assoc is None:
+        while len(batch):
+            if best is not None:
+                batch = batch[_target_power(net, batch, best.min_sinr * (1.0 + _TIE_RTOL))[1]]
+                if not len(batch):
+                    break
+            res = solve_power_exact(net, batch[0])
+            if best is None or res.min_sinr > best.min_sinr * (1.0 + _TIE_RTOL):
+                best = res
+            batch = batch[1:]
+    if best is None:
         raise ValidationError("no association avoids zero-gain links")
-    return solve_power_exact(net, best_assoc)
+    return best

@@ -12,8 +12,9 @@ the inverse Perron root of a K x K matrix per BS budget.
 the pipelines use it, and the fixed point stays as the reference.
 
 The dual question "is SINR target gamma feasible, and at what minimal
-power" is one linear solve, :func:`min_power_for_target`, and serves as an
-independent oracle for the solvers in tests.
+power" is one linear solve, :func:`min_power_for_target`, an independent
+oracle for the solvers in tests; its batched form screens the brute
+force's candidates.
 """
 
 from __future__ import annotations
@@ -106,12 +107,12 @@ def _run_fixed_point(step, opts: FixedPointOptions, level: np.ndarray, scale: fl
     """Iterate ``p <- step(p, it)`` from ``level / K`` until the step is small.
 
     The one loop behind every normalized fixed-point solver.  ``level`` is
-    the power scale of each user, shape (K,) or (B, K) for a batch of
-    associations.  The residual of a step is max |p_new - p| / scale over
-    the whole array and the run converges when it is at most ``opts.tol``;
-    a run that exhausts ``max_iter`` ends with ``converged=False``.
+    the power scale of each user, shape (K,).  The residual of a step is
+    max |p_new - p| / scale and the run converges when it is at most
+    ``opts.tol``; a run that exhausts ``max_iter`` ends with
+    ``converged=False``.
     """
-    p = level / level.shape[-1]
+    p = level / len(level)
     residuals = np.empty(opts.max_iter)
     converged = False
     iterations = 0
@@ -126,28 +127,6 @@ def _run_fixed_point(step, opts: FixedPointOptions, level: np.ndarray, scale: fl
             converged = True
             break
     return FixedPointRun(p, iterations, converged, res, residuals[:iterations].copy())
-
-
-def _per_bs_fixed_point(net: Network, batch: np.ndarray, opts: FixedPointOptions) -> FixedPointRun:
-    """Run the normalized per-BS update on a (B, K) batch of associations at once.
-
-    Slice b iterates p <- U(p) / load_norm(U(p)) for association ``batch[b]``,
-    with U the unit-SINR power map, from p = budget / K.  The batch stops
-    when its largest step, relative to the largest budget, is at most tol.
-    Entries of ``batch`` must already be checked associations.
-    """
-    k = batch.shape[1]
-    direct = net.gain[batch, np.arange(k)]                    # (B, K)
-    gains_at_users = net.gain[batch]                          # (B, K, K): [b, i, k]
-    onehot = (batch[:, :, None] == np.arange(net.n_bs)).astype(float)
-
-    def step(p, it):
-        totals = np.einsum("bi,bik->bk", p, gains_at_users)
-        m = (net.noise_dl[None, :] + totals - p * direct) / direct
-        loads = np.einsum("bk,bkn->bn", m, onehot) / net.budget[None, :]
-        return m / loads.max(axis=1)[:, None]
-
-    return _run_fixed_point(step, opts, net.budget[batch], float(np.max(net.budget)))
 
 
 def _downlink_result(net: Network, assoc: np.ndarray, run: FixedPointRun) -> SolveResult:
@@ -168,16 +147,22 @@ def solve_power(net: Network, assoc, opts: FixedPointOptions | None = None) -> S
     """Globally solve max-min SINR power allocation at a fixed association.
 
     Iterates p <- U(p) / load_norm(U(p)) where U is :func:`unit_sinr_power`,
-    as a batch of one association.  At the fixed point all per-user SINRs
-    are equal and the most loaded BS is exactly at its budget.  The reported residual is the last per-step
-    change divided by max(budget); convergence means residual <= tol.
+    from p = budget / K.  At the fixed point all per-user SINRs are equal
+    and the most loaded BS is exactly at its budget.  The reported residual
+    is the last per-step change divided by max(budget); convergence means
+    residual <= tol.
 
     A run that exhausts ``max_iter`` is returned with ``converged=False``,
     never silently wrong.
     """
     a = check_association(net, assoc)
-    run = _per_bs_fixed_point(net, a[None, :], opts or FixedPointOptions())
-    return _downlink_result(net, a, run._replace(power=run.power[0]))
+
+    def step(p, it):
+        m = unit_sinr_power(net, a, p)
+        return m / load_norm(m, a, net.budget)
+
+    run = _run_fixed_point(step, opts or FixedPointOptions(), net.budget[a], float(np.max(net.budget)))
+    return _downlink_result(net, a, run)
 
 
 # Relative width of the Collatz-Wielandt bracket at which a Perron root is
@@ -286,10 +271,15 @@ _SWITCH_RTOL = 1e-9
 
 
 def _coupling(net: Network, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """B[k, i] = gain[a_i, k] / gain[a_k, k] off the diagonal, and u = noise / direct gain."""
-    direct = net.gain[a, np.arange(net.n_users)]
-    cross = net.gain[a, :].T / direct[:, None]
-    np.fill_diagonal(cross, 0.0)
+    """B[k, i] = gain[a_i, k] / gain[a_k, k] off the diagonal, and u = noise / direct gain.
+
+    ``a`` is one checked association (K,) or a batch (B, K); B and u gain
+    the same leading axis.
+    """
+    k = np.arange(net.n_users)
+    direct = net.gain[a, k]
+    cross = np.swapaxes(net.gain[a], -1, -2) / direct[..., :, None]
+    cross[..., k, k] = 0.0
     return cross, net.noise_dl / direct
 
 
@@ -353,23 +343,45 @@ class TargetPowerResult:
     power: np.ndarray
 
 
+def _target_power(net: Network, batch: np.ndarray, gamma: float) -> tuple[np.ndarray, np.ndarray]:
+    """Least powers for SINR target gamma on a checked (B, K) batch, and which fit.
+
+    Row b solves (I - gamma B_b) p = gamma u_b.  The target is feasible iff
+    the solve succeeds, p is finite and non-negative, and p fits the per-BS
+    budgets (load norm at most 1 + 1e-12).
+    """
+    system, u = _coupling(net, batch)
+    # I - gamma B in place: the (B, K, K) stack is the brute force's largest array
+    system *= -gamma
+    system += np.eye(net.n_users)
+    rhs = gamma * u
+    solved = np.ones(len(batch), dtype=bool)
+    try:
+        p = np.linalg.solve(system, rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        # an exactly singular row fails the stacked solve: solve row by row
+        rows = [dgesv(m, r)[2:] for m, r in zip(system, rhs)]
+        p = np.array([x for x, _ in rows])
+        solved = np.array([info == 0 for _, info in rows])
+    loads = np.einsum("bk,bkn->bn", p, batch[:, :, None] == np.arange(net.n_bs)) / net.budget
+    # a NaN entry fails p >= 0 and an infinite one the load test
+    feasible = solved & np.all(p >= 0, axis=1) & (loads.max(axis=1) <= 1.0 + 1e-12)
+    return p, feasible
+
+
 def min_power_for_target(net: Network, assoc, gamma: float) -> TargetPowerResult:
     """Minimal power meeting SINR >= gamma for every user, if one exists.
 
     SINR = gamma for every user means (I - gamma B) p = gamma u, with B and
-    u as in :func:`solve_power_exact`; this is one LAPACK ``dgesv`` solve.
+    u as in :func:`solve_power_exact`; this is one linear solve.
     I - gamma B is a Z-matrix, and a Z-matrix A is a nonsingular M-matrix
     exactly when A x > 0 for some x >= 0 (Berman & Plemmons, 1979).  With
     u > 0, a solution p >= 0 therefore exists iff rho(gamma B) < 1, and
     then it is the least power vector that meets the target.  The target is
-    feasible iff the solve succeeds, p is finite and non-negative, and p
-    fits the per-BS budgets (load norm at most 1 + 1e-12).
+    feasible iff p also fits the per-BS budgets.
     """
     if not gamma > 0:
         raise ValueError("gamma must be positive")
     a = check_association(net, assoc)
-    cross, u = _coupling(net, a)
-    p, info = dgesv(np.eye(net.n_users) - gamma * cross, gamma * u, overwrite_a=1)[2:]
-    # a NaN entry fails p.min() >= 0 and an infinite one the load test
-    feasible = info == 0 and p.min() >= 0 and load_norm(p, a, net.budget) <= 1.0 + 1e-12
-    return TargetPowerResult(bool(feasible), p)
+    p, feasible = _target_power(net, a[None, :], gamma)
+    return TargetPowerResult(bool(feasible[0]), p[0])

@@ -5,8 +5,11 @@ normalized fixed points ``solve_power`` and ``ulsum`` converge to (run here
 at tol 1e-12), on random small networks with idle BSs, zero links and a
 single user, and on the reducible 3-SAT gadget networks.  The exact
 target-power test ``min_power_for_target`` must put that optimum on the
-boundary between feasible and infeasible targets.
+boundary between feasible and infeasible targets, and the brute force that
+screens with it must find the best fixed-point value over all associations.
 """
+
+import itertools
 
 import numpy as np
 import pytest
@@ -15,7 +18,7 @@ from hypothesis.extra.numpy import arrays
 
 from hetnet_maxmin import power, sumpower
 from hetnet_maxmin.model import Network, downlink_sinr, max_snr_association, uplink_sinr
-from hetnet_maxmin.oracle import CnfFormula, build_3sat_gadget
+from hetnet_maxmin.oracle import CnfFormula, brute_force_optimum, build_3sat_gadget
 from hetnet_maxmin.power import (
     FixedPointOptions,
     load_norm,
@@ -105,6 +108,23 @@ def test_target_power_test_brackets_the_optimum(case):
     assert downlink_sinr(net, assoc, below.power).min() >= gamma * (1.0 - 1e-9)
     assert load_norm(below.power, assoc, net.budget) <= 1.0 + 1e-9
     assert not min_power_for_target(net, assoc, t_star * (1.0 + 1e-6)).feasible
+
+
+@PROPERTY
+@given(networks(max_bs=3, max_users=4))
+def test_brute_force_screen_matches_fixed_point_on_every_candidate(net):
+    # the fixed point shares no code with the target-power screen or the
+    # Perron-root solve, so it keeps the oracle checked independently
+    links = [np.flatnonzero(net.gain[:, k] > 0).tolist() for k in range(net.n_users)]
+    values = []
+    for cand in itertools.product(*links):
+        ref = solve_power(net, list(cand), REFERENCE)
+        assume(ref.converged)
+        batch = np.array([cand])
+        assert power._target_power(net, batch, ref.min_sinr * (1.0 - 1e-6))[1][0]
+        assert not power._target_power(net, batch, ref.min_sinr * (1.0 + 1e-6))[1][0]
+        values.append(ref.min_sinr)
+    assert brute_force_optimum(net).min_sinr == pytest.approx(max(values), rel=1e-8)
 
 
 def test_target_at_unit_spectral_radius_is_infeasible():

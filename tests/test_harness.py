@@ -29,7 +29,7 @@ from hetnet_maxmin.harness import (
 from hetnet_maxmin.model import max_snr_association
 from hetnet_maxmin.scenario import ScenarioConfig, generate_hetnet, scenario_to_json
 
-from helpers import frozen_network
+from helpers import DATA, frozen_network
 
 
 def small_spec(**overrides) -> ExperimentSpec:
@@ -487,6 +487,27 @@ class TestCli:
         plain = CliRunner().invoke(cli_main, ["gadget", "--cnf", str(cnf)])
         assert plain.exit_code == 0
         assert json.loads(plain.output)["n_bs"] == 7
+
+    def test_gadget_verify_on_unsatisfiable_file(self):
+        # the file the CI smoke step runs through the installed entry point
+        res = CliRunner().invoke(cli_main, ["gadget", "--cnf", str(DATA / "unsat_1var.cnf"), "--verify"])
+        assert res.exit_code == 0, res.output
+        doc = json.loads(res.output)
+        assert doc["sat_by_solver"] is False and doc["agrees"] is True
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [("1 1 1 0", "1 a 1 0"), ("p cnf 1 2", "p cnf x 2"), ("p cnf 1 2", "p cnf 1 2.0")],
+        ids=["literal", "variable-count", "clause-count"],
+    )
+    def test_malformed_dimacs_is_an_error_not_a_traceback(self, tmp_path, old, new):
+        cnf = tmp_path / "bad.cnf"
+        cnf.write_text((DATA / "unsat_1var.cnf").read_text().replace(old, new))
+        res = CliRunner().invoke(cli_main, ["gadget", "--cnf", str(cnf), "--verify"])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit), res.exception
+        assert "error:" in res.output
+        assert "Traceback" not in res.output
 
     def test_selftest_command(self):
         res = CliRunner().invoke(cli_main, ["selftest", "--trials", "3"])

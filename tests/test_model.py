@@ -1,4 +1,4 @@
-"""Model-layer tests: serving sets, SINR evaluation, greedy association,
+"""Model-layer tests: SINR evaluation, greedy association,
 scale consistency, the load bound, and JSON round trips."""
 
 import json
@@ -15,7 +15,6 @@ from hetnet_maxmin.model import (
     max_snr_association,
     network_from_json,
     network_to_json,
-    serving_sets,
     uplink_sinr,
 )
 
@@ -33,31 +32,6 @@ def pair_block_network() -> Network:
         noise_dl=[1.0, 1.0],
         noise_ul=[1.0, 1.0],
     )
-
-
-class TestServingSets:
-    def test_two_bs_split(self):
-        sets = serving_sets([0, 0, 1], 2)
-        assert [s.tolist() for s in sets] == [[0, 1], [2]]
-
-    def test_permutation(self):
-        sets = serving_sets([1, 0, 2], 3)
-        assert [s.tolist() for s in sets] == [[1], [0], [2]]
-
-    def test_empty_sets_allowed(self):
-        sets = serving_sets([0], 3)
-        assert [s.tolist() for s in sets] == [[0], [], []]
-
-    def test_partition_property(self):
-        rng = np.random.default_rng(0)
-        for _ in range(50):
-            n = int(rng.integers(1, 6))
-            k = int(rng.integers(1, 9))
-            assoc = rng.integers(0, n, size=k)
-            sets = serving_sets(assoc, n)
-            merged = np.sort(np.concatenate(sets))
-            assert merged.tolist() == list(range(k))
-            assert sum(len(s) for s in sets) == k
 
 
 class TestDownlinkSinr:

@@ -1,6 +1,7 @@
 """Oracle-layer tests: exhaustive optimum, closed-form block constants, the
 3-SAT network gadget, and the satisfiability equivalence check."""
 
+import itertools
 import math
 
 import numpy as np
@@ -18,10 +19,11 @@ from hetnet_maxmin.oracle import (
     satisfiable,
     verify_sat_equivalence,
 )
-from hetnet_maxmin.power import solve_power
+from hetnet_maxmin import power
+from hetnet_maxmin.power import solve_power, solve_power_exact
 from hetnet_maxmin.twostage import dlsum, dlsuma
 
-from helpers import random_formula, random_network, truth_table_sat
+from helpers import frozen_network, random_formula, random_network, truth_table_sat
 
 P_LOW = (math.sqrt(7.0) - 1.0) / 2.0
 
@@ -81,6 +83,43 @@ class TestBruteForce:
         net = random_network(rng, 4, 4)
         with pytest.raises(ValueError):
             brute_force_optimum(net, max_candidates=10)
+
+    def test_never_runs_a_fixed_point(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("fixed point used")
+
+        monkeypatch.setattr(power, "_run_fixed_point", forbidden)
+        res = brute_force_optimum(frozen_network("uni_3x0_k3_10db_seed3"))
+        assert res.converged
+        formula = CnfFormula(n_vars=2, clauses=((1, 2, -1), (-2, 1, 2), (-1, -2, 1)))
+        assert verify_sat_equivalence(formula).agrees
+
+    def test_ties_resolve_to_the_first_candidate(self):
+        # the two split configurations of the second variable block tie
+        # exactly; the fixed point's rounding used to pick the later one
+        net = build_3sat_gadget(CnfFormula(2, ((2, -2, 1), (-2, -1, 1)))).network
+        links = [np.flatnonzero(net.gain[:, k] > 0).tolist() for k in range(net.n_users)]
+        candidates = list(itertools.product(*links))
+        values = [solve_power_exact(net, list(c)).min_sinr for c in candidates]
+        first = next(c for c, v in zip(candidates, values) if v >= max(values) * (1 - 1e-9))
+        assert first == (0, 1, 2, 3, 4, 5)
+        assert tuple(brute_force_optimum(net).association) == first
+        # a later candidate better by 1e-7, well above the tie margin, wins
+        net = Network(gain=[[1.0], [1.0 + 1e-7]], budget=[1.0, 1.0], noise_dl=[1.0], noise_ul=[1.0, 1.0])
+        assert brute_force_optimum(net).association.tolist() == [1]
+
+    def test_singular_row_is_infeasible_within_a_batch(self):
+        # at gamma = 2 the first association has rho(gamma B) = 1, so
+        # I - gamma B is exactly singular; the second has rho = 0
+        net = Network(
+            gain=[[1.0, 0.5], [0.5, 1.0], [1.0, 0.0]],
+            budget=[1e12, 1e12, 1e12],
+            noise_dl=[1.0, 1.0],
+            noise_ul=[1.0, 1.0, 1.0],
+        )
+        p, feasible = power._target_power(net, np.array([[0, 1], [2, 1]]), 2.0)
+        assert feasible.tolist() == [False, True]
+        np.testing.assert_allclose(p[1], [4.0, 2.0], rtol=1e-14)
 
 
 class TestPairValues:
@@ -263,3 +302,6 @@ p cnf 3 2
             cnf_from_dimacs("1 2 3 0\n")
         with pytest.raises(ValidationError):
             cnf_from_dimacs("p cnf 3 1\n1 2 3\n")
+        for bad in ("p cnf 1 1\n1 a 1 0\n", "p cnf x 1\n1 1 1 0\n", "p cnf 1 1.5\n1 1 1 0\n"):
+            with pytest.raises(ValidationError, match="non-integer"):
+                cnf_from_dimacs(bad)
