@@ -36,7 +36,6 @@ from .sumpower import (
     ulsum,
     ulsum_exact,
     uplink_unit_sinr_power,
-    upper_bound_sum,
 )
 from .twostage import (
     TwoStageResult,
@@ -44,7 +43,6 @@ from .twostage import (
     dlsuma,
     power_balance_transform,
     ulsuma,
-    ulsuma_upper_bound,
 )
 from .matching import (
     FORBIDDEN,

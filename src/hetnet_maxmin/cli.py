@@ -46,7 +46,7 @@ def _load_json(path):
 
 
 def _dump(doc: dict, out):
-    text = json.dumps(doc, indent=2)
+    text = json.dumps(doc)
     if out is None or out == "-":
         click.echo(text)
     else:

@@ -143,7 +143,11 @@ def auction(prob: AssignmentProblem, eps: float) -> AuctionState:
     prices = np.zeros(k)
     finite = gain > _FINITE_CUTOFF
     finite_vals = gain[finite]
-    max_rounds = k * (int(np.ceil(float(np.abs(finite_vals).max()) / eps)) + k + 16)
+    top = float(np.abs(finite_vals).max())
+    price_steps = top / float(eps)
+    if price_steps == np.inf:
+        raise ValueError(f"eps {eps!r} is too small for gains of magnitude {top!r}")
+    max_rounds = k * (int(np.ceil(price_steps)) + k + 16)
     # Bid increment when a user has no allowed alternative (including k = 1).
     solo_gap = float(finite_vals.max() - finite_vals.min()) + eps
     assignment = np.full(k, -1)

@@ -2,11 +2,11 @@
 closed-form constants for the two-cell variable block.
 
 The brute-force solver enumerates every association that avoids zero-gain
-links (or every permutation in one-to-one mode) and keeps the best, scoring
-exactly: a batched target-power test screens candidates against the best
-value so far, and the Perron-root solve of :mod:`hetnet_maxmin.power`
-scores the survivors.  No fixed point runs.  It is the reference every
-other algorithm is checked against at desk scale.
+links and keeps the best, scoring exactly: a batched target-power test
+screens candidates against the best value so far, and the Perron-root
+solve of :mod:`hetnet_maxmin.power` scores the survivors.  No fixed point
+runs.  It is the reference every other algorithm is checked against at
+desk scale.
 
 The gadget encodes a 3-SAT formula as a network whose achievable min-SINR
 hits the threshold (sqrt(7) - 1) / 3 exactly when the formula is
@@ -272,32 +272,8 @@ def verify_sat_equivalence(formula: CnfFormula, tol: float = 1e-6) -> Equivalenc
     )
 
 
-def _candidate_count(net: Network, one_to_one: bool) -> int:
-    if one_to_one:
-        return math.factorial(net.n_users)
-    counts = (net.gain > 0).sum(axis=0)
-    return int(np.prod(counts.astype(object)))
-
-
-def _candidate_associations(net: Network, one_to_one: bool):
-    if one_to_one:
-        if net.n_bs != net.n_users:
-            raise ValidationError("one-to-one enumeration needs n_bs == n_users")
-        direct_ok = net.gain > 0
-        for perm in itertools.permutations(range(net.n_bs)):
-            if all(direct_ok[perm[k], k] for k in range(net.n_users)):
-                yield perm
-    else:
-        choices = [np.flatnonzero(net.gain[:, k] > 0) for k in range(net.n_users)]
-        yield from itertools.product(*[c.tolist() for c in choices])
-
-
-def brute_force_optimum(
-    net: Network,
-    restrict_one_to_one: bool = False,
-    max_candidates: int = MAX_CANDIDATES,
-) -> SolveResult:
-    """Global optimum by exhausting associations (or permutations).
+def brute_force_optimum(net: Network) -> SolveResult:
+    """Global optimum by exhausting associations.
 
     Associations never cross zero-gain links.  Candidates are walked in
     lexicographic enumeration order, in chunks.  Against the best value g
@@ -308,15 +284,16 @@ def brute_force_optimum(
     resolve to the first candidate in enumeration order, and the returned
     result is the exact solve at the winning association.
 
-    Refuses instances whose candidate count exceeds ``max_candidates``.
+    Refuses instances with more than ``MAX_CANDIDATES`` candidates.
     """
-    count = _candidate_count(net, restrict_one_to_one)
-    if count > max_candidates:
+    choices = [np.flatnonzero(net.gain[:, k] > 0).tolist() for k in range(net.n_users)]
+    count = math.prod(len(c) for c in choices)
+    if count > MAX_CANDIDATES:
         raise ValueError(
-            f"{count} candidate associations exceed the cap of {max_candidates}"
+            f"{count} candidate associations exceed the cap of {MAX_CANDIDATES}"
         )
     best: SolveResult | None = None
-    candidates = _candidate_associations(net, restrict_one_to_one)
+    candidates = itertools.product(*choices)
     while chunk := list(itertools.islice(candidates, _BATCH_SIZE)):
         batch = np.array(chunk, dtype=int)
         while len(batch):
@@ -328,6 +305,4 @@ def brute_force_optimum(
             if best is None or res.min_sinr > best.min_sinr * (1.0 + _TIE_RTOL):
                 best = res
             batch = batch[1:]
-    if best is None:
-        raise ValidationError("no association avoids zero-gain links")
     return best

@@ -37,7 +37,6 @@ __all__ = [
     "ulsum",
     "ulsum_exact",
     "dl_sumpower_power",
-    "upper_bound_sum",
     "convergence_rate_bound",
 ]
 
@@ -225,15 +224,6 @@ def dl_sumpower_power(
 
     run = _run_fixed_point(step, opts or FixedPointOptions(), np.full(net.n_users, budget), budget)
     return _downlink_result(net, a, run)
-
-
-def upper_bound_sum(net: Network) -> float:
-    """Upper bound on the per-BS-constrained optimum via the sum relaxation.
-
-    Any allocation respecting the per-BS budgets also respects their sum,
-    so the sum-power optimum dominates the true optimum.
-    """
-    return ulsum_exact(net, float(np.sum(net.budget))).gamma_sum
 
 
 def convergence_rate_bound(net: Network, sum_budget: float | None = None) -> float:

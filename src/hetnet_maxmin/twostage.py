@@ -25,10 +25,8 @@ from .sumpower import UlsumResult, ulsum_exact
 __all__ = [
     "StageInfo",
     "TwoStageResult",
-    "BalancedNetwork",
     "power_balance_transform",
     "ulsuma",
-    "ulsuma_upper_bound",
     "dlsum",
     "dlsuma",
 ]
@@ -61,72 +59,49 @@ class TwoStageResult:
     selected_stage: int = 1
 
 
-@dataclass(frozen=True)
-class BalancedNetwork:
-    """A gain/budget rescaling with the per-BS weights that produced it."""
-
-    network: Network
-    alpha: np.ndarray
-
-
-def power_balance_transform(net: Network) -> BalancedNetwork:
+def power_balance_transform(net: Network) -> Network:
     """Rescale so every BS has the same budget, preserving the optimum.
 
-    Uses weights alpha_n = max_budget / budget_n: gains become
-    gain * budget / max_budget and every budget becomes max_budget.  Any
-    solution maps between the two problems with identical SINRs, so the
-    per-BS-constrained optimal value is unchanged.
+    Gains become gain * budget / max_budget and every budget becomes
+    max_budget.  Any solution maps between the two problems with identical
+    SINRs, so the per-BS-constrained optimal value is unchanged.
     """
     p_max = float(np.max(net.budget))
-    alpha = p_max / net.budget
-    scaled = Network(
+    return Network(
         gain=net.gain * (net.budget / p_max)[:, None],
         budget=np.full(net.n_bs, p_max),
         noise_dl=net.noise_dl,
         noise_ul=net.noise_ul,
     )
-    return BalancedNetwork(network=scaled, alpha=alpha)
 
 
 def ulsuma(net: Network) -> UlsumResult:
     """The sum-power relaxation solved on the power-balanced network.
 
-    The association, powers and value belong to the balanced network; its
-    ``gamma_sum`` bounds the original per-BS optimum (see
-    :func:`ulsuma_upper_bound`).
+    The association, powers and value belong to the balanced network.  Its
+    ``gamma_sum`` bounds the original per-BS optimum: balancing keeps that
+    optimum, and the pooled budget relaxes the per-BS ones.  The balancing
+    typically tightens the bound when budgets are very uneven.
     """
-    balanced = power_balance_transform(net).network
-    return ulsum_exact(balanced, float(np.sum(balanced.budget)))
+    return ulsum_exact(power_balance_transform(net))
 
 
-def ulsuma_upper_bound(net: Network) -> float:
-    """Sum-power upper bound computed on the power-balanced network.
+def _relaxation_stage(name: str, res: UlsumResult, pool: float) -> StageInfo:
+    return StageInfo(name, res.iterations, res.assoc, pool, res.gamma_sum)
 
-    Valid for the original per-BS problem for any positive weights; the
-    balancing weights typically tighten it when budgets are very uneven.
-    """
-    return ulsuma(net).gamma_sum
+
+def _power_stage(name: str, res: SolveResult, iterations: int | None = None) -> StageInfo:
+    its = res.iterations if iterations is None else iterations
+    return StageInfo(name, its, res.association, float(res.power.sum()), res.min_sinr)
 
 
 def dlsum(net: Network) -> TwoStageResult:
     """Two-stage solver: sum-relaxation association, then per-BS power."""
-    stage1 = ulsum_exact(net, float(np.sum(net.budget)))
+    stage1 = ulsum_exact(net)
     stage2 = solve_power_exact(net, stage1.assoc)
     stages = (
-        StageInfo(
-            name="sum-relaxation association",
-            iterations=stage1.iterations,
-            association=stage1.assoc,
-            sum_power=float(np.sum(net.budget)),
-            gamma=stage1.gamma_sum,
-        ),
-        StageInfo(
-            name="per-BS power",
-            iterations=stage2.iterations,
-            association=stage2.association,
-            sum_power=float(stage2.power.sum()),
-            gamma=stage2.min_sinr,
-        ),
+        _relaxation_stage("sum-relaxation association", stage1, float(np.sum(net.budget))),
+        _power_stage("per-BS power", stage2),
     )
     return TwoStageResult(result=stage2, upper_bound=stage1.gamma_sum, stages=stages)
 
@@ -150,51 +125,38 @@ def _to_original_domain(net: Network, scaled_budget_max: float, res: SolveResult
 def dlsuma(net: Network) -> TwoStageResult:
     """Two-stage solver with power balancing and effective sum power.
 
-    Pipeline on the balanced network: (1) sum-relaxation association at pool
-    N * max_budget, (2) per-BS power there, (3) re-run the relaxation with
-    the power actually spent in (2) as the pool, (4) per-BS power at the new
-    association.  Returns the better of (2) and (4) mapped back to the
-    original network; when (3) reproduces the association of (1), step (4)
-    is skipped and (2) is reused bit-for-bit.  The reported upper bound is
-    the stage-(1) relaxation value, which dominates the true optimum for
-    any balancing weights.
+    Pipeline on the balanced network: (1) the :func:`ulsuma` relaxation,
+    pooling the balanced budgets, (2) per-BS power at its association,
+    (3) re-run the relaxation with the power actually spent in (2) as the
+    pool, (4) per-BS power at the new association.  Returns the better of
+    (2) and (4) mapped back to the original network; when (3) reproduces
+    the association of (1), step (4) is skipped and (2) is reused
+    bit-for-bit.  The reported upper bound is the stage-(1) value, the
+    :func:`ulsuma` bound.
     """
-    balanced = power_balance_transform(net)
-    bnet = balanced.network
-    p_max = float(np.max(net.budget))
-    pool1 = float(net.n_bs * p_max)
-
-    stage1 = ulsum_exact(bnet, pool1)
+    bnet = power_balance_transform(net)
+    stage1 = ulsum_exact(bnet)
     stage2 = solve_power_exact(bnet, stage1.assoc)
     spent = float(stage2.power.sum())
     stage3 = ulsum_exact(bnet, spent)
-
     stages = [
-        StageInfo("balanced sum-relaxation association", stage1.iterations,
-                  stage1.assoc, pool1, stage1.gamma_sum),
-        StageInfo("per-BS power", stage2.iterations, stage2.association,
-                  spent, stage2.min_sinr),
-        StageInfo("effective sum-power association", stage3.iterations,
-                  stage3.assoc, spent, stage3.gamma_sum),
+        _relaxation_stage("balanced sum-relaxation association", stage1,
+                          float(np.sum(bnet.budget))),
+        _power_stage("per-BS power", stage2),
+        _relaxation_stage("effective sum-power association", stage3, spent),
     ]
 
+    best, selected = stage2, 1
     if np.array_equal(stage3.assoc, stage1.assoc):
-        best, selected = stage2, 1
-        stages.append(StageInfo("per-BS power (reused: association unchanged)",
-                                0, stage1.assoc, spent, stage2.min_sinr))
+        stages.append(_power_stage("per-BS power (reused: association unchanged)", stage2, 0))
     else:
         stage4 = solve_power_exact(bnet, stage3.assoc)
-        stages.append(StageInfo("per-BS power at refreshed association",
-                                stage4.iterations, stage4.association,
-                                float(stage4.power.sum()), stage4.min_sinr))
+        stages.append(_power_stage("per-BS power at refreshed association", stage4))
         if stage4.min_sinr >= stage2.min_sinr:
             best, selected = stage4, 3
-        else:
-            best, selected = stage2, 1
 
-    result = _to_original_domain(net, p_max, best)
     return TwoStageResult(
-        result=result,
+        result=_to_original_domain(net, float(bnet.budget[0]), best),
         upper_bound=stage1.gamma_sum,
         stages=tuple(stages),
         selected_stage=selected,

@@ -446,6 +446,17 @@ class TestCli:
         assert res.exit_code == 1
         assert "error:" in res.output and "eps" in res.output
 
+    def test_solve_aufp_with_subnormal_eps_is_an_error_not_a_traceback(self):
+        # max|gain| / eps overflows, so the auction's round cap is undefined
+        net_path = DATA / "uni_3x0_k3_10db_seed3.json"
+        res = CliRunner().invoke(
+            cli_main, ["solve", "--net", str(net_path), "--alg", "aufp", "--eps", "1e-320"]
+        )
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit), res.exception
+        assert "error:" in res.output and "eps" in res.output
+        assert "Traceback" not in res.output
+
     @pytest.mark.parametrize(
         "command, doc",
         [

@@ -62,12 +62,6 @@ class TestBruteForce:
         for assoc, expected in values.items():
             assert solve_power(net, list(assoc)).min_sinr == pytest.approx(expected, abs=1e-6)
 
-    def test_one_to_one_mode_restricts_to_permutations(self):
-        net = pair_block_network()
-        res = brute_force_optimum(net, restrict_one_to_one=True)
-        assert sorted(res.association.tolist()) == [0, 1]
-        assert res.min_sinr == pytest.approx(SAT_GAMMA, abs=1e-6)
-
     def test_dominates_every_algorithm(self):
         rng = np.random.default_rng(0)
         for _ in range(12):
@@ -80,9 +74,9 @@ class TestBruteForce:
 
     def test_size_cap_refusal(self):
         rng = np.random.default_rng(1)
-        net = random_network(rng, 4, 4)
+        net = random_network(rng, 4, 10)  # 4**10 > MAX_CANDIDATES
         with pytest.raises(ValueError):
-            brute_force_optimum(net, max_candidates=10)
+            brute_force_optimum(net)
 
     def test_never_runs_a_fixed_point(self, monkeypatch):
         def forbidden(*args, **kwargs):

@@ -14,7 +14,6 @@ from hetnet_maxmin.sumpower import (
     ulsum,
     ulsum_exact,
     uplink_unit_sinr_power,
-    upper_bound_sum,
 )
 
 from helpers import (
@@ -173,15 +172,15 @@ class TestUpperBound:
         net = Network(gain=[[3.0]], budget=[1.0], noise_dl=[1.0], noise_ul=[1.0])
         wide = Network(gain=[[3.0], [3.0]], budget=[1.0, 3.0], noise_dl=[1.0], noise_ul=[1.0, 1.0])
         # pooled budget 4 beats the best single budget 3
-        assert upper_bound_sum(wide) == pytest.approx(3.0 * 4.0)
-        assert upper_bound_sum(wide) >= 3.0 * 3.0
+        assert ulsum_exact(wide).gamma_sum == pytest.approx(3.0 * 4.0)
+        assert ulsum_exact(wide).gamma_sum >= 3.0 * 3.0
 
     def test_dominates_brute_force(self):
         rng = np.random.default_rng(9)
         for _ in range(10):
             net = random_network(rng, int(rng.integers(1, 4)), int(rng.integers(1, 4)))
             star = brute_force_optimum(net)
-            assert upper_bound_sum(net) >= star.min_sinr - 1e-9
+            assert ulsum_exact(net).gamma_sum >= star.min_sinr - 1e-9
 
     def test_budget_scaling_passes_through(self):
         rng = np.random.default_rng(10)
@@ -189,9 +188,9 @@ class TestUpperBound:
         doubled = Network(
             gain=net.gain, budget=net.budget * 2, noise_dl=net.noise_dl, noise_ul=net.noise_ul
         )
-        # upper_bound_sum runs the exact kernel, so compare like with like
+        # the default pool is the doubled budget total
         direct = ulsum_exact(doubled, 2.0 * float(net.budget.sum())).gamma_sum
-        assert upper_bound_sum(doubled) == pytest.approx(direct, rel=1e-12)
+        assert ulsum_exact(doubled).gamma_sum == pytest.approx(direct, rel=1e-12)
 
 
 class TestConvergenceRateBound:
