@@ -1,7 +1,9 @@
 """Batch CLI: generate networks, solve them, run Monte-Carlo sweeps.
 
 Exit codes: 0 success, 2 infeasible / not-converged / failed verification,
-1 usage or I/O error, or an algorithm that skips the network.
+1 usage error, malformed document, I/O error, or an algorithm that skips
+the network.  The commands catch nothing: the group's ``invoke`` is the one
+place where an error becomes ``error: <message>`` and exit 1.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .harness import (
     selftest as run_selftest,
 )
 from .matching import InfeasibleMatchingError
-from .model import ValidationError, network_from_json, network_to_json
+from .model import network_from_json, network_to_json
 from .oracle import build_3sat_gadget, cnf_from_dimacs, verify_sat_equivalence
 from .scenario import generate_hetnet, geometry_to_json, scenario_from_json
 
@@ -32,17 +34,14 @@ from .scenario import generate_hetnet, geometry_to_json, scenario_from_json
 click.UsageError.exit_code = 1
 
 
-def _fail(message: str, code: int = 1):
+def _fail(message: str):
     click.echo(f"error: {message}", err=True)
-    sys.exit(code)
+    sys.exit(1)
 
 
 def _load_json(path):
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        _fail(str(exc))
+    with open(path) as fh:
+        return json.load(fh)
 
 
 def _dump(doc: dict, out):
@@ -50,18 +49,24 @@ def _dump(doc: dict, out):
     if out is None or out == "-":
         click.echo(text)
     else:
-        try:
-            with open(out, "w") as fh:
-                fh.write(text + "\n")
-        except OSError as exc:
-            _fail(str(exc))
+        with open(out, "w") as fh:
+            fh.write(text + "\n")
 
 
 def _db(x: float) -> float:
     return 10.0 * math.log10(x) if x > 0 else -math.inf
 
 
-@click.group()
+class _Cli(click.Group):
+    def invoke(self, ctx):
+        # ValueError covers ValidationError and json.JSONDecodeError
+        try:
+            return super().invoke(ctx)
+        except (ValueError, OSError, InfeasibleMatchingError) as exc:
+            _fail(str(exc))
+
+
+@click.group(cls=_Cli)
 def main():
     """Max-min fair BS association and power allocation toolkit."""
 
@@ -73,13 +78,8 @@ def main():
 @click.option("--geometry-out", default=None, help="Optional geometry JSON for plotting")
 def gen(config_path, seed, out_path, geometry_out):
     """Generate one random HetNet and emit its network JSON."""
-    doc = _load_json(config_path)
-    try:
-        overrides = {} if seed is None else {"seed": seed}
-        config = scenario_from_json(doc, **overrides)
-        instance = generate_hetnet(config)
-    except (ValidationError, TypeError, ValueError) as exc:
-        _fail(str(exc))
+    overrides = {} if seed is None else {"seed": seed}
+    instance = generate_hetnet(scenario_from_json(_load_json(config_path), **overrides))
     _dump(network_to_json(instance.network), out_path)
     if geometry_out:
         _dump(geometry_to_json(instance.geometry), geometry_out)
@@ -130,11 +130,7 @@ def solve(net_path, alg, eps, out_path):
     Exits 2 when the run did not converge or a matched solve is not optimal,
     and 1 when the algorithm skips the network.
     """
-    doc = _load_json(net_path)
-    try:
-        outcome = ALGORITHMS[alg](network_from_json(doc), eps)
-    except (ValidationError, InfeasibleMatchingError, ValueError) as exc:
-        _fail(str(exc))
+    outcome = ALGORITHMS[alg](network_from_json(_load_json(net_path)), eps)
     if outcome.min_sinr is None:
         _fail(outcome.note)
     _dump(_solve_document(alg, outcome), out_path)
@@ -149,18 +145,14 @@ def solve(net_path, alg, eps, out_path):
 @click.option("--timings", is_flag=True, help="Include wall-clock timings (breaks byte-reproducibility)")
 def sweep(spec_path, out_path, json_out, jobs, timings):
     """Monte-Carlo sweep over the spec's SNR grid; writes per-trial records."""
-    doc = _load_json(spec_path)
-    try:
-        spec = experiment_from_json(doc)
-        out_path = out_path or spec.out_csv
-        if out_path is None:
-            raise ValueError("no output path: pass --out or set out_csv in the spec")
-        result = monte_carlo(spec, jobs=jobs)
-        export_csv(result, out_path, timings=timings)
-        if json_out:
-            export_json(result, json_out)
-    except (ValidationError, ValueError, OSError, KeyError) as exc:
-        _fail(str(exc))
+    spec = experiment_from_json(_load_json(spec_path))
+    out_path = out_path or spec.out_csv
+    if out_path is None:
+        _fail("no output path: pass --out or set out_csv in the spec")
+    result = monte_carlo(spec, jobs=jobs)
+    export_csv(result, out_path, timings=timings)
+    if json_out:
+        export_json(result, json_out)
     for (name, snr), cell in result.means.items():
         mean = "nan" if cell.mean_min_sinr is None else f"{cell.mean_min_sinr:.6g}"
         click.echo(
@@ -175,16 +167,11 @@ def sweep(spec_path, out_path, json_out, jobs, timings):
 @click.option("--jobs", type=int, default=1, show_default=True)
 def cdf(spec_path, out_path, jobs):
     """Monte-Carlo sweep reduced to clipped empirical CDFs."""
-    doc = _load_json(spec_path)
-    try:
-        spec = experiment_from_json(doc)
-        out_path = out_path or spec.out_cdf
-        if out_path is None:
-            raise ValueError("no output path: pass --out or set out_cdf in the spec")
-        result = monte_carlo(spec, jobs=jobs)
-        export_cdf_csv(result, out_path)
-    except (ValidationError, ValueError, OSError, KeyError) as exc:
-        _fail(str(exc))
+    spec = experiment_from_json(_load_json(spec_path))
+    out_path = out_path or spec.out_cdf
+    if out_path is None:
+        _fail("no output path: pass --out or set out_cdf in the spec")
+    export_cdf_csv(monte_carlo(spec, jobs=jobs), out_path)
 
 
 @main.command()
@@ -193,21 +180,12 @@ def cdf(spec_path, out_path, jobs):
 @click.option("--out", "out_path", default=None, help="Output JSON (default stdout)")
 def gadget(cnf_path, verify, out_path):
     """Build the satisfiability network gadget for a 3-CNF formula."""
-    try:
-        with open(cnf_path) as fh:
-            formula = cnf_from_dimacs(fh.read())
-    except OSError as exc:
-        _fail(str(exc))
-    except ValidationError as exc:
-        _fail(str(exc))
-    gadget_net = build_3sat_gadget(formula)
+    with open(cnf_path) as fh:
+        formula = cnf_from_dimacs(fh.read())
     if not verify:
-        _dump(network_to_json(gadget_net.network), out_path)
+        _dump(network_to_json(build_3sat_gadget(formula).network), out_path)
         return
-    try:
-        report = verify_sat_equivalence(formula)
-    except (ValidationError, ValueError) as exc:
-        _fail(str(exc))
+    report = verify_sat_equivalence(formula)
     _dump(
         {
             "sat_by_solver": report.sat_by_solver,

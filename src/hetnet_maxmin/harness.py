@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .matching import AssignmentProblem, auction, aufp, hungarian, solve_p1prime
-from .model import Network, SolveResult, ValidationError, max_snr_association
+from .model import Network, SolveResult, ValidationError, _check_field_types, max_snr_association
 from .oracle import MAX_CANDIDATES, brute_force_optimum, gadget_pair_values
 from .power import solve_power_exact
 from .scenario import ScenarioConfig, generate_hetnet, scenario_from_json, scenario_to_json
@@ -207,22 +207,19 @@ class ExperimentSpec:
     out_cdf: str | None = None
 
     def __post_init__(self):
+        _check_field_types(self)
         if self.n_runs < 1:
-            raise ValueError("n_runs must be at least 1")
-        if self.eps is not None and (
-            isinstance(self.eps, bool)
-            or not isinstance(self.eps, (int, float))
-            or not 0 < self.eps < math.inf
-        ):
-            raise ValueError(f"eps must be None or a positive finite number, got {self.eps!r}")
+            raise ValidationError("n_runs must be at least 1")
+        if self.eps is not None and not 0 < self.eps < math.inf:
+            raise ValidationError(f"eps must be None or a positive finite number, got {self.eps!r}")
         if not self.snr_db:
-            raise ValueError("need at least one snr_db point")
+            raise ValidationError("need at least one snr_db point")
         names = tuple(_canonical_name(a) for a in self.algorithms)
         unknown = [a for a in names if a not in ALGORITHMS]
         if unknown:
-            raise ValueError(f"unknown algorithms {unknown}; choose from {sorted(ALGORITHMS)}")
+            raise ValidationError(f"unknown algorithms {unknown}; choose from {sorted(ALGORITHMS)}")
         if "brute" in names and self.scenario.n_bs**self.scenario.n_users > MAX_CANDIDATES:
-            raise ValueError("brute force not allowed at this scenario size")
+            raise ValidationError("brute force not allowed at this scenario size")
         object.__setattr__(self, "algorithms", names)
         object.__setattr__(self, "snr_db", tuple(float(s) for s in self.snr_db))
 
@@ -433,25 +430,27 @@ def experiment_to_json(spec: ExperimentSpec) -> dict:
 
 
 def experiment_from_json(doc: dict) -> ExperimentSpec:
-    if not isinstance(doc, dict) or not isinstance(doc.get("scenario", {}), dict):
-        raise ValidationError("experiment document and its scenario must be JSON objects")
-    for key in ("snr_db", "algorithms"):
-        if key in doc and not isinstance(doc[key], list):
-            raise ValidationError(f"experiment field {key!r} must be a JSON list")
-    try:
-        return ExperimentSpec(
-            scenario=scenario_from_json(doc.get("scenario", {})),
-            snr_db=tuple(doc["snr_db"]),
-            algorithms=tuple(doc["algorithms"]),
-            n_runs=int(doc.get("n_runs", 500)),
-            seed_base=int(doc.get("seed_base", 0)),
-            cdf_clip=float(doc.get("cdf_clip", 3.0)),
-            eps=doc.get("eps"),
-            out_csv=doc.get("out_csv"),
-            out_cdf=doc.get("out_cdf"),
-        )
-    except TypeError as exc:
-        raise ValidationError(f"experiment document has a field of the wrong type: {exc}") from exc
+    """Inverse of :func:`experiment_to_json`; a malformed document raises ValidationError."""
+    if not isinstance(doc, dict):
+        raise ValidationError("experiment document must be a JSON object")
+    # exact JSON types: a bool is not a number here
+    for key, kinds, noun in (("snr_db", (int, float), "numbers"), ("algorithms", (str,), "names")):
+        if key not in doc:
+            raise ValidationError(f"experiment document is missing field {key!r}")
+        values = doc[key]
+        if not isinstance(values, list) or any(type(v) not in kinds for v in values):
+            raise ValidationError(f"experiment field {key!r} must be a JSON list of {noun}")
+    return ExperimentSpec(
+        scenario=scenario_from_json(doc.get("scenario", {})),
+        snr_db=tuple(doc["snr_db"]),
+        algorithms=tuple(doc["algorithms"]),
+        n_runs=doc.get("n_runs", 500),
+        seed_base=doc.get("seed_base", 0),
+        cdf_clip=doc.get("cdf_clip", 3.0),
+        eps=doc.get("eps"),
+        out_csv=doc.get("out_csv"),
+        out_cdf=doc.get("out_cdf"),
+    )
 
 
 def _random_small_network(rng: np.random.Generator, n_bs: int, n_users: int) -> Network:

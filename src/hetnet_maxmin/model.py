@@ -110,6 +110,27 @@ class SolveResult:
     residuals: np.ndarray | None = None
 
 
+# The types each scalar annotation admits, keyed by its string form (the
+# modules use ``from __future__ import annotations``).  A bool is an int to
+# Python, but it is never a count or a real here.
+_SCALARS = {
+    "int": (int, np.integer),
+    "float": (int, float, np.integer, np.floating),
+    "str": (str,),
+    "bool": (bool,),
+}
+
+
+def _check_field_types(obj) -> None:
+    """Check every scalar field of a dataclass, optional ones too, against its annotation."""
+    for name, f in obj.__dataclass_fields__.items():
+        kind, value = f.type.removesuffix(" | None"), getattr(obj, name)
+        if kind not in _SCALARS or (value is None and kind != f.type):
+            continue
+        if not isinstance(value, _SCALARS[kind]) or (isinstance(value, bool) and kind != "bool"):
+            raise ValidationError(f"{name} must be of type {f.type}, got {value!r}")
+
+
 def check_association(net: Network, assoc) -> np.ndarray:
     """Validate an association vector against a network.
 
@@ -201,11 +222,9 @@ def network_from_json(doc: dict) -> Network:
     if not isinstance(doc, dict):
         raise ValidationError("network document must be a JSON object")
     try:
-        n_bs = int(doc["n_bs"])
-        n_users = int(doc["n_users"])
-        gain = np.array(doc["gain"], dtype=float)
+        dims = (doc["n_bs"], doc["n_users"])
         net = Network(
-            gain=gain,
+            gain=doc["gain"],
             budget=doc["budget"],
             noise_dl=doc["noise_dl"],
             noise_ul=doc["noise_ul"],
@@ -214,8 +233,7 @@ def network_from_json(doc: dict) -> Network:
         raise ValidationError(f"network document is missing field {exc}") from exc
     except TypeError as exc:
         raise ValidationError(f"network document has a field of the wrong type: {exc}") from exc
-    if net.n_bs != n_bs or net.n_users != n_users:
-        raise ValidationError(
-            f"declared dimensions ({n_bs}, {n_users}) do not match gain shape {net.gain.shape}"
-        )
+    # exact JSON types: a declared 2.5 or true is not a dimension
+    if any(type(d) is not int for d in dims) or dims != net.gain.shape:
+        raise ValidationError(f"declared dimensions {dims} do not match gain shape {net.gain.shape}")
     return net

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import Network, SolveResult, ValidationError
-from .power import _target_power, solve_power_exact
+from .power import _solve_power_exact, _target_power
 
 __all__ = [
     "MAX_CANDIDATES",
@@ -301,7 +301,7 @@ def brute_force_optimum(net: Network) -> SolveResult:
                 batch = batch[_target_power(net, batch, best.min_sinr * (1.0 + _TIE_RTOL))[1]]
                 if not len(batch):
                     break
-            res = solve_power_exact(net, batch[0])
+            res = _solve_power_exact(net, batch[0])
             if best is None or res.min_sinr > best.min_sinr * (1.0 + _TIE_RTOL):
                 best = res
             batch = batch[1:]

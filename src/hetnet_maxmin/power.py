@@ -25,13 +25,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.linalg.lapack import dgesv
 
-from .model import (
-    Network,
-    SolveResult,
-    check_association,
-    check_power,
-    downlink_sinr,
-)
+from .model import Network, SolveResult, check_association, downlink_sinr
 
 __all__ = [
     "FixedPointOptions",
@@ -70,10 +64,12 @@ def unit_sinr_power(net: Network, assoc, power) -> np.ndarray:
     """Per-user power its serving BS needs for SINR 1 at fixed interference.
 
     Entry k equals (noise_dl[k] + interference at k) / gain[a_k, k]; the
-    current SINR of user k is power[k] divided by this entry.
+    current SINR of user k is power[k] divided by this entry.  It runs once
+    per fixed-point step and checks nothing: pass an association and power
+    that the ``check_*`` functions of :mod:`hetnet_maxmin.model` accept.
     """
-    a = check_association(net, assoc)
-    p = check_power(net, power)
+    a = np.asarray(assoc)
+    p = np.asarray(power, dtype=float)
     gains_at_users = net.gain[a, :]
     received = p[:, None] * gains_at_users
     own = np.diagonal(received)
@@ -174,8 +170,9 @@ _NODA_MAX_STEPS = 100
 _SHIFT_MARGIN = 1e-10
 # Widest relative Collatz-Wielandt bracket accepted when the Noda iteration
 # stalls or its solve fails.  The bracket is the spread of the SINRs the
-# kernels assign, user by user.
-_STALL_RTOL = 1e-8
+# kernels assign, user by user, and it bounds the eigen-residual
+# max |A x - lam x| / lam of the pair returned.
+_STALL_RTOL = 1e-9
 # Power-iteration steps that smooth the start vector before the first solve:
 # a matrix-vector product is far cheaper than a solve and saves one or two.
 _POWER_STEPS = 4
@@ -299,7 +296,11 @@ def solve_power_exact(net: Network, assoc) -> SolveResult:
     the normalized fixed-point step at the answer, on the scale of
     :func:`solve_power`'s residual; ``residuals`` is None.
     """
-    a = check_association(net, assoc)
+    return _solve_power_exact(net, check_association(net, assoc))
+
+
+def _solve_power_exact(net: Network, a: np.ndarray) -> SolveResult:
+    """:func:`solve_power_exact` at a checked association, for callers that loop."""
     k = net.n_users
     cross, u = _coupling(net, a)
     members = (a[None, :] == np.arange(net.n_bs)[:, None]) / net.budget[:, None]

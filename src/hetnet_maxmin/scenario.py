@@ -20,7 +20,7 @@ from dataclasses import dataclass, asdict, replace
 
 import numpy as np
 
-from .model import Network, ValidationError
+from .model import Network, ValidationError, _check_field_types
 
 __all__ = [
     "ScenarioConfig",
@@ -73,6 +73,7 @@ class ScenarioConfig:
     wrap_around: bool = False
 
     def __post_init__(self):
+        _check_field_types(self)
         if self.n_macro < 1 or self.n_users < 1 or self.picos_per_macro < 0:
             raise ValidationError("counts must be positive (picos_per_macro may be 0)")
         for name in ("macro_spacing_m", "pico_min_dist_m", "pathloss_ref_m", "noise"):
@@ -82,6 +83,8 @@ class ScenarioConfig:
             raise ValidationError("shadow_std_db must be non-negative")
         if self.user_dist not in ("congested", "uni_in_cell"):
             raise ValidationError(f"unknown user_dist {self.user_dist!r}")
+        if self.congested_cell is not None and not 0 <= self.congested_cell < self.n_macro:
+            raise ValidationError("congested_cell out of range")
         if self.picos_per_macro > 0 and not self.pico_min_dist_m < self.macro_spacing_m / _SQRT3:
             raise ValidationError(
                 "pico_min_dist_m must be below macro_spacing_m/sqrt(3), a macro's corner distance"
@@ -184,15 +187,6 @@ def _distances(
     return np.sqrt((deltas**2).sum(axis=-1))
 
 
-def _congested_cell_index(config: ScenarioConfig, macro_centers: np.ndarray) -> int:
-    if config.congested_cell is not None:
-        if not 0 <= config.congested_cell < config.n_macro:
-            raise ValidationError("congested_cell out of range")
-        return config.congested_cell
-    centroid = macro_centers.mean(axis=0)
-    return int(np.argmin(((macro_centers - centroid) ** 2).sum(axis=1)))
-
-
 def place_users(
     config: ScenarioConfig, geometry: Geometry, rng: np.random.Generator
 ) -> np.ndarray:
@@ -207,7 +201,9 @@ def place_users(
     s = config.macro_spacing_m
     macro_centers = geometry.bs_positions[geometry.bs_is_macro]
     if config.user_dist == "congested":
-        hot = _congested_cell_index(config, macro_centers)
+        hot = config.congested_cell
+        if hot is None:  # the macro nearest the centroid
+            hot = int(np.argmin(((macro_centers - macro_centers.mean(axis=0)) ** 2).sum(axis=1)))
         n_hot = int(math.floor(math.sqrt(config.n_users)))
         hot_users = macro_centers[hot] + _hex_offsets(rng, n_hot, s)
         cells = rng.integers(len(macro_centers), size=config.n_users - n_hot)
@@ -290,12 +286,12 @@ def scenario_to_json(config: ScenarioConfig) -> dict:
 
 def scenario_from_json(doc: dict, **overrides) -> ScenarioConfig:
     """Build a config from a JSON document, with keyword overrides on top."""
-    known = {f for f in ScenarioConfig.__dataclass_fields__}
-    unknown = set(doc) - known
+    if not isinstance(doc, dict):
+        raise ValidationError("scenario document must be a JSON object")
+    unknown = set(doc) - set(ScenarioConfig.__dataclass_fields__)
     if unknown:
         raise ValidationError(f"unknown scenario fields: {sorted(unknown)}")
-    cfg = ScenarioConfig(**doc)
-    return replace(cfg, **overrides) if overrides else cfg
+    return ScenarioConfig(**{**doc, **overrides})
 
 
 def geometry_to_json(geometry: Geometry) -> dict:

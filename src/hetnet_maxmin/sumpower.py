@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import Network, SolveResult, check_association, check_power
+from .model import Network, SolveResult, check_association
 from .power import (
     FixedPointOptions,
     _downlink_result,
@@ -55,8 +55,12 @@ class UplinkUnitPower(NamedTuple):
 
 
 def uplink_unit_sinr_power(net: Network, power) -> UplinkUnitPower:
-    """Evaluate the uplink unit-SINR power map at the given user powers."""
-    p = check_power(net, power)
+    """Evaluate the uplink unit-SINR power map at the given user powers.
+
+    It runs once per fixed-point or policy step and checks nothing: pass
+    powers that :func:`~hetnet_maxmin.model.check_power` accepts.
+    """
+    p = np.asarray(power, dtype=float)
     totals = net.gain @ p
     interference = totals[:, None] - net.gain * p[None, :]
     with np.errstate(divide="ignore"):

@@ -13,7 +13,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from hetnet_maxmin import power, sumpower
@@ -185,6 +185,8 @@ def coupling_matrices(draw, max_k=6):
 
 @PROPERTY
 @given(coupling_matrices())
+# the Noda iteration stalls here with a bracket of 2.3e-9 relative, above the residual bound
+@example(np.array([[689, 1, 0, 0], [5e-7, 673, 0, 0], [387, 0, 0, 0], [387, 17, 0, 0]], dtype=float))
 def test_perron_pair_matches_dense_eigenvalues(matrix):
     pair = perron_pair(matrix)
     assert pair.converged

@@ -282,6 +282,16 @@ _SMALL_SPEC = {
     "algorithms": ["maxsnr"],
     "n_runs": 1,
 }
+# Scenario fields of the wrong type: a fractional count once indexed past an
+# array or silently built fewer macros, and a string once raised TypeError.
+_BAD_SCENARIO_FIELDS = {
+    "n_users": 3.5,
+    "n_macro": 2.5,
+    "congested_cell": 1.5,
+    "snr_db": "10",
+    "wrap_around": "yes",
+    "picos_per_macro": True,
+}
 
 
 class TestCli:
@@ -326,9 +336,27 @@ class TestCli:
         assert res.exit_code == 2
         assert json.loads(res.output)["status"] == "infeasible"
 
-    def test_missing_file_exits_one(self):
-        res = CliRunner().invoke(cli_main, ["solve", "--net", "no-such.json", "--alg", "dlsum"])
+    @pytest.mark.parametrize("broken", ["input", "out"])
+    @pytest.mark.parametrize("command", ["gen", "solve", "sweep", "cdf", "gadget"])
+    def test_missing_file_exits_one(self, tmp_path, command, broken):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(_SMALL_SPEC))
+        option, path = {
+            "gen": ("--config", self._write_scenario(tmp_path)),
+            "solve": ("--net", DATA / "uni_3x0_k3_10db_seed3.json"),
+            "sweep": ("--spec", spec),
+            "cdf": ("--spec", spec),
+            "gadget": ("--cnf", DATA / "unsat_1var.cnf"),
+        }[command]
+        if broken == "input":
+            path = tmp_path / "no-such-file"
+        out = tmp_path / ("no-such-dir" if broken == "out" else "") / "out"
+        args = [command, option, str(path), "--out", str(out)]
+        res = CliRunner().invoke(cli_main, args + (["--alg", "maxsnr"] if command == "solve" else []))
         assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit), res.exception
+        assert "error:" in res.output and "No such file" in res.output
+        assert "Traceback" not in res.output
 
     def test_usage_error_exits_one(self):
         res = CliRunner().invoke(cli_main, ["solve", "--alg", "dlsum"])
@@ -460,28 +488,43 @@ class TestCli:
     @pytest.mark.parametrize(
         "command, doc",
         [
-            ("solve", []),
-            ("solve", {**_ONE_LINK_NETWORK, "n_bs": None}),
-            ("sweep", {**_SMALL_SPEC, "snr_db": 10.0}),
-            ("sweep", {**_SMALL_SPEC, "snr_db": "10"}),
-            ("sweep", {**_SMALL_SPEC, "scenario": []}),
-            ("sweep", []),
-            ("cdf", []),
-        ],
-        ids=[
-            "solve-list",
-            "solve-null-n_bs",
-            "sweep-scalar-snr",
-            "sweep-string-snr",
-            "sweep-list-scenario",
-            "sweep-list",
-            "cdf-list",
+            pytest.param("solve", [], id="solve-list"),
+            pytest.param("solve", {**_ONE_LINK_NETWORK, "n_bs": None}, id="solve-null-n_bs"),
+            pytest.param("solve", {**_ONE_LINK_NETWORK, "n_bs": True}, id="solve-bool-n_bs"),
+            pytest.param("sweep", {**_SMALL_SPEC, "snr_db": 10.0}, id="sweep-scalar-snr"),
+            pytest.param("sweep", {**_SMALL_SPEC, "snr_db": "10"}, id="sweep-string-snr"),
+            pytest.param("sweep", {**_SMALL_SPEC, "scenario": []}, id="sweep-list-scenario"),
+            pytest.param("sweep", [], id="sweep-list"),
+            pytest.param("cdf", [], id="cdf-list"),
+            pytest.param(
+                "sweep",
+                {k: v for k, v in _SMALL_SPEC.items() if k != "snr_db"},
+                id="sweep-missing-snr",
+            ),
+            pytest.param("sweep", {**_SMALL_SPEC, "n_runs": 2.5}, id="sweep-fractional-runs"),
+            pytest.param("sweep", {**_SMALL_SPEC, "algorithms": [3]}, id="sweep-numeric-algorithm"),
+            pytest.param("sweep", {**_SMALL_SPEC, "out_csv": 5}, id="sweep-numeric-out_csv"),
+            *(
+                pytest.param("gen", {**_SMALL_SPEC["scenario"], field: value}, id=f"gen-{field}")
+                for field, value in _BAD_SCENARIO_FIELDS.items()
+            ),
+            *(
+                pytest.param(
+                    "sweep",
+                    {**_SMALL_SPEC, "scenario": {**_SMALL_SPEC["scenario"], field: value}},
+                    id=f"sweep-scenario-{field}",
+                )
+                for field, value in _BAD_SCENARIO_FIELDS.items()
+            ),
         ],
     )
     def test_malformed_document_is_an_error_not_a_traceback(self, tmp_path, command, doc):
         path = tmp_path / "doc.json"
         path.write_text(json.dumps(doc))
-        args = ["--net", str(path), "--alg", "maxsnr"] if command == "solve" else ["--spec", str(path)]
+        args = {
+            "gen": ["--config", str(path)],
+            "solve": ["--net", str(path), "--alg", "maxsnr"],
+        }.get(command, ["--spec", str(path)])
         res = CliRunner().invoke(cli_main, [command, *args, "--out", str(tmp_path / "out")])
         assert res.exit_code == 1
         assert isinstance(res.exception, SystemExit), res.exception
@@ -505,6 +548,14 @@ class TestCli:
         assert res.exit_code == 0, res.output
         doc = json.loads(res.output)
         assert doc["sat_by_solver"] is False and doc["agrees"] is True
+
+    def test_gen_on_fractional_user_count_file(self):
+        # the file the CI smoke step runs through the installed entry point
+        path = DATA / "scenario_fractional_users.json"
+        res = CliRunner().invoke(cli_main, ["gen", "--config", str(path)])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit), res.exception
+        assert res.output.startswith("error: n_users must be of type int")
 
     @pytest.mark.parametrize(
         "old, new",

@@ -7,16 +7,20 @@ import math
 import numpy as np
 import pytest
 
-from hetnet_maxmin.model import Network, downlink_sinr
+from hetnet_maxmin import model, oracle, power, sumpower
+from hetnet_maxmin.model import Network, ValidationError, downlink_sinr, max_snr_association
 from hetnet_maxmin.power import (
     FixedPointOptions,
     load_norm,
     min_power_for_target,
     solve_power,
+    solve_power_exact,
     unit_sinr_power,
 )
+from hetnet_maxmin.oracle import brute_force_optimum
+from hetnet_maxmin.sumpower import dl_sumpower_power, ulsum, ulsum_exact
 
-from helpers import bisect_maxmin, random_network
+from helpers import bisect_maxmin, frozen_network, random_network
 
 GAMMA_PAIR = (math.sqrt(7.0) - 1.0) / 3.0
 P_LOW = (math.sqrt(7.0) - 1.0) / 2.0
@@ -57,10 +61,52 @@ class TestUnitSinrPower:
             m = unit_sinr_power(net, assoc, p)
             np.testing.assert_allclose(p / m, downlink_sinr(net, assoc, p), rtol=1e-12)
 
+
+class TestValidateOnce:
+    """The solvers check their inputs at entry; the per-step maps take checked arrays."""
+
     def test_zero_direct_gain_rejected(self):
         net = Network(gain=[[1.0, 0.0], [1.0, 1.0]], budget=[1, 1], noise_dl=[1, 1], noise_ul=[1, 1])
-        with pytest.raises(Exception):
-            unit_sinr_power(net, [0, 0], [1.0, 1.0])
+        for solve in (solve_power, solve_power_exact, dl_sumpower_power):
+            with pytest.raises(ValidationError, match="zero-gain"):
+                solve(net, [0, 0])
+        with pytest.raises(ValidationError, match="zero-gain"):
+            min_power_for_target(net, [0, 0], 1.0)
+
+    def test_checks_do_not_grow_with_the_iteration_count(self, monkeypatch):
+        calls = []
+        for module in (model, power, sumpower, oracle):
+            for name in ("check_association", "check_power"):
+                if hasattr(module, name):
+                    check = getattr(module, name)
+                    monkeypatch.setattr(
+                        module, name, lambda *args, _check=check: calls.append(1) or _check(*args)
+                    )
+        net = frozen_network("uni_4x2_k18_35db_seed7000015")
+        assoc = max_snr_association(net)
+        solvers = {
+            "solve_power": lambda opts: solve_power(net, assoc, opts),
+            "dl_sumpower_power": lambda opts: dl_sumpower_power(net, assoc, opts=opts),
+            "ulsum": lambda opts: ulsum(net, opts=opts),
+        }
+        for name, run in solvers.items():
+            counts = []
+            for opts in (FixedPointOptions(max_iter=2), FixedPointOptions()):
+                calls.clear()
+                res = run(opts)
+                counts.append(len(calls))
+            assert res.converged and res.iterations >= 50, (name, res.iterations)
+            assert counts[0] == counts[1], (name, counts)
+        # the policy iteration, the per-BS climb and the brute force's candidate loop
+        small = frozen_network("congested_2x1_k6_10db_seed6")
+        for run in (
+            lambda: ulsum_exact(net),
+            lambda: solve_power_exact(net, assoc),
+            lambda: brute_force_optimum(small),
+        ):
+            calls.clear()
+            run()
+            assert len(calls) <= 1
 
 
 class TestLoadNorm:
