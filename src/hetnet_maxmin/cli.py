@@ -9,7 +9,6 @@ place where an error becomes ``error: <message>`` and exit 1.
 from __future__ import annotations
 
 import json
-import math
 import sys
 
 import click
@@ -17,6 +16,7 @@ import click
 from .harness import (
     ALGORITHMS,
     Outcome,
+    _db,
     experiment_from_json,
     export_cdf_csv,
     export_csv,
@@ -25,7 +25,7 @@ from .harness import (
     selftest as run_selftest,
 )
 from .matching import InfeasibleMatchingError
-from .model import network_from_json, network_to_json
+from .model import _to_json, network_from_json, network_to_json
 from .oracle import build_3sat_gadget, cnf_from_dimacs, verify_sat_equivalence
 from .scenario import generate_hetnet, geometry_to_json, scenario_from_json
 
@@ -53,8 +53,10 @@ def _dump(doc: dict, out):
             fh.write(text + "\n")
 
 
-def _db(x: float) -> float:
-    return 10.0 * math.log10(x) if x > 0 else -math.inf
+def _create(*paths):
+    """Open every output path a sweep will write, so that a bad one fails before any trial runs."""
+    for path in filter(None, paths):
+        open(path, "a").close()
 
 
 class _Cli(click.Group):
@@ -87,36 +89,8 @@ def gen(config_path, seed, out_path, geometry_out):
 
 def _solve_document(alg: str, out: Outcome) -> dict:
     """The ``solve`` JSON document; fields the algorithm does not fill are left out."""
-    stages = None
-    if out.stages is not None:
-        stages = [
-            {
-                "name": s.name,
-                "iterations": s.iterations,
-                "association": None if s.association is None else list(map(int, s.association)),
-                "sum_power": s.sum_power,
-                "gamma": s.gamma,
-            }
-            for s in out.stages
-        ]
-    doc = {
-        "algorithm": alg,
-        "problem": out.problem,
-        "association": out.association.tolist(),
-        "power": out.power.tolist(),
-        "sinr": None if out.sinr is None else out.sinr.tolist(),
-        "min_sinr": out.min_sinr,
-        "min_sinr_db": _db(out.min_sinr),
-        "upper_bound": out.upper_bound,
-        "iterations": out.iterations,
-        "converged": out.converged,
-        "residual": out.residual,
-        "selected_stage": out.selected_stage,
-        "stages": stages,
-        "status": out.status,
-        "assignment_total_gain": out.assignment_total_gain,
-    }
-    return {key: value for key, value in doc.items() if value is not None}
+    doc = {"algorithm": alg, **_to_json(out), "min_sinr_db": _db(out.min_sinr)}
+    return {key: value for key, value in doc.items() if value is not None and key != "note"}
 
 
 @main.command()
@@ -149,6 +123,7 @@ def sweep(spec_path, out_path, json_out, jobs, timings):
     out_path = out_path or spec.out_csv
     if out_path is None:
         _fail("no output path: pass --out or set out_csv in the spec")
+    _create(out_path, json_out)
     result = monte_carlo(spec, jobs=jobs)
     export_csv(result, out_path, timings=timings)
     if json_out:
@@ -171,6 +146,7 @@ def cdf(spec_path, out_path, jobs):
     out_path = out_path or spec.out_cdf
     if out_path is None:
         _fail("no output path: pass --out or set out_cdf in the spec")
+    _create(out_path)
     export_cdf_csv(monte_carlo(spec, jobs=jobs), out_path)
 
 
@@ -186,15 +162,7 @@ def gadget(cnf_path, verify, out_path):
         _dump(network_to_json(build_3sat_gadget(formula).network), out_path)
         return
     report = verify_sat_equivalence(formula)
-    _dump(
-        {
-            "sat_by_solver": report.sat_by_solver,
-            "network_opt": report.network_opt,
-            "threshold": report.threshold,
-            "agrees": report.agrees,
-        },
-        out_path,
-    )
+    _dump(_to_json(report), out_path)
     sys.exit(0 if report.agrees else 2)
 
 

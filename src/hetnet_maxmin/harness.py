@@ -24,10 +24,18 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .matching import AssignmentProblem, auction, aufp, hungarian, solve_p1prime
-from .model import Network, SolveResult, ValidationError, _check_field_types, max_snr_association
+from .model import (
+    Network,
+    SolveResult,
+    ValidationError,
+    _check_document,
+    _check_field_types,
+    _to_json,
+    max_snr_association,
+)
 from .oracle import MAX_CANDIDATES, brute_force_optimum, gadget_pair_values
 from .power import solve_power_exact
-from .scenario import ScenarioConfig, generate_hetnet, scenario_from_json, scenario_to_json
+from .scenario import ScenarioConfig, generate_hetnet, scenario_from_json
 from .sumpower import UlsumResult, dl_sumpower_power, ulsum, ulsum_exact
 from .twostage import StageInfo, TwoStageResult, dlsum, dlsuma, ulsuma
 
@@ -55,6 +63,13 @@ def _canonical_name(name: str) -> str:
     return name.strip().lower().replace("-", "").replace("_", "")
 
 
+def _db(x: float | None) -> float | None:
+    """``x`` in dB; -inf for 0, None for None."""
+    if x is None:
+        return None
+    return 10.0 * math.log10(x) if x > 0 else -math.inf
+
+
 @dataclass(frozen=True)
 class AlgoCell:
     """One algorithm's outcome inside a trial."""
@@ -64,12 +79,6 @@ class AlgoCell:
     converged: bool | None
     upper_bound: float | None
     note: str | None = None
-
-    @property
-    def min_sinr_db(self) -> float | None:
-        if self.min_sinr is None:
-            return None
-        return 10.0 * math.log10(self.min_sinr) if self.min_sinr > 0 else -math.inf
 
 
 @dataclass(frozen=True)
@@ -344,7 +353,7 @@ def export_csv(result: MonteCarloResult, path, timings: bool = False) -> None:
                         _fmt(record.seed),
                         name,
                         _fmt(cell.min_sinr),
-                        _fmt(cell.min_sinr_db),
+                        _fmt(_db(cell.min_sinr)),
                         _fmt(cell.runtime_ms if timings else None),
                         _fmt(cell.converged),
                         _fmt(cell.upper_bound),
@@ -386,28 +395,14 @@ def export_json(result: MonteCarloResult, path) -> None:
                 "seed": r.seed,
                 "snr_db": r.snr_db,
                 "algorithms": {
-                    name: {
-                        "min_sinr": cell.min_sinr,
-                        "min_sinr_db": cell.min_sinr_db,
-                        "runtime_ms": cell.runtime_ms,
-                        "converged": cell.converged,
-                        "upper_bound": cell.upper_bound,
-                        "note": cell.note,
-                    }
+                    name: {**_to_json(cell), "min_sinr_db": _db(cell.min_sinr)}
                     for name, cell in r.cells.items()
                 },
             }
             for r in result.records
         ],
         "means": [
-            {
-                "algorithm": name,
-                "snr_db": snr,
-                "mean_min_sinr": cell.mean_min_sinr,
-                "n_ok": cell.n_ok,
-                "n_failed": cell.n_failed,
-                "n_nonconverged": cell.n_nonconverged,
-            }
+            {"algorithm": name, "snr_db": snr, **_to_json(cell)}
             for (name, snr), cell in result.means.items()
         ],
     }
@@ -416,23 +411,12 @@ def export_json(result: MonteCarloResult, path) -> None:
 
 
 def experiment_to_json(spec: ExperimentSpec) -> dict:
-    return {
-        "scenario": scenario_to_json(spec.scenario),
-        "snr_db": list(spec.snr_db),
-        "algorithms": list(spec.algorithms),
-        "n_runs": spec.n_runs,
-        "seed_base": spec.seed_base,
-        "cdf_clip": spec.cdf_clip,
-        "eps": spec.eps,
-        "out_csv": spec.out_csv,
-        "out_cdf": spec.out_cdf,
-    }
+    return _to_json(spec)
 
 
 def experiment_from_json(doc: dict) -> ExperimentSpec:
     """Inverse of :func:`experiment_to_json`; a malformed document raises ValidationError."""
-    if not isinstance(doc, dict):
-        raise ValidationError("experiment document must be a JSON object")
+    _check_document(doc, ExperimentSpec, "experiment")
     # exact JSON types: a bool is not a number here
     for key, kinds, noun in (("snr_db", (int, float), "numbers"), ("algorithms", (str,), "names")):
         if key not in doc:
@@ -441,15 +425,12 @@ def experiment_from_json(doc: dict) -> ExperimentSpec:
         if not isinstance(values, list) or any(type(v) not in kinds for v in values):
             raise ValidationError(f"experiment field {key!r} must be a JSON list of {noun}")
     return ExperimentSpec(
-        scenario=scenario_from_json(doc.get("scenario", {})),
-        snr_db=tuple(doc["snr_db"]),
-        algorithms=tuple(doc["algorithms"]),
-        n_runs=doc.get("n_runs", 500),
-        seed_base=doc.get("seed_base", 0),
-        cdf_clip=doc.get("cdf_clip", 3.0),
-        eps=doc.get("eps"),
-        out_csv=doc.get("out_csv"),
-        out_cdf=doc.get("out_cdf"),
+        **{
+            **doc,
+            "scenario": scenario_from_json(doc.get("scenario", {})),
+            "snr_db": tuple(doc["snr_db"]),
+            "algorithms": tuple(doc["algorithms"]),
+        }
     )
 
 

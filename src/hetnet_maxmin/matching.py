@@ -115,15 +115,22 @@ class AuctionState:
     eps: float
     rounds: int
     bids: int
-    reassignments: int
     min_increment: float
 
 
+def _eps_floor(finite: np.ndarray) -> float:
+    """The float spacing of the values an auction over these allowed gains
+    compares: with a smaller eps, ``gain - price`` can round back to ``gain``
+    and a tie never break."""
+    return float(np.spacing(2 * np.abs(finite).max() + (finite.max() - finite.min())))
+
+
 def default_eps(prob: AssignmentProblem) -> float:
-    """1e-6 times the spread of allowed gains (1e-6 if the spread is zero)."""
+    """1e-6 times the spread of allowed gains (1e-6 if the spread is zero),
+    never below the auction's eps floor."""
     finite = prob.gain[prob.gain > _FINITE_CUTOFF]
     spread = float(finite.max() - finite.min())
-    return 1e-6 * spread if spread > 0 else 1e-6
+    return max(1e-6 * spread if spread > 0 else 1e-6, _eps_floor(finite))
 
 
 def auction(prob: AssignmentProblem, eps: float) -> AuctionState:
@@ -134,25 +141,27 @@ def auction(prob: AssignmentProblem, eps: float) -> AuctionState:
     plus eps.  Prices start at zero, so the number of rounds is bounded by
     the largest absolute allowed gain over eps, and the final total gain is
     within k * eps of the optimum.  Exceeding a round cap just above that
-    bound signals that forbidden pairs leave no perfect matching.
+    bound signals that forbidden pairs leave no perfect matching.  An eps
+    below the float spacing of the compared values raises ValueError: such
+    a price step can vanish in ``gain - price``, and tied bids would never
+    break.
     """
-    if not 0 < eps < np.inf:
-        raise ValueError(f"eps must be positive and finite, got {eps!r}")
     gain = prob.gain
     k = prob.k
     prices = np.zeros(k)
     finite = gain > _FINITE_CUTOFF
     finite_vals = gain[finite]
-    top = float(np.abs(finite_vals).max())
-    price_steps = top / float(eps)
-    if price_steps == np.inf:
-        raise ValueError(f"eps {eps!r} is too small for gains of magnitude {top!r}")
-    max_rounds = k * (int(np.ceil(price_steps)) + k + 16)
+    floor = _eps_floor(finite_vals)
+    if not floor <= eps < np.inf:
+        raise ValueError(
+            f"eps must be finite and at least the gains' float spacing {floor!r}, got {eps!r}"
+        )
+    max_rounds = k * (int(np.ceil(float(np.abs(finite_vals).max()) / eps)) + k + 16)
     # Bid increment when a user has no allowed alternative (including k = 1).
     solo_gap = float(finite_vals.max() - finite_vals.min()) + eps
     assignment = np.full(k, -1)
     owner = np.full(k, -1)
-    rounds = bids = reassignments = 0
+    rounds = bids = 0
     min_increment = np.inf
     while np.any(assignment < 0):
         rounds += 1
@@ -184,7 +193,6 @@ def auction(prob: AssignmentProblem, eps: float) -> AuctionState:
             user, gamma = offers[bs]
             if owner[bs] >= 0:
                 assignment[owner[bs]] = -1
-                reassignments += 1
             owner[bs] = user
             assignment[user] = bs
             increment = gamma + eps
@@ -200,7 +208,6 @@ def auction(prob: AssignmentProblem, eps: float) -> AuctionState:
         eps=eps,
         rounds=rounds,
         bids=bids,
-        reassignments=reassignments,
         min_increment=float(min_increment),
     )
 

@@ -11,7 +11,8 @@ networks can be shared freely across parallel workers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -131,6 +132,27 @@ def _check_field_types(obj) -> None:
             raise ValidationError(f"{name} must be of type {f.type}, got {value!r}")
 
 
+def _check_document(doc, cls, noun: str) -> None:
+    """A document to build ``cls`` from is a JSON object naming only its fields."""
+    if not isinstance(doc, dict):
+        raise ValidationError(f"{noun} document must be a JSON object")
+    unknown = set(doc) - set(cls.__dataclass_fields__)
+    if unknown:
+        raise ValidationError(f"unknown {noun} fields: {sorted(unknown)}")
+
+
+def _to_json(value):
+    """``value`` as JSON data: a dataclass becomes a dict of its fields, an array
+    or a tuple a list and a numpy scalar a Python scalar, all the way down."""
+    if is_dataclass(value):
+        return {f.name: _to_json(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    if isinstance(value, tuple):
+        return [_to_json(v) for v in value]
+    return value
+
+
 def check_association(net: Network, assoc) -> np.ndarray:
     """Validate an association vector against a network.
 
@@ -207,14 +229,22 @@ def max_snr_association(net: Network) -> np.ndarray:
 
 def network_to_json(net: Network) -> dict:
     """JSON document with the fixed cross-tool field names."""
-    return {
-        "n_bs": net.n_bs,
-        "n_users": net.n_users,
-        "gain": net.gain.tolist(),
-        "budget": net.budget.tolist(),
-        "noise_dl": net.noise_dl.tolist(),
-        "noise_ul": net.noise_ul.tolist(),
-    }
+    return {"n_bs": net.n_bs, "n_users": net.n_users, **_to_json(net)}
+
+
+def _json_numbers(value, name: str, nested: bool):
+    """``value`` if it is a JSON list of numbers (a bool is not one), or with
+    ``nested`` a list of equally long such lists; ValidationError otherwise."""
+    rows = value if nested else [value]
+    if not (
+        isinstance(value, list)
+        and all(isinstance(row, list) for row in rows)
+        and len(set(map(len, rows))) <= 1
+        and set(map(type, chain.from_iterable(rows))) <= {int, float}
+    ):
+        shape = "a rectangular JSON list of lists" if nested else "a JSON list"
+        raise ValidationError(f"{name} must be {shape} of numbers")
+    return value
 
 
 def network_from_json(doc: dict) -> Network:
@@ -224,15 +254,12 @@ def network_from_json(doc: dict) -> Network:
     try:
         dims = (doc["n_bs"], doc["n_users"])
         net = Network(
-            gain=doc["gain"],
-            budget=doc["budget"],
-            noise_dl=doc["noise_dl"],
-            noise_ul=doc["noise_ul"],
+            *(_json_numbers(doc[f.name], f.name, nested=f.name == "gain") for f in fields(Network))
         )
     except KeyError as exc:
         raise ValidationError(f"network document is missing field {exc}") from exc
-    except TypeError as exc:
-        raise ValidationError(f"network document has a field of the wrong type: {exc}") from exc
+    except OverflowError as exc:  # an integer beyond float range
+        raise ValidationError(f"network document has a number out of range: {exc}") from exc
     # exact JSON types: a declared 2.5 or true is not a dimension
     if any(type(d) is not int for d in dims) or dims != net.gain.shape:
         raise ValidationError(f"declared dimensions {dims} do not match gain shape {net.gain.shape}")

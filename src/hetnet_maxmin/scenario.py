@@ -16,11 +16,11 @@ bit-identical network.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import Network, ValidationError, _check_field_types
+from .model import Network, ValidationError, _check_document, _check_field_types, _to_json
 
 __all__ = [
     "ScenarioConfig",
@@ -281,24 +281,14 @@ def generate_hetnet(config: ScenarioConfig) -> HetnetInstance:
 
 
 def scenario_to_json(config: ScenarioConfig) -> dict:
-    return asdict(config)
+    return _to_json(config)
 
 
 def scenario_from_json(doc: dict, **overrides) -> ScenarioConfig:
     """Build a config from a JSON document, with keyword overrides on top."""
-    if not isinstance(doc, dict):
-        raise ValidationError("scenario document must be a JSON object")
-    unknown = set(doc) - set(ScenarioConfig.__dataclass_fields__)
-    if unknown:
-        raise ValidationError(f"unknown scenario fields: {sorted(unknown)}")
+    _check_document(doc, ScenarioConfig, "scenario")
     return ScenarioConfig(**{**doc, **overrides})
 
 
 def geometry_to_json(geometry: Geometry) -> dict:
-    return {
-        "bs_positions": geometry.bs_positions.tolist(),
-        "bs_is_macro": geometry.bs_is_macro.astype(bool).tolist(),
-        "bs_parent_macro": geometry.bs_parent_macro.tolist(),
-        "user_positions": geometry.user_positions.tolist(),
-        "user_cell": geometry.user_cell.tolist(),
-    }
+    return _to_json(geometry)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from hetnet_maxmin import harness
 from hetnet_maxmin.cli import main as cli_main
 from hetnet_maxmin.harness import (
     ALGORITHMS,
@@ -26,7 +27,7 @@ from hetnet_maxmin.harness import (
     run_trial,
     selftest,
 )
-from hetnet_maxmin.model import max_snr_association
+from hetnet_maxmin.model import ValidationError, max_snr_association
 from hetnet_maxmin.scenario import ScenarioConfig, generate_hetnet, scenario_to_json
 
 from helpers import DATA, frozen_network
@@ -237,6 +238,12 @@ class TestExports:
         spec = small_spec(out_csv="records.csv", out_cdf="cdf.csv")
         doc = json.loads(json.dumps(experiment_to_json(spec)))
         assert experiment_from_json(doc) == spec
+
+    def test_experiment_document_rejects_unknown_fields(self):
+        # a misspelt n_runs once ran the 500-trial default
+        doc = {"snr_db": [10], "algorithms": ["maxsnr"], "n_run": 5}
+        with pytest.raises(ValidationError, match="n_run"):
+            experiment_from_json(doc)
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
@@ -504,6 +511,18 @@ class TestCli:
             pytest.param("sweep", {**_SMALL_SPEC, "n_runs": 2.5}, id="sweep-fractional-runs"),
             pytest.param("sweep", {**_SMALL_SPEC, "algorithms": [3]}, id="sweep-numeric-algorithm"),
             pytest.param("sweep", {**_SMALL_SPEC, "out_csv": 5}, id="sweep-numeric-out_csv"),
+            pytest.param("sweep", {**_SMALL_SPEC, "n_run": 5}, id="sweep-unknown-field"),
+            pytest.param(
+                "solve", {**_ONE_LINK_NETWORK, "gain": [["2"]]}, id="solve-string-gain"
+            ),
+            pytest.param(
+                "solve", {**_ONE_LINK_NETWORK, "budget": [True]}, id="solve-bool-budget"
+            ),
+            pytest.param(
+                "solve",
+                {**_ONE_LINK_NETWORK, "n_users": 2, "gain": [[1.0, 1.0], [1.0]]},
+                id="solve-ragged-gain",
+            ),
             *(
                 pytest.param("gen", {**_SMALL_SPEC["scenario"], field: value}, id=f"gen-{field}")
                 for field, value in _BAD_SCENARIO_FIELDS.items()
@@ -530,6 +549,39 @@ class TestCli:
         assert isinstance(res.exception, SystemExit), res.exception
         assert "error:" in res.output
         assert "Traceback" not in res.output
+
+    def test_solve_aufp_on_tied_gains_with_tiny_eps_exits_one(self):
+        # the file the CI smoke step runs through the installed entry point
+        net_path = DATA / "tied_3x3.json"
+        res = CliRunner().invoke(
+            cli_main, ["solve", "--net", str(net_path), "--alg", "aufp", "--eps", "1e-25"]
+        )
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit), res.exception
+        assert res.output.startswith("error: eps")
+
+    @pytest.mark.parametrize(
+        "command, outputs",
+        [
+            ("sweep", ["--out", "{missing}"]),
+            ("sweep", ["--out", "{tmp}/r.csv", "--json-out", "{missing}"]),
+            ("cdf", ["--out", "{missing}"]),
+        ],
+        ids=["sweep-out", "sweep-json-out", "cdf-out"],
+    )
+    def test_unwritable_output_fails_before_any_trial(
+        self, tmp_path, monkeypatch, command, outputs
+    ):
+        calls = []
+        monkeypatch.setattr(harness, "run_trial", lambda *args: calls.append(args))
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(_SMALL_SPEC))
+        missing = tmp_path / "no-such-dir" / "out"
+        args = [a.format(tmp=tmp_path, missing=missing) for a in outputs]
+        res = CliRunner().invoke(cli_main, [command, "--spec", str(spec), *args])
+        assert res.exit_code == 1
+        assert "error:" in res.output
+        assert calls == []
 
     def test_gadget_verify(self, tmp_path):
         cnf = tmp_path / "f.cnf"

@@ -3,6 +3,7 @@ search, the auction's optimality gap and price dynamics, and the
 matched-association solvers with their optimality certificates."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from hetnet_maxmin.model import Network, ValidationError
 from hetnet_maxmin.oracle import brute_force_optimum
 from hetnet_maxmin.power import min_power_for_target
 
-from helpers import exhaustive_assignment, random_network
+from helpers import exhaustive_assignment, frozen_network, random_network
 
 
 def random_problem(rng: np.random.Generator, k: int) -> AssignmentProblem:
@@ -200,6 +201,22 @@ class TestAuction:
         # with eps = inf the k * eps optimality bound says nothing
         with pytest.raises(ValueError):
             auction(AssignmentProblem(gain=np.eye(2)), eps=math.inf)
+
+    def test_rejects_eps_below_float_spacing_of_tied_gains(self):
+        # every log-gain is 1.0: below spacing(2.0) = 4.4e-16 a price step
+        # vanishes in gain - price, and at eps = 1e-21 the tie took 111,025 rounds
+        net = frozen_network("tied_3x3")
+        start = time.process_time()
+        with pytest.raises(ValueError, match="eps"):
+            aufp(net, eps=1e-25)
+        assert time.process_time() - start < 1.0
+        assert aufp(net, eps=np.spacing(2.0)).auction.rounds == 3
+
+    def test_default_eps_never_below_float_spacing(self):
+        # a spread of 1e-12 around 30 gives 1e-18, below spacing(60) = 7.1e-15
+        prob = AssignmentProblem(gain=np.array([[30.0, 30.0], [30.0, 30.0 + 1e-12]]))
+        assert default_eps(prob) == np.spacing(60.0)
+        assert auction(prob, default_eps(prob)).assignment.tolist() == [0, 1]
 
 
 class TestMatchedSolvers:

@@ -207,3 +207,22 @@ class TestNetworkJson:
         doc["n_users"] = 3
         with pytest.raises(ValidationError):
             network_from_json(doc)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("gain", [["2", 1.0], [1.0, 1.0]]),
+            ("gain", [[1.0, "x"], [1.0, 1.0]]),
+            ("gain", [[1.0, 1.0], [1.0]]),
+            ("gain", [1.0, 1.0]),
+            ("gain", [[1.0, 10**400], [1.0, 1.0]]),
+            ("budget", [True, 1.0]),
+            ("noise_dl", [[1.0], [1.0]]),
+            ("noise_ul", "1.0"),
+        ],
+        ids=["string", "non-numeric", "ragged", "flat-gain", "huge-int", "bool", "nested", "scalar"],
+    )
+    def test_arrays_must_be_rectangular_json_numbers(self, field, value):
+        doc = {**network_to_json(pair_block_network()), field: value}
+        with pytest.raises(ValidationError):
+            network_from_json(doc)
