@@ -115,7 +115,7 @@ def solve(net_path, alg, eps, out_path):
 @click.option("--spec", "spec_path", required=True, type=click.Path(), help="Experiment JSON")
 @click.option("--out", "out_path", default=None, help="Output records CSV (default: spec's out_csv)")
 @click.option("--json-out", default=None, help="Optional full-fidelity JSON output")
-@click.option("--jobs", type=int, default=1, show_default=True, help="Parallel workers")
+@click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True, help="Parallel workers")
 @click.option("--timings", is_flag=True, help="Include wall-clock timings (breaks byte-reproducibility)")
 def sweep(spec_path, out_path, json_out, jobs, timings):
     """Monte-Carlo sweep over the spec's SNR grid; writes per-trial records."""
@@ -139,7 +139,7 @@ def sweep(spec_path, out_path, json_out, jobs, timings):
 @main.command()
 @click.option("--spec", "spec_path", required=True, type=click.Path(), help="Experiment JSON")
 @click.option("--out", "out_path", default=None, help="Output CDF CSV (default: spec's out_cdf)")
-@click.option("--jobs", type=int, default=1, show_default=True)
+@click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True)
 def cdf(spec_path, out_path, jobs):
     """Monte-Carlo sweep reduced to clipped empirical CDFs."""
     spec = experiment_from_json(_load_json(spec_path))
@@ -168,7 +168,7 @@ def gadget(cnf_path, verify, out_path):
 
 @main.command()
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--trials", type=int, default=10, show_default=True)
+@click.option("--trials", type=click.IntRange(min=1), default=10, show_default=True)
 def selftest(seed, trials):
     """Run the built-in oracle-equivalence suite."""
     ok = run_selftest(seed=seed, trials=trials, verbose_print=click.echo)

@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -275,12 +276,14 @@ def _task(args: tuple[ExperimentSpec, int, float]) -> TrialRecord:
 def monte_carlo(spec: ExperimentSpec, jobs: int = 1) -> MonteCarloResult:
     """Run the sweep and aggregate means and clipped empirical CDFs.
 
-    Trials are independent; with ``jobs > 1`` they run in a process pool,
-    whose ordered map keeps the output identical to a serial run.
+    Trials are independent; with ``jobs > 1`` they run in a process pool of
+    at most one worker per task and per CPU, whose ordered map keeps the
+    output identical to a serial run.
     """
     tasks = [(spec, trial, snr) for snr in spec.snr_db for trial in range(spec.n_runs)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             records = tuple(pool.map(_task, tasks, chunksize=8))
     else:
         records = tuple(map(_task, tasks))

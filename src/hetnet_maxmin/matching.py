@@ -8,6 +8,10 @@ per-BS max-min power problem at the matched association.  A final
 min-SINR >= 1 certifies global optimality; below 1 the one-to-one problem
 with the SINR floor is infeasible and the matched solution is returned as a
 plain heuristic.
+
+:class:`AssignmentProblem` is the one place where the matching rules hold:
+it is square, its gains are real or :data:`FORBIDDEN`, and its allowed
+pairs admit a perfect matching.  The solvers below assume all three.
 """
 
 from __future__ import annotations
@@ -34,10 +38,8 @@ __all__ = [
     "aufp",
 ]
 
-# Sentinel for "no link" entries in dense assignment matrices.  Any matching
-# that selects a sentinel edge is reported as infeasible.
-FORBIDDEN = -1e18
-_FINITE_CUTOFF = FORBIDDEN / 2
+# A disallowed pair: log 0, the log-gain of a missing link.
+FORBIDDEN = -np.inf
 
 
 class InfeasibleMatchingError(RuntimeError):
@@ -49,8 +51,9 @@ class AssignmentProblem:
     """Square maximum-total-gain assignment data.
 
     ``gain[i, k]`` is the benefit of giving object (BS) i to person (user)
-    k; entries equal to :data:`FORBIDDEN` mark disallowed pairs.  Every row
-    and every column must keep at least one allowed entry.
+    k; entries equal to :data:`FORBIDDEN` mark disallowed pairs, and every
+    other entry must be a real number.  A gain matrix whose allowed pairs
+    admit no perfect matching raises :class:`InfeasibleMatchingError`.
     """
 
     gain: np.ndarray
@@ -59,11 +62,13 @@ class AssignmentProblem:
         g = np.array(self.gain, dtype=float)
         if g.ndim != 2 or g.shape[0] != g.shape[1]:
             raise ValidationError(f"assignment gain must be square, got {g.shape}")
-        allowed = g > _FINITE_CUTOFF
-        if not np.all(allowed.any(axis=0)):
-            raise ValidationError("some user has no allowed BS")
-        if not np.all(allowed.any(axis=1)):
-            raise ValidationError("some BS has no allowed user")
+        if np.any(np.isnan(g) | np.isposinf(g)):
+            raise ValidationError("assignment gains must be real numbers or FORBIDDEN (-inf)")
+        # a maximum-cardinality matching of the allowed pattern is perfect iff one exists
+        allowed = g > FORBIDDEN
+        rows, cols = linear_sum_assignment(allowed, maximize=True)
+        if not np.all(allowed[rows, cols]):
+            raise InfeasibleMatchingError("no perfect matching avoids forbidden pairs")
         g.setflags(write=False)
         object.__setattr__(self, "gain", g)
 
@@ -74,13 +79,8 @@ class AssignmentProblem:
 
 def log_gain_matrix(net: Network) -> AssignmentProblem:
     """Log channel gains as assignment benefits; zero links become forbidden."""
-    if net.n_bs != net.n_users:
-        raise ValidationError(
-            f"one-to-one matching needs as many BSs as users, got {net.n_bs} vs {net.n_users}"
-        )
     with np.errstate(divide="ignore"):
-        g = np.where(net.gain > 0, np.log(np.where(net.gain > 0, net.gain, 1.0)), FORBIDDEN)
-    return AssignmentProblem(gain=g)
+        return AssignmentProblem(gain=np.log(net.gain))
 
 
 def hungarian(prob: AssignmentProblem) -> tuple[np.ndarray, float]:
@@ -88,16 +88,13 @@ def hungarian(prob: AssignmentProblem) -> tuple[np.ndarray, float]:
 
     Returns ``(assignment, total_gain)`` with ``assignment[k]`` the BS of
     user k.  Deterministic for deterministic input.  Backed by SciPy's
-    rectangular assignment solver; a matching forced through a forbidden
-    entry raises :class:`InfeasibleMatchingError`.
+    rectangular assignment solver, which never picks a forbidden entry when
+    a perfect matching avoids them all.
     """
     rows, cols = linear_sum_assignment(prob.gain, maximize=True)
     assignment = np.empty(prob.k, dtype=int)
     assignment[cols] = rows
-    chosen = prob.gain[assignment, np.arange(prob.k)]
-    if np.any(chosen <= _FINITE_CUTOFF):
-        raise InfeasibleMatchingError("no perfect matching avoids forbidden pairs")
-    return assignment, float(chosen.sum())
+    return assignment, float(prob.gain[assignment, np.arange(prob.k)].sum())
 
 
 @dataclass(frozen=True)
@@ -128,7 +125,7 @@ def _eps_floor(finite: np.ndarray) -> float:
 def default_eps(prob: AssignmentProblem) -> float:
     """1e-6 times the spread of allowed gains (1e-6 if the spread is zero),
     never below the auction's eps floor."""
-    finite = prob.gain[prob.gain > _FINITE_CUTOFF]
+    finite = prob.gain[prob.gain > FORBIDDEN]
     spread = float(finite.max() - finite.min())
     return max(1e-6 * spread if spread > 0 else 1e-6, _eps_floor(finite))
 
@@ -138,25 +135,22 @@ def auction(prob: AssignmentProblem, eps: float) -> AuctionState:
 
     All unassigned users bid simultaneously each round; every BS receiving
     bids keeps the highest bidder and raises its price by the winning margin
-    plus eps.  Prices start at zero, so the number of rounds is bounded by
-    the largest absolute allowed gain over eps, and the final total gain is
-    within k * eps of the optimum.  Exceeding a round cap just above that
-    bound signals that forbidden pairs leave no perfect matching.  An eps
-    below the float spacing of the compared values raises ValueError: such
-    a price step can vanish in ``gain - price``, and tied bids would never
-    break.
+    plus eps.  Prices start at zero, and the final total gain is within
+    k * eps of the optimum.  The problem admits a perfect matching (its
+    constructor checks), so the auction ends.  An eps below the float
+    spacing of the compared values raises ValueError: such a price step can
+    vanish in ``gain - price``, and tied bids would never break.
     """
     gain = prob.gain
     k = prob.k
     prices = np.zeros(k)
-    finite = gain > _FINITE_CUTOFF
+    finite = gain > FORBIDDEN
     finite_vals = gain[finite]
     floor = _eps_floor(finite_vals)
     if not floor <= eps < np.inf:
         raise ValueError(
             f"eps must be finite and at least the gains' float spacing {floor!r}, got {eps!r}"
         )
-    max_rounds = k * (int(np.ceil(float(np.abs(finite_vals).max()) / eps)) + k + 16)
     # Bid increment when a user has no allowed alternative (including k = 1).
     solo_gap = float(finite_vals.max() - finite_vals.min()) + eps
     assignment = np.full(k, -1)
@@ -165,11 +159,6 @@ def auction(prob: AssignmentProblem, eps: float) -> AuctionState:
     min_increment = np.inf
     while np.any(assignment < 0):
         rounds += 1
-        if rounds > max_rounds:
-            raise InfeasibleMatchingError(
-                f"auction exceeded {max_rounds} rounds; "
-                "no perfect matching avoids forbidden pairs"
-            )
         # Bidding phase: every unassigned user picks its best BS and bids the
         # margin over its second-best allowed alternative.
         offers: dict[int, tuple[int, float]] = {}
@@ -198,12 +187,9 @@ def auction(prob: AssignmentProblem, eps: float) -> AuctionState:
             increment = gamma + eps
             prices[bs] += increment
             min_increment = min(min_increment, increment)
-    chosen = gain[assignment, np.arange(k)]
-    if np.any(chosen <= _FINITE_CUTOFF):
-        raise InfeasibleMatchingError("auction settled on a forbidden pair")
     return AuctionState(
         assignment=assignment,
-        total_gain=float(chosen.sum()),
+        total_gain=float(gain[assignment, np.arange(k)].sum()),
         prices=prices,
         eps=eps,
         rounds=rounds,
@@ -229,13 +215,18 @@ class OneToOneResult:
     auction: AuctionState | None = None
 
 
-def solve_p1prime(net: Network) -> OneToOneResult:
-    """Hungarian matching on log gains, then max-min power at the match."""
-    prob = log_gain_matrix(net)
-    assignment, total_gain = hungarian(prob)
+def _solve_matched(
+    net: Network, assignment: np.ndarray, total_gain: float, state: AuctionState | None = None
+) -> OneToOneResult:
+    """Max-min power at the matched association; min-SINR >= 1 certifies optimality."""
     result = solve_power_exact(net, assignment)
     status = "optimal" if result.min_sinr >= 1.0 else "infeasible"
-    return OneToOneResult(status=status, result=result, total_gain=total_gain)
+    return OneToOneResult(status=status, result=result, total_gain=total_gain, auction=state)
+
+
+def solve_p1prime(net: Network) -> OneToOneResult:
+    """Hungarian matching on log gains, then max-min power at the match."""
+    return _solve_matched(net, *hungarian(log_gain_matrix(net)))
 
 
 def aufp(net: Network, eps: float | None = None) -> OneToOneResult:
@@ -244,19 +235,9 @@ def aufp(net: Network, eps: float | None = None) -> OneToOneResult:
     The distributed counterpart of :func:`solve_p1prime`: for small enough
     eps the auction reaches the same matching whenever the assignment
     optimum is unique, and a final min-SINR >= 1 certifies the globally
-    optimal value.  Raises :class:`InfeasibleMatchingError` at once when the
-    links admit no perfect matching, where the auction would otherwise bid
-    until its round cap.
+    optimal value.  Raises :class:`InfeasibleMatchingError` at once, before
+    any bid, when the links admit no perfect matching.
     """
     prob = log_gain_matrix(net)
-    # a maximum-cardinality matching of the link pattern is perfect iff one exists
-    linked = net.gain > 0
-    rows, cols = linear_sum_assignment(linked, maximize=True)
-    if not np.all(linked[rows, cols]):
-        raise InfeasibleMatchingError("no perfect matching avoids zero-gain links")
     state = auction(prob, default_eps(prob) if eps is None else eps)
-    result = solve_power_exact(net, state.assignment)
-    status = "optimal" if result.min_sinr >= 1.0 else "infeasible"
-    return OneToOneResult(
-        status=status, result=result, total_gain=state.total_gain, auction=state
-    )
+    return _solve_matched(net, state.assignment, state.total_gain, state)

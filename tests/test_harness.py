@@ -3,7 +3,8 @@ CSV/JSON exports with byte-level determinism, and the CLI surface."""
 
 import json
 import math
-from dataclasses import replace
+import time
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from hetnet_maxmin import harness
 from hetnet_maxmin.cli import main as cli_main
 from hetnet_maxmin.harness import (
     ALGORITHMS,
+    AlgoCell,
     ExperimentSpec,
     MonteCarloResult,
     Outcome,
@@ -28,7 +30,7 @@ from hetnet_maxmin.harness import (
     selftest,
 )
 from hetnet_maxmin.model import ValidationError, max_snr_association
-from hetnet_maxmin.scenario import ScenarioConfig, generate_hetnet, scenario_to_json
+from hetnet_maxmin.scenario import Geometry, ScenarioConfig, generate_hetnet, scenario_to_json
 
 from helpers import DATA, frozen_network
 
@@ -174,6 +176,37 @@ class TestMonteCarlo:
         export_csv(serial, a)
         export_csv(parallel, b)
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize(
+        "jobs, cpus, started",
+        [(10**6, 64, [6]), (10**6, 4, [4]), (3, 64, [3]), (10**6, None, []), (1, 64, [])],
+        ids=["tasks", "cpus", "jobs", "unknown-cpus", "serial"],
+    )
+    def test_workers_bounded_by_tasks_and_cpus(self, tmp_path, monkeypatch, jobs, cpus, started):
+        # a fork pool starts all its workers at the first submit, so the
+        # recording pool below maps serially and never starts a process
+        started_here = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                started_here.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                return map(fn, tasks)
+
+        spec = small_spec(n_runs=6, algorithms=("maxsnr",))
+        export_csv(monte_carlo(spec), tmp_path / "serial.csv")
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+        export_csv(monte_carlo(spec, jobs=jobs), tmp_path / "pooled.csv")
+        assert started_here == started
+        assert (tmp_path / "pooled.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
 
 
 class TestExports:
@@ -482,7 +515,8 @@ class TestCli:
         assert "error:" in res.output and "eps" in res.output
 
     def test_solve_aufp_with_subnormal_eps_is_an_error_not_a_traceback(self):
-        # max|gain| / eps overflows, so the auction's round cap is undefined
+        # a subnormal eps is far below the log-gains' float spacing, where a
+        # price step would vanish in gain - price
         net_path = DATA / "uni_3x0_k3_10db_seed3.json"
         res = CliRunner().invoke(
             cli_main, ["solve", "--net", str(net_path), "--alg", "aufp", "--eps", "1e-320"]
@@ -582,6 +616,76 @@ class TestCli:
         assert res.exit_code == 1
         assert "error:" in res.output
         assert calls == []
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["sweep", "--spec", "{spec}", "--out", "{tmp}/r.csv", "--jobs", "0"],
+            ["cdf", "--spec", "{spec}", "--out", "{tmp}/c.csv", "--jobs", "0"],
+            ["selftest", "--trials", "0"],
+        ],
+        ids=["sweep-jobs", "cdf-jobs", "selftest-trials"],
+    )
+    def test_counts_below_one_are_usage_errors(self, tmp_path, monkeypatch, args):
+        calls = []
+        monkeypatch.setattr(harness, "run_trial", lambda *a: calls.append(a))
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(_SMALL_SPEC))
+        res = CliRunner().invoke(cli_main, [a.format(spec=spec, tmp=tmp_path) for a in args])
+        assert res.exit_code == 1
+        assert "Invalid value" in res.output and "PASS" not in res.output
+        assert calls == []
+
+    @pytest.mark.parametrize("command", ["sweep", "cdf"])
+    def test_no_output_path_exits_one(self, tmp_path, command):
+        # _SMALL_SPEC sets neither out_csv nor out_cdf
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(_SMALL_SPEC))
+        res = CliRunner().invoke(cli_main, [command, "--spec", str(spec)])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit), res.exception
+        assert res.output.startswith("error: no output path")
+
+    def test_gen_geometry_document_is_the_geometry_fields(self, tmp_path):
+        geometry = tmp_path / "geometry.json"
+        config = self._write_scenario(tmp_path)
+        res = CliRunner().invoke(
+            cli_main, ["gen", "--config", str(config), "--geometry-out", str(geometry)]
+        )
+        assert res.exit_code == 0, res.output
+        doc = json.loads(geometry.read_text())
+        assert set(doc) == {f.name for f in fields(Geometry)}
+        assert len(doc["bs_positions"]) == 4 and len(doc["user_cell"]) == 4
+
+    def test_sweep_json_document_round_trips_its_spec(self, tmp_path):
+        spec_doc = {**_SMALL_SPEC, "algorithms": ["maxsnr", "p1prime"], "n_runs": 2}
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(spec_doc))
+        out = tmp_path / "sweep.json"
+        args = ["--spec", str(spec), "--out", str(tmp_path / "r.csv"), "--json-out", str(out)]
+        res = CliRunner().invoke(cli_main, ["sweep", *args])
+        assert res.exit_code == 0, res.output
+        doc = json.loads(out.read_text())
+        assert experiment_from_json(doc["spec"]) == experiment_from_json(spec_doc)
+        assert len(doc["records"]) == 2
+        cell_fields = {f.name for f in fields(AlgoCell)} | {"min_sinr_db"}
+        for record in doc["records"]:
+            assert set(record["algorithms"]) == {"maxsnr", "p1prime"}
+            for cell in record["algorithms"].values():
+                assert set(cell) == cell_fields
+
+    @pytest.mark.parametrize("alg", ["p1prime", "aufp"])
+    def test_solve_without_perfect_matching_exits_one(self, alg):
+        # the file the CI smoke step runs through the installed entry point:
+        # BSs 1 and 2 reach only user 0
+        net_path = DATA / "no_perfect_matching_3x3.json"
+        start = time.process_time()
+        res = CliRunner().invoke(cli_main, ["solve", "--net", str(net_path), "--alg", alg])
+        assert time.process_time() - start < 1.0
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit), res.exception
+        assert res.output.startswith("error: no perfect matching")
+        assert "Traceback" not in res.output
 
     def test_gadget_verify(self, tmp_path):
         cnf = tmp_path / "f.cnf"

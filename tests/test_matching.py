@@ -65,6 +65,22 @@ class TestLogGainMatrix:
             log_gain_matrix(random_network(rng, 2, 3))
 
 
+class TestAssignmentProblem:
+    def test_forbidden_is_log_zero(self):
+        assert FORBIDDEN == -math.inf
+
+    @pytest.mark.parametrize(
+        "gain",
+        [[[math.nan, 1.0], [1.0, 1.0]], [[math.inf, 0.0], [0.0, 0.0]]],
+        ids=["nan", "plus-inf"],
+    )
+    def test_rejects_nan_and_plus_inf(self, gain):
+        # nan would reach the auction's total_gain, and +inf would make
+        # default_eps and the auction's eps floor inf or nan
+        with pytest.raises(ValidationError, match="real numbers"):
+            AssignmentProblem(gain=gain)
+
+
 class TestHungarian:
     def test_diagonal_dominant_identity(self):
         gain = np.full((3, 3), -1.0)
@@ -99,7 +115,8 @@ class TestHungarian:
 
     def test_infeasible_matching_detected(self):
         # users 0 and 1 both accept only BS 0: no perfect matching exists,
-        # even though every row and column has an allowed entry
+        # even though every row and column has an allowed entry, and the
+        # problem cannot even be built
         gain = np.array(
             [
                 [1.0, 1.0, FORBIDDEN],
@@ -108,7 +125,7 @@ class TestHungarian:
             ]
         )
         with pytest.raises(InfeasibleMatchingError):
-            hungarian(AssignmentProblem(gain=gain))
+            AssignmentProblem(gain=gain)
 
 
 class TestAuction:
@@ -179,19 +196,6 @@ class TestAuction:
         a_base = auction(base_prob, eps=1e-4)
         a_scaled = auction(scaled_prob, eps=1e-4)
         assert a_base.assignment.tolist() == a_scaled.assignment.tolist()
-
-    def test_round_cap_flags_infeasible_structure(self):
-        # both first users only accept BS 0: no perfect matching exists, and
-        # the default cap stops the price war after 3 * (2 + 3 + 16) = 63 rounds
-        gain = np.array(
-            [
-                [1.0, 1.0, FORBIDDEN],
-                [FORBIDDEN, FORBIDDEN, 1.0],
-                [FORBIDDEN, FORBIDDEN, 1.0],
-            ]
-        )
-        with pytest.raises(InfeasibleMatchingError):
-            auction(AssignmentProblem(gain=gain), eps=0.5)
 
     def test_rejects_nonpositive_eps(self):
         with pytest.raises(ValueError):
@@ -264,8 +268,8 @@ class TestMatchedSolvers:
             solve_p1prime(random_network(rng, 3, 2))
 
     def test_aufp_fails_fast_without_perfect_matching(self):
-        # users 1 and 2 both reach only BS 0; the auction alone would bid
-        # for millions of rounds before its cap proves this
+        # users 1 and 2 both reach only BS 0; building the assignment problem
+        # finds this before any bid, where an auction would bid without end
         import time
 
         net = Network(
