@@ -89,7 +89,6 @@ from .harness import (
     monte_carlo,
     run_algorithm,
     run_trial,
-    selftest,
 )
 
 __version__ = "0.1.0"

@@ -22,7 +22,6 @@ from .harness import (
     export_csv,
     export_json,
     monte_carlo,
-    selftest as run_selftest,
 )
 from .matching import InfeasibleMatchingError
 from .model import _to_json, network_from_json, network_to_json
@@ -61,10 +60,11 @@ def _create(*paths):
 
 class _Cli(click.Group):
     def invoke(self, ctx):
-        # ValueError covers ValidationError and json.JSONDecodeError
+        # ValueError covers ValidationError and json.JSONDecodeError, and
+        # OverflowError a finite geometry too large for float arithmetic
         try:
             return super().invoke(ctx)
-        except (ValueError, OSError, InfeasibleMatchingError) as exc:
+        except (ValueError, OverflowError, OSError, InfeasibleMatchingError) as exc:
             _fail(str(exc))
 
 
@@ -164,15 +164,6 @@ def gadget(cnf_path, verify, out_path):
     report = verify_sat_equivalence(formula)
     _dump(_to_json(report), out_path)
     sys.exit(0 if report.agrees else 2)
-
-
-@main.command()
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--trials", type=click.IntRange(min=1), default=10, show_default=True)
-def selftest(seed, trials):
-    """Run the built-in oracle-equivalence suite."""
-    ok = run_selftest(seed=seed, trials=trials, verbose_print=click.echo)
-    sys.exit(0 if ok else 2)
 
 
 if __name__ == "__main__":

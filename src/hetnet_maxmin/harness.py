@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .matching import AssignmentProblem, auction, aufp, hungarian, solve_p1prime
+from .matching import aufp, solve_p1prime
 from .model import (
     Network,
     SolveResult,
@@ -34,10 +34,10 @@ from .model import (
     _to_json,
     max_snr_association,
 )
-from .oracle import MAX_CANDIDATES, brute_force_optimum, gadget_pair_values
+from .oracle import MAX_CANDIDATES, brute_force_optimum
 from .power import solve_power_exact
 from .scenario import ScenarioConfig, generate_hetnet, scenario_from_json
-from .sumpower import UlsumResult, dl_sumpower_power, ulsum, ulsum_exact
+from .sumpower import UlsumResult, ulsum_exact
 from .twostage import StageInfo, TwoStageResult, dlsum, dlsuma, ulsuma
 
 __all__ = [
@@ -53,10 +53,8 @@ __all__ = [
     "export_csv",
     "export_cdf_csv",
     "export_json",
-    "load_records_csv",
     "experiment_from_json",
     "experiment_to_json",
-    "selftest",
 ]
 
 
@@ -220,8 +218,10 @@ class ExperimentSpec:
         _check_field_types(self)
         if self.n_runs < 1:
             raise ValidationError("n_runs must be at least 1")
-        if self.eps is not None and not 0 < self.eps < math.inf:
-            raise ValidationError(f"eps must be None or a positive finite number, got {self.eps!r}")
+        if not self.cdf_clip > 0:
+            raise ValidationError(f"cdf_clip must be positive, got {self.cdf_clip!r}")
+        if self.eps is not None and not self.eps > 0:
+            raise ValidationError(f"eps must be None or a positive number, got {self.eps!r}")
         if not self.snr_db:
             raise ValidationError("need at least one snr_db point")
         names = tuple(_canonical_name(a) for a in self.algorithms)
@@ -375,20 +375,6 @@ def export_cdf_csv(result: MonteCarloResult, path) -> None:
                 writer.writerow([name, _fmt(float(snr)), _fmt(float(v)), _fmt(float(p))])
 
 
-def load_records_csv(path) -> list[dict]:
-    """Read an exported record CSV back into typed dicts."""
-    rows = []
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            parsed = dict(row)
-            for key in ("snr_db", "min_sinr_linear", "min_sinr_db", "runtime_ms", "upper_bound"):
-                parsed[key] = float(row[key]) if row[key] else None
-            parsed["seed"] = int(row["seed"])
-            parsed["converged"] = {"true": True, "false": False, "": None}[row["converged"]]
-            rows.append(parsed)
-    return rows
-
-
 def export_json(result: MonteCarloResult, path) -> None:
     """Full-fidelity JSON export (records, timings included, and means)."""
     doc = {
@@ -435,70 +421,3 @@ def experiment_from_json(doc: dict) -> ExperimentSpec:
             "algorithms": tuple(doc["algorithms"]),
         }
     )
-
-
-def _random_small_network(rng: np.random.Generator, n_bs: int, n_users: int) -> Network:
-    gain = 10.0 ** rng.normal(0.0, 0.8, size=(n_bs, n_users))
-    return Network(
-        gain=gain,
-        budget=rng.uniform(0.5, 2.0, size=n_bs),
-        noise_dl=np.ones(n_users),
-        noise_ul=np.ones(n_bs),
-    )
-
-
-def selftest(seed: int = 0, trials: int = 10, verbose_print=print) -> bool:
-    """Quick oracle-equivalence suite; prints one PASS/FAIL line per check."""
-    rng = np.random.default_rng(seed)
-    ok = True
-
-    def report(name: str, passed: bool, detail: str = "") -> None:
-        nonlocal ok
-        ok = ok and passed
-        verbose_print(f"{'PASS' if passed else 'FAIL'}  {name}{'  ' + detail if detail else ''}")
-
-    pair = gadget_pair_values(2.0, 1.0)
-    gamma_star = (math.sqrt(7.0) - 1.0) / 3.0
-    report(
-        "variable-block closed forms",
-        abs(pair.values[0] - gamma_star) < 1e-12 and abs(pair.values[2] - 0.4) < 1e-12,
-    )
-
-    worst = 0.0
-    for _ in range(trials):
-        net = _random_small_network(rng, 3, 4)
-        res = ulsum(net)
-        dl = dl_sumpower_power(net, res.assoc)
-        worst = max(worst, abs(dl.min_sinr - res.gamma_sum) / res.gamma_sum)
-    report("uplink/downlink duality (sum power)", worst < 1e-6, f"max rel gap {worst:.2e}")
-
-    worst = 0.0
-    matched = True
-    for _ in range(trials):
-        net = _random_small_network(rng, 3, 3)
-        star = brute_force_optimum(net)
-        one = solve_p1prime(net)
-        if star.min_sinr >= 1.0:
-            worst = max(worst, abs(one.result.min_sinr - star.min_sinr))
-            matched = matched and one.status == "optimal"
-        else:
-            matched = matched and one.status == "infeasible"
-    report("one-to-one solver vs brute force", matched and worst < 1e-6)
-
-    gap_ok = True
-    for _ in range(trials):
-        k = int(rng.integers(2, 6))
-        prob = AssignmentProblem(gain=rng.normal(0.0, 1.0, size=(k, k)))
-        _, best = hungarian(prob)
-        state = auction(prob, eps=1e-7)
-        gap_ok = gap_ok and state.total_gain >= best - k * 1e-7 - 1e-12
-    report("auction within k*eps of assignment optimum", gap_ok)
-
-    bound_ok = True
-    for _ in range(trials):
-        net = _random_small_network(rng, 2, 3)
-        star = brute_force_optimum(net)
-        bound_ok = bound_ok and ulsum_exact(net).gamma_sum >= star.min_sinr - 1e-9
-    report("sum-power relaxation dominates brute force", bound_ok)
-
-    return ok

@@ -103,7 +103,8 @@ class AuctionState:
 
     Prices only ever increase (each update adds at least eps); the
     assignment map is injective throughout.  ``total_gain`` is within
-    k * eps of the optimum on termination.
+    k * eps of the optimum on termination.  ``rounds`` counts bidding
+    rounds and ``bids`` the bids placed over all of them.
     """
 
     assignment: np.ndarray
@@ -112,7 +113,6 @@ class AuctionState:
     eps: float
     rounds: int
     bids: int
-    min_increment: float
 
 
 def _eps_floor(finite: np.ndarray) -> float:
@@ -156,7 +156,6 @@ def auction(prob: AssignmentProblem, eps: float) -> AuctionState:
     assignment = np.full(k, -1)
     owner = np.full(k, -1)
     rounds = bids = 0
-    min_increment = np.inf
     while np.any(assignment < 0):
         rounds += 1
         # Bidding phase: every unassigned user picks its best BS and bids the
@@ -184,9 +183,7 @@ def auction(prob: AssignmentProblem, eps: float) -> AuctionState:
                 assignment[owner[bs]] = -1
             owner[bs] = user
             assignment[user] = bs
-            increment = gamma + eps
-            prices[bs] += increment
-            min_increment = min(min_increment, increment)
+            prices[bs] += gamma + eps
     return AuctionState(
         assignment=assignment,
         total_gain=float(gain[assignment, np.arange(k)].sum()),
@@ -194,7 +191,6 @@ def auction(prob: AssignmentProblem, eps: float) -> AuctionState:
         eps=eps,
         rounds=rounds,
         bids=bids,
-        min_increment=float(min_increment),
     )
 
 

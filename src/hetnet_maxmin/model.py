@@ -11,6 +11,7 @@ networks can be shared freely across parallel workers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, is_dataclass
 from itertools import chain
 
@@ -123,13 +124,16 @@ _SCALARS = {
 
 
 def _check_field_types(obj) -> None:
-    """Check every scalar field of a dataclass, optional ones too, against its annotation."""
+    """Check every scalar field of a dataclass, optional ones too, against its
+    annotation; a float field must also be finite (JSON admits NaN and Infinity)."""
     for name, f in obj.__dataclass_fields__.items():
         kind, value = f.type.removesuffix(" | None"), getattr(obj, name)
         if kind not in _SCALARS or (value is None and kind != f.type):
             continue
         if not isinstance(value, _SCALARS[kind]) or (isinstance(value, bool) and kind != "bool"):
             raise ValidationError(f"{name} must be of type {f.type}, got {value!r}")
+        if kind == "float" and not -math.inf < value < math.inf:
+            raise ValidationError(f"{name} must be finite, got {value!r}")
 
 
 def _check_document(doc, cls, noun: str) -> None:

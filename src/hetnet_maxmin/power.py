@@ -100,13 +100,13 @@ class FixedPointRun(NamedTuple):
 
 
 def _run_fixed_point(step, opts: FixedPointOptions, level: np.ndarray, scale: float) -> FixedPointRun:
-    """Iterate ``p <- step(p, it)`` from ``level / K`` until the step is small.
+    """Iterate ``p <- step(p)`` from ``level / K`` until the step is small.
 
-    The one loop behind every normalized fixed-point solver.  ``level`` is
-    the power scale of each user, shape (K,).  The residual of a step is
-    max |p_new - p| / scale and the run converges when it is at most
-    ``opts.tol``; a run that exhausts ``max_iter`` ends with
-    ``converged=False``.
+    The one loop behind every normalized fixed-point solver; ``step`` maps
+    an iterate to the next.  ``level`` is the power scale of each user,
+    shape (K,).  The residual of a step is max |p_new - p| / scale and the
+    run converges when it is at most ``opts.tol``; a run that exhausts
+    ``max_iter`` ends with ``converged=False``.
     """
     p = level / len(level)
     residuals = np.empty(opts.max_iter)
@@ -114,7 +114,7 @@ def _run_fixed_point(step, opts: FixedPointOptions, level: np.ndarray, scale: fl
     iterations = 0
     res = np.inf
     for it in range(opts.max_iter):
-        p_new = step(p, it)
+        p_new = step(p)
         res = float(np.max(np.abs(p_new - p))) / scale
         residuals[it] = res
         p = p_new
@@ -153,7 +153,7 @@ def solve_power(net: Network, assoc, opts: FixedPointOptions | None = None) -> S
     """
     a = check_association(net, assoc)
 
-    def step(p, it):
+    def step(p):
         m = unit_sinr_power(net, a, p)
         return m / load_norm(m, a, net.budget)
 

@@ -80,8 +80,7 @@ class UlsumResult:
 
     At the optimum the full sum budget is spent, all per-user uplink SINRs
     equal ``gamma_sum``, and ``assoc`` is the final (optimal after finitely
-    many iterations) association.  ``last_assoc_change`` records the last
-    iteration at which the association vector changed.
+    many iterations) association.
     """
 
     power_ul: np.ndarray
@@ -91,7 +90,6 @@ class UlsumResult:
     converged: bool
     residual: float
     residuals: np.ndarray
-    last_assoc_change: int
 
 
 def ulsum(
@@ -111,16 +109,10 @@ def ulsum(
     is normalized by ``sum_budget``.
     """
     budget = _sum_budget(net, sum_budget)
-    assoc = np.full(net.n_users, -1)
-    last_change = 0
 
-    def step(p, it):
-        nonlocal assoc, last_change
-        maps = uplink_unit_sinr_power(net, p)
-        if not np.array_equal(maps.best_bs, assoc):
-            last_change = it
-        assoc = maps.best_bs
-        return maps.best * (budget / float(maps.best.sum()))
+    def step(p):
+        best = uplink_unit_sinr_power(net, p).best
+        return best * (budget / float(best.sum()))
 
     run = _run_fixed_point(step, opts or FixedPointOptions(), np.full(net.n_users, budget), budget)
     final = uplink_unit_sinr_power(net, run.power)
@@ -132,7 +124,6 @@ def ulsum(
         converged=run.converged,
         residual=run.residual,
         residuals=run.residuals,
-        last_assoc_change=last_change,
     )
 
 
@@ -171,9 +162,8 @@ def ulsum_exact(net: Network, sum_budget: float | None = None) -> UlsumResult:
     assoc = uplink_unit_sinr_power(net, np.full(k, budget / k)).best_bs
     x = None
     residuals = []
-    last_change = 0
     converged = False
-    for step in range(_POLICY_MAX_STEPS):
+    for _ in range(_POLICY_MAX_STEPS):
         solved = assoc
         direct = net.gain[solved, users]
         coupling = net.gain[solved, :] / direct[:, None]
@@ -190,7 +180,6 @@ def ulsum_exact(net: Network, sum_budget: float | None = None) -> UlsumResult:
             converged = pair.converged
             break
         assoc = np.where(moved, maps.best_bs, solved)
-        last_change = step + 1
         x = pair.vector
     return UlsumResult(
         power_ul=q,
@@ -200,7 +189,6 @@ def ulsum_exact(net: Network, sum_budget: float | None = None) -> UlsumResult:
         converged=converged,
         residual=residuals[-1],
         residuals=np.array(residuals),
-        last_assoc_change=last_change,
     )
 
 
@@ -222,7 +210,7 @@ def dl_sumpower_power(
     budget = _sum_budget(net, sum_budget)
     a = check_association(net, assoc)
 
-    def step(p, it):
+    def step(p):
         m = unit_sinr_power(net, a, p)
         return m * (budget / float(m.sum()))
 

@@ -7,6 +7,7 @@ against arithmetic that shares no code with them.
 
 from __future__ import annotations
 
+import csv
 import itertools
 import json
 import math
@@ -185,19 +186,34 @@ def oracle_joint_dl_maxmin(net: Network, tol: float = 1e-9) -> float:
     return best
 
 
-def exhaustive_assignment(gain: np.ndarray, forbidden_cutoff: float = -5e17):
-    """Best perfect matching by trying every permutation."""
+def exhaustive_assignment(gain: np.ndarray):
+    """Best perfect matching by trying every permutation; a -inf gain is a
+    forbidden pair."""
     k = gain.shape[0]
     best_total = -math.inf
     best = None
     for perm in itertools.permutations(range(k)):
-        if any(gain[perm[j], j] <= forbidden_cutoff for j in range(k)):
+        if any(gain[perm[j], j] == -math.inf for j in range(k)):
             continue
         total = sum(gain[perm[j], j] for j in range(k))
         if total > best_total:
             best_total = total
             best = perm
     return (None, -math.inf) if best is None else (np.array(best), best_total)
+
+
+def load_records_csv(path) -> list[dict]:
+    """Read an exported record CSV back into typed dicts."""
+    rows = []
+    with open(path, newline="") as fh:
+        for row in csv.DictReader(fh):
+            parsed = dict(row)
+            for key in ("snr_db", "min_sinr_linear", "min_sinr_db", "runtime_ms", "upper_bound"):
+                parsed[key] = float(row[key]) if row[key] else None
+            parsed["seed"] = int(row["seed"])
+            parsed["converged"] = {"true": True, "false": False, "": None}[row["converged"]]
+            rows.append(parsed)
+    return rows
 
 
 def naive_cell_points(

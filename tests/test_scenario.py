@@ -316,6 +316,13 @@ class TestConfigSerialization:
         with pytest.raises(ValidationError):
             ScenarioConfig(macro_spacing_m=-1.0)
 
+    @pytest.mark.parametrize("field", ["snr_db", "macro_spacing_m", "shadow_std_db"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_floats_rejected(self, field, value):
+        # JSON admits NaN and Infinity, so a document can carry them
+        with pytest.raises(ValidationError, match=f"{field} must be finite"):
+            scenario_from_json({field: value})
+
     def test_geometry_export(self):
         inst = generate_hetnet(ScenarioConfig(n_macro=4, picos_per_macro=1, n_users=3, seed=8))
         doc = geometry_to_json(inst.geometry)
