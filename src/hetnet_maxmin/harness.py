@@ -222,16 +222,23 @@ class ExperimentSpec:
             raise ValidationError(f"cdf_clip must be positive, got {self.cdf_clip!r}")
         if self.eps is not None and not self.eps > 0:
             raise ValidationError(f"eps must be None or a positive number, got {self.eps!r}")
-        if not self.snr_db:
+        snr_db = tuple(float(s) for s in self.snr_db)
+        if not snr_db:
             raise ValidationError("need at least one snr_db point")
+        # NaN and duplicate points would only fail, or run twice, trial by trial
+        if not all(math.isfinite(s) for s in snr_db) or len(set(snr_db)) < len(snr_db):
+            raise ValidationError(f"snr_db entries must be finite and distinct, got {list(snr_db)}")
         names = tuple(_canonical_name(a) for a in self.algorithms)
         unknown = [a for a in names if a not in ALGORITHMS]
         if unknown:
             raise ValidationError(f"unknown algorithms {unknown}; choose from {sorted(ALGORITHMS)}")
+        if len(set(names)) < len(names):
+            # two rows would be written for the one cell they share
+            raise ValidationError(f"algorithms must be distinct, got {list(self.algorithms)}")
         if "brute" in names and self.scenario.n_bs**self.scenario.n_users > MAX_CANDIDATES:
             raise ValidationError("brute force not allowed at this scenario size")
         object.__setattr__(self, "algorithms", names)
-        object.__setattr__(self, "snr_db", tuple(float(s) for s in self.snr_db))
+        object.__setattr__(self, "snr_db", snr_db)
 
 
 def run_trial(spec: ExperimentSpec, trial_index: int, snr_db: float) -> TrialRecord:

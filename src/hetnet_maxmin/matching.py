@@ -104,13 +104,13 @@ class AuctionState:
     Prices only ever increase (each update adds at least eps); the
     assignment map is injective throughout.  ``total_gain`` is within
     k * eps of the optimum on termination.  ``rounds`` counts bidding
-    rounds and ``bids`` the bids placed over all of them.
+    rounds and ``bids`` the bids placed over all of them: one per user
+    unassigned at the start of a round.
     """
 
     assignment: np.ndarray
     total_gain: float
     prices: np.ndarray
-    eps: float
     rounds: int
     bids: int
 
@@ -133,49 +133,49 @@ def default_eps(prob: AssignmentProblem) -> float:
 def auction(prob: AssignmentProblem, eps: float) -> AuctionState:
     """Jacobi auction for the assignment problem.
 
-    All unassigned users bid simultaneously each round; every BS receiving
-    bids keeps the highest bidder and raises its price by the winning margin
-    plus eps.  Prices start at zero, and the final total gain is within
-    k * eps of the optimum.  The problem admits a perfect matching (its
-    constructor checks), so the auction ends.  An eps below the float
-    spacing of the compared values raises ValueError: such a price step can
-    vanish in ``gain - price``, and tied bids would never break.
+    All unassigned users bid simultaneously each round, computed as one
+    array step: each bids for its best BS at ``gain - price`` the margin
+    over its second-best allowed BS (a user with no allowed alternative,
+    as at k = 1, bids the whole gain spread).  Every BS receiving bids keeps
+    the highest, the lowest user index winning exact ties, and raises its
+    price by the winning margin plus eps.  Prices start at zero, and the
+    final total gain is within k * eps of the optimum.  The problem admits
+    a perfect matching (its constructor checks), so the auction ends.  An
+    eps below the float spacing of the compared values raises ValueError:
+    such a price step can vanish in ``gain - price``, and tied bids would
+    never break.
     """
     gain = prob.gain
     k = prob.k
     prices = np.zeros(k)
-    finite = gain > FORBIDDEN
-    finite_vals = gain[finite]
+    allowed = gain > FORBIDDEN
+    finite_vals = gain[allowed]
     floor = _eps_floor(finite_vals)
     if not floor <= eps < np.inf:
         raise ValueError(
             f"eps must be finite and at least the gains' float spacing {floor!r}, got {eps!r}"
         )
-    # Bid increment when a user has no allowed alternative (including k = 1).
+    # The margin of a user with no allowed alternative (including k = 1).
     solo_gap = float(finite_vals.max() - finite_vals.min()) + eps
+    solo = allowed.sum(axis=0) < 2
     assignment = np.full(k, -1)
     owner = np.full(k, -1)
     rounds = bids = 0
-    while np.any(assignment < 0):
+    while (bidders := np.flatnonzero(assignment < 0)).size:
         rounds += 1
-        # Bidding phase: every unassigned user picks its best BS and bids the
-        # margin over its second-best allowed alternative.
+        bids += bidders.size
+        # Bidding phase: each bidder's margin of its best BS over its runner-up,
+        # row k - 2 of the partition (forbidden pairs are -inf; at k = 1, row -1).
+        values = gain[:, bidders] - prices[:, None]
+        ranked = np.partition(values, k - 2, axis=0)
+        margins = np.where(solo[bidders], solo_gap, ranked[-1] - ranked[k - 2])
+        best = np.argmax(values, axis=0).tolist()
         offers: dict[int, tuple[int, float]] = {}
-        for user in np.flatnonzero(assignment < 0):
-            values = gain[:, user] - prices
-            best = int(np.argmax(values))
-            others = values[finite[:, user]]
-            if others.size > 1:
-                best_val = values[best]
-                runner_up = float(np.partition(others, -2)[-2])
-                gamma = float(best_val - runner_up)
-            else:
-                gamma = solo_gap
-            bids += 1
-            held = offers.get(best)
-            # Highest bidder wins; user-index order breaks exact ties.
+        # Ascending user order and a strict > let the lowest index win exact ties.
+        for user, bs, gamma in zip(bidders.tolist(), best, margins.tolist()):
+            held = offers.get(bs)
             if held is None or gamma > held[1]:
-                offers[best] = (int(user), gamma)
+                offers[bs] = (user, gamma)
         # Assignment phase: each BS keeps its highest bidder and raises its price.
         for bs in sorted(offers):
             user, gamma = offers[bs]
@@ -188,7 +188,6 @@ def auction(prob: AssignmentProblem, eps: float) -> AuctionState:
         assignment=assignment,
         total_gain=float(gain[assignment, np.arange(k)].sum()),
         prices=prices,
-        eps=eps,
         rounds=rounds,
         bids=bids,
     )

@@ -14,7 +14,7 @@ sum of budgets when most BSs transmit far below their cap).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -110,16 +110,7 @@ def _to_original_domain(net: Network, scaled_budget_max: float, res: SolveResult
     """Map a solution of the balanced problem back to the original network."""
     p = res.power * net.budget[res.association] / scaled_budget_max
     sinr = downlink_sinr(net, res.association, p)
-    return SolveResult(
-        association=res.association,
-        power=p,
-        sinr=sinr,
-        min_sinr=float(np.min(sinr)),
-        iterations=res.iterations,
-        converged=res.converged,
-        residual=res.residual,
-        residuals=res.residuals,
-    )
+    return replace(res, power=p, sinr=sinr, min_sinr=float(np.min(sinr)))
 
 
 def dlsuma(net: Network) -> TwoStageResult:

@@ -298,6 +298,20 @@ class TestExports:
         with pytest.raises(ValidationError, match="cdf_clip"):
             small_spec(cdf_clip=clip)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("snr_db", (math.nan,)),
+            ("snr_db", (10.0, -math.inf)),
+            ("snr_db", (10, 10.0)),
+            ("algorithms", ("maxsnr", "MAX-SNR")),
+        ],
+        ids=["nan-snr", "infinite-snr", "duplicate-snr", "duplicate-algorithm"],
+    )
+    def test_spec_rejects_bad_grid(self, field, value):
+        with pytest.raises(ValidationError, match=field):
+            small_spec(**{field: value})
+
     def test_spec_accepts_positive_eps(self):
         assert small_spec(eps=None).eps is None
         assert small_spec(eps=1e-6).eps == 1e-6
@@ -570,6 +584,15 @@ class TestCli:
                 id="gen-overflowing-spacing",
             ),
             pytest.param("cdf", {**_SMALL_SPEC, "cdf_clip": math.nan}, id="cdf-nan-clip"),
+            # each once created the output, then failed at the first trial or
+            # ran every seed twice
+            pytest.param("sweep", {**_SMALL_SPEC, "snr_db": [math.nan]}, id="sweep-nan-snr"),
+            pytest.param("sweep", {**_SMALL_SPEC, "snr_db": [10, 10.0]}, id="sweep-duplicate-snr"),
+            pytest.param(
+                "sweep",
+                {**_SMALL_SPEC, "algorithms": ["maxsnr", "MAX-SNR"]},
+                id="sweep-duplicate-algorithm",
+            ),
             *(
                 pytest.param(
                     "sweep",
@@ -592,6 +615,7 @@ class TestCli:
         assert isinstance(res.exception, SystemExit), res.exception
         assert "error:" in res.output
         assert "Traceback" not in res.output
+        assert not (tmp_path / "out").exists()
 
     def test_solve_aufp_on_tied_gains_with_tiny_eps_exits_one(self):
         # the file the CI smoke step runs through the installed entry point
@@ -602,6 +626,17 @@ class TestCli:
         assert res.exit_code == 1
         assert isinstance(res.exception, SystemExit), res.exception
         assert res.output.startswith("error: eps")
+
+    def test_sweep_over_nan_snr_exits_one_before_creating_its_output(self, tmp_path):
+        # the file the CI smoke step runs through the installed entry point
+        out = tmp_path / "nan.csv"
+        res = CliRunner().invoke(
+            cli_main, ["sweep", "--spec", str(DATA / "experiment_nan_snr.json"), "--out", str(out)]
+        )
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit), res.exception
+        assert res.output.startswith("error: snr_db")
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "command, outputs",

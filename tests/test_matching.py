@@ -2,6 +2,7 @@
 search, the auction's optimality gap and price dynamics, and the
 matched-association solvers with their optimality certificates."""
 
+import json
 import math
 import time
 
@@ -11,6 +12,7 @@ import pytest
 from hetnet_maxmin.matching import (
     FORBIDDEN,
     AssignmentProblem,
+    AuctionState,
     InfeasibleMatchingError,
     auction,
     aufp,
@@ -22,12 +24,37 @@ from hetnet_maxmin.matching import (
 from hetnet_maxmin.model import Network, ValidationError
 from hetnet_maxmin.oracle import brute_force_optimum
 from hetnet_maxmin.power import min_power_for_target
+from hetnet_maxmin.scenario import generate_hetnet, scenario_from_json
 
-from helpers import exhaustive_assignment, frozen_network, random_network
+from helpers import DATA, exhaustive_assignment, frozen_network, random_network
 
 
 def random_problem(rng: np.random.Generator, k: int) -> AssignmentProblem:
     return AssignmentProblem(gain=rng.normal(0.0, 1.0, size=(k, k)))
+
+
+def pinned_auction_input(case: dict) -> tuple[AssignmentProblem, float]:
+    """The problem and eps of one ``auction_states.json`` case: a scenario
+    draw or a frozen network, at the default eps unless the case gives one
+    (as ``float.hex``)."""
+    if "scenario" in case:
+        net = generate_hetnet(scenario_from_json(case["scenario"])).network
+    else:
+        net = frozen_network(case["network"])
+    prob = log_gain_matrix(net)
+    return prob, default_eps(prob) if case["eps"] is None else float.fromhex(case["eps"])
+
+
+def auction_state_doc(state: AuctionState) -> dict:
+    """Every output of an auction, floats exact: prices as ``float.hex`` and
+    the total gain as its repr."""
+    return {
+        "assignment": state.assignment.tolist(),
+        "rounds": state.rounds,
+        "bids": state.bids,
+        "total_gain": repr(state.total_gain),
+        "prices": [p.hex() for p in state.prices.tolist()],
+    }
 
 
 class TestLogGainMatrix:
@@ -216,6 +243,16 @@ class TestAuction:
             aufp(net, eps=1e-25)
         assert time.process_time() - start < 1.0
         assert aufp(net, eps=np.spacing(2.0)).auction.rounds == 3
+
+    def test_final_states_match_the_recording(self):
+        # recorded with the per-user bidding loop the array bidding replaced:
+        # criterion-09 draws (seeds 0-49), three draws each at K = 57 and
+        # K = 100 (35 dB), and the tied 3x3 gains at eps = spacing(2.0)
+        cases = json.loads((DATA / "auction_states.json").read_text())
+        assert len(cases) == 57
+        for name, case in cases.items():
+            prob, eps = pinned_auction_input(case)
+            assert auction_state_doc(auction(prob, eps)) == case["state"], name
 
     def test_default_eps_never_below_float_spacing(self):
         # a spread of 1e-12 around 30 gives 1e-18, below spacing(60) = 7.1e-15
