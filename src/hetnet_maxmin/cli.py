@@ -16,6 +16,7 @@ import click
 from .harness import (
     ALGORITHMS,
     Outcome,
+    _check_eps,
     _db,
     experiment_from_json,
     export_cdf_csv,
@@ -102,8 +103,9 @@ def solve(net_path, alg, eps, out_path):
     """Solve one network with the chosen algorithm and print the result.
 
     Exits 2 when the run did not converge or a matched solve is not optimal,
-    and 1 when the algorithm skips the network.
+    and 1 when the algorithm skips the network or eps is not positive.
     """
+    _check_eps(eps)
     outcome = ALGORITHMS[alg](network_from_json(_load_json(net_path)), eps)
     if outcome.min_sinr is None:
         _fail(outcome.note)

@@ -181,6 +181,13 @@ ALGORITHMS = {
 }
 
 
+def _check_eps(eps: float | None) -> None:
+    """The one rule for an auction eps from a document or the command line:
+    None (the auction's default) or a positive number, never NaN."""
+    if eps is not None and not eps > 0:
+        raise ValidationError(f"eps must be None or a positive number, got {eps!r}")
+
+
 def run_algorithm(name: str, net: Network, eps: float | None = None) -> AlgoCell:
     """Run one registered algorithm, timing it and trapping failures."""
     key = _canonical_name(name)
@@ -220,8 +227,7 @@ class ExperimentSpec:
             raise ValidationError("n_runs must be at least 1")
         if not self.cdf_clip > 0:
             raise ValidationError(f"cdf_clip must be positive, got {self.cdf_clip!r}")
-        if self.eps is not None and not self.eps > 0:
-            raise ValidationError(f"eps must be None or a positive number, got {self.eps!r}")
+        _check_eps(self.eps)
         snr_db = tuple(float(s) for s in self.snr_db)
         if not snr_db:
             raise ValidationError("need at least one snr_db point")

@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .model import Network, SolveResult, ValidationError
 from .power import solve_power_exact
@@ -64,11 +63,17 @@ class AssignmentProblem:
             raise ValidationError(f"assignment gain must be square, got {g.shape}")
         if np.any(np.isnan(g) | np.isposinf(g)):
             raise ValidationError("assignment gains must be real numbers or FORBIDDEN (-inf)")
-        # a maximum-cardinality matching of the allowed pattern is perfect iff one exists
+        # Only a pattern with a forbidden pair needs the check (without one the
+        # identity is a perfect matching), so only it loads scipy.optimize.  A
+        # maximum-cardinality matching of the allowed pattern is perfect iff
+        # one exists.
         allowed = g > FORBIDDEN
-        rows, cols = linear_sum_assignment(allowed, maximize=True)
-        if not np.all(allowed[rows, cols]):
-            raise InfeasibleMatchingError("no perfect matching avoids forbidden pairs")
+        if not allowed.all():
+            from scipy.optimize import linear_sum_assignment
+
+            rows, cols = linear_sum_assignment(allowed, maximize=True)
+            if not np.all(allowed[rows, cols]):
+                raise InfeasibleMatchingError("no perfect matching avoids forbidden pairs")
         g.setflags(write=False)
         object.__setattr__(self, "gain", g)
 
@@ -91,6 +96,8 @@ def hungarian(prob: AssignmentProblem) -> tuple[np.ndarray, float]:
     rectangular assignment solver, which never picks a forbidden entry when
     a perfect matching avoids them all.
     """
+    from scipy.optimize import linear_sum_assignment
+
     rows, cols = linear_sum_assignment(prob.gain, maximize=True)
     assignment = np.empty(prob.k, dtype=int)
     assignment[cols] = rows

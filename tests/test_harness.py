@@ -524,6 +524,19 @@ class TestCli:
         assert res.exit_code == 1
         assert "error:" in res.output and "eps" in res.output
 
+    @pytest.mark.parametrize("alg", list(ALGORITHMS))
+    @pytest.mark.parametrize("eps", ["-1", "0", "nan"])
+    def test_solve_with_nonpositive_eps_exits_one(self, tmp_path, alg, eps):
+        # the rule a sweep spec applies, for every algorithm, not only aufp
+        net_path = tmp_path / "net.json"
+        net_path.write_text(json.dumps(_ONE_LINK_NETWORK))
+        res = CliRunner().invoke(
+            cli_main, ["solve", "--net", str(net_path), "--alg", alg, "--eps", eps]
+        )
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit), res.exception
+        assert res.output.startswith("error: eps must be None or a positive number")
+
     def test_solve_aufp_with_subnormal_eps_is_an_error_not_a_traceback(self):
         # a subnormal eps is far below the log-gains' float spacing, where a
         # price step would vanish in gain - price
@@ -755,6 +768,18 @@ class TestCli:
         assert res.exit_code == 1
         assert isinstance(res.exception, SystemExit), res.exception
         assert res.output.startswith("error: n_users must be of type int")
+
+    def test_gen_then_aufp_on_the_start_up_import_config(self, tmp_path):
+        # the file the CI start-up import step runs: a criterion-09 N = K draw
+        # whose matched solve is below SINR 1, so solve exits 2
+        runner = CliRunner()
+        net_path = tmp_path / "net.json"
+        config = DATA / "scenario_9x1_k18_15db.json"
+        res = runner.invoke(cli_main, ["gen", "--config", str(config), "--out", str(net_path)])
+        assert res.exit_code == 0, res.output
+        res = runner.invoke(cli_main, ["solve", "--net", str(net_path), "--alg", "aufp"])
+        assert res.exit_code in (0, 2), res.output
+        assert json.loads(res.output)["algorithm"] == "aufp"
 
     @pytest.mark.parametrize(
         "old, new",

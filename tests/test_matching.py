@@ -2,13 +2,21 @@
 search, the auction's optimality gap and price dynamics, and the
 matched-association solvers with their optimality certificates."""
 
+import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
+import hetnet_maxmin
 from hetnet_maxmin.matching import (
     FORBIDDEN,
     AssignmentProblem,
@@ -106,6 +114,67 @@ class TestAssignmentProblem:
         # default_eps and the auction's eps floor inf or nan
         with pytest.raises(ValidationError, match="real numbers"):
             AssignmentProblem(gain=gain)
+
+    @given(
+        st.integers(1, 6).flatmap(
+            lambda k: st.one_of(st.just(np.ones((k, k), bool)), arrays(bool, (k, k)))
+        )
+    )
+    @example(np.ones((1, 1), bool))
+    @example(np.zeros((1, 1), bool))
+    @settings(max_examples=300, deadline=None)
+    def test_rejects_exactly_the_patterns_without_a_perfect_matching(self, allowed):
+        # both branches of the check, the one that skips it when nothing is
+        # forbidden included, against every permutation
+        k = allowed.shape[0]
+        perfect = any(
+            all(allowed[perm[user], user] for user in range(k))
+            for perm in itertools.permutations(range(k))
+        )
+        gain = np.where(allowed, 1.0, FORBIDDEN)
+        if perfect:
+            assert AssignmentProblem(gain=gain).k == k
+        else:
+            with pytest.raises(InfeasibleMatchingError):
+                AssignmentProblem(gain=gain)
+
+
+# Runs every algorithm on an N = K draw, or only the Hungarian reference, in
+# a fresh interpreter and prints whether scipy.optimize was imported.
+_FOOTPRINT_SCRIPT = """
+import sys
+from hetnet_maxmin.harness import ExperimentSpec, run_trial
+from hetnet_maxmin.matching import solve_p1prime
+from hetnet_maxmin.scenario import ScenarioConfig, generate_hetnet
+
+scenario = ScenarioConfig(n_macro=3, picos_per_macro=0, n_users=3, seed=5)
+if sys.argv[1] == "p1prime":
+    assert solve_p1prime(generate_hetnet(scenario).network).result.min_sinr > 0
+else:
+    algorithms = ("maxsnr", "ulsum", "ulsuma", "dlsum", "dlsuma", "aufp", "brute")
+    spec = ExperimentSpec(scenario=scenario, snr_db=(15.0,), algorithms=algorithms, n_runs=1)
+    cells = run_trial(spec, 0, 15.0).cells
+    assert all(cell.min_sinr is not None for cell in cells.values()), cells
+print("scipy.optimize" in sys.modules)
+"""
+
+
+class TestImportFootprint:
+    @pytest.mark.parametrize("run, loaded", [("all-but-p1prime", "False"), ("p1prime", "True")])
+    def test_scipy_optimize_loads_only_for_a_general_assignment_solve(self, run, loaded):
+        # a fresh interpreter: this one already imported scipy.stats for the
+        # scenario tests, and scipy.optimize with it
+        src = str(Path(hetnet_maxmin.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", _FOOTPRINT_SCRIPT, run],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == loaded
 
 
 class TestHungarian:
