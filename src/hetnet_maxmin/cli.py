@@ -1,5 +1,7 @@
 """Batch CLI: generate networks, solve them, run Monte-Carlo sweeps.
 
+One ``sweep`` run writes the records, CDF and JSON outputs of one sweep.
+
 Exit codes: 0 success, 2 infeasible / not-converged / failed verification,
 1 usage error, malformed document, I/O error, or an algorithm that skips
 the network.  The commands catch nothing: the group's ``invoke`` is the one
@@ -9,6 +11,7 @@ place where an error becomes ``error: <message>`` and exit 1.
 from __future__ import annotations
 
 import json
+import os
 import sys
 
 import click
@@ -54,8 +57,11 @@ def _dump(doc: dict, out):
 
 
 def _create(*paths):
-    """Open every output path a sweep will write, so that a bad one fails before any trial runs."""
-    for path in filter(None, paths):
+    """Open a sweep's distinct outputs, so that a bad path fails before any trial runs."""
+    paths = [path for path in paths if path]
+    if len({os.path.realpath(path) for path in paths}) < len(paths):
+        raise ValueError(f"sweep outputs must be distinct files, got {paths}")
+    for path in paths:
         open(path, "a").close()
 
 
@@ -115,19 +121,19 @@ def solve(net_path, alg, eps, out_path):
 
 @main.command()
 @click.option("--spec", "spec_path", required=True, type=click.Path(), help="Experiment JSON")
-@click.option("--out", "out_path", default=None, help="Output records CSV (default: spec's out_csv)")
+@click.option("--out", "out_path", required=True, help="Output records CSV")
+@click.option("--cdf-out", default=None, help="Optional clipped empirical CDF CSV")
 @click.option("--json-out", default=None, help="Optional full-fidelity JSON output")
 @click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True, help="Parallel workers")
 @click.option("--timings", is_flag=True, help="Include wall-clock timings (breaks byte-reproducibility)")
-def sweep(spec_path, out_path, json_out, jobs, timings):
-    """Monte-Carlo sweep over the spec's SNR grid; writes per-trial records."""
+def sweep(spec_path, out_path, cdf_out, json_out, jobs, timings):
+    """Monte-Carlo sweep over the spec's SNR grid; one run writes every output."""
     spec = experiment_from_json(_load_json(spec_path))
-    out_path = out_path or spec.out_csv
-    if out_path is None:
-        _fail("no output path: pass --out or set out_csv in the spec")
-    _create(out_path, json_out)
+    _create(out_path, cdf_out, json_out)
     result = monte_carlo(spec, jobs=jobs)
     export_csv(result, out_path, timings=timings)
+    if cdf_out:
+        export_cdf_csv(result, cdf_out)
     if json_out:
         export_json(result, json_out)
     for (name, snr), cell in result.means.items():
@@ -136,20 +142,6 @@ def sweep(spec_path, out_path, json_out, jobs, timings):
             f"{name} @ {snr:g} dB: mean min-SINR {mean} ({cell.n_ok} ok, "
             f"{cell.n_nonconverged} non-converged, {cell.n_failed} failed)"
         )
-
-
-@main.command()
-@click.option("--spec", "spec_path", required=True, type=click.Path(), help="Experiment JSON")
-@click.option("--out", "out_path", default=None, help="Output CDF CSV (default: spec's out_cdf)")
-@click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True)
-def cdf(spec_path, out_path, jobs):
-    """Monte-Carlo sweep reduced to clipped empirical CDFs."""
-    spec = experiment_from_json(_load_json(spec_path))
-    out_path = out_path or spec.out_cdf
-    if out_path is None:
-        _fail("no output path: pass --out or set out_cdf in the spec")
-    _create(out_path)
-    export_cdf_csv(monte_carlo(spec, jobs=jobs), out_path)
 
 
 @main.command()

@@ -205,11 +205,7 @@ def run_algorithm(name: str, net: Network, eps: float | None = None) -> AlgoCell
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """A Monte-Carlo sweep: scenario base, SNR grid, algorithms, run count.
-
-    ``out_csv``/``out_cdf`` are default output paths the CLI falls back to
-    when no ``--out`` is given.
-    """
+    """A Monte-Carlo sweep: scenario base, SNR grid, algorithms, run count."""
 
     scenario: ScenarioConfig
     snr_db: tuple[float, ...]
@@ -218,8 +214,6 @@ class ExperimentSpec:
     seed_base: int = 0
     cdf_clip: float = 3.0
     eps: float | None = None
-    out_csv: str | None = None
-    out_cdf: str | None = None
 
     def __post_init__(self):
         _check_field_types(self)

@@ -92,7 +92,9 @@ def cnf_from_dimacs(text: str) -> CnfFormula:
     pending: list[int] = []
     for raw in text.splitlines():
         line = raw.strip()
-        if not line or line.startswith("c") or line.startswith("%"):
+        if line.startswith("%"):
+            break  # SATLIB's trailer: "%", then a lone "0" that is no clause
+        if not line or line.startswith("c"):
             continue
         parts = line.split()
         header = line.startswith("p")

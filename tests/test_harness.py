@@ -266,9 +266,15 @@ class TestExports:
         assert load_records_csv(timed)[0]["runtime_ms"] > 0
 
     def test_experiment_spec_round_trip(self):
-        spec = small_spec(out_csv="records.csv", out_cdf="cdf.csv")
+        spec = small_spec(cdf_clip=1.5, eps=1e-4)
         doc = json.loads(json.dumps(experiment_to_json(spec)))
         assert experiment_from_json(doc) == spec
+
+    @pytest.mark.parametrize("field", ["out_csv", "out_cdf"])
+    def test_experiment_document_names_no_output_path(self, field):
+        # output paths are sweep options, not spec fields
+        with pytest.raises(ValidationError, match=field):
+            experiment_from_json({**_SMALL_SPEC, field: "r.csv"})
 
     def test_experiment_document_rejects_unknown_fields(self):
         # a misspelt n_runs once ran the 500-trial default
@@ -387,7 +393,7 @@ class TestCli:
         assert json.loads(res.output)["status"] == "infeasible"
 
     @pytest.mark.parametrize("broken", ["input", "out"])
-    @pytest.mark.parametrize("command", ["gen", "solve", "sweep", "cdf", "gadget"])
+    @pytest.mark.parametrize("command", ["gen", "solve", "sweep", "gadget"])
     def test_missing_file_exits_one(self, tmp_path, command, broken):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps(_SMALL_SPEC))
@@ -395,7 +401,6 @@ class TestCli:
             "gen": ("--config", self._write_scenario(tmp_path)),
             "solve": ("--net", DATA / "uni_3x0_k3_10db_seed3.json"),
             "sweep": ("--spec", spec),
-            "cdf": ("--spec", spec),
             "gadget": ("--cnf", DATA / "unsat_1var.cnf"),
         }[command]
         if broken == "input":
@@ -424,22 +429,14 @@ class TestCli:
                     "algorithms": ["maxsnr", "ulsuma"],
                     "n_runs": 2,
                     "seed_base": 0,
-                    "out_csv": str(tmp_path / "default.csv"),
                 }
             )
         )
-        runner = CliRunner()
-        out_csv = tmp_path / "res.csv"
-        res = runner.invoke(cli_main, ["sweep", "--spec", str(spec_path), "--out", str(out_csv)])
+        out_csv, out_cdf = tmp_path / "res.csv", tmp_path / "cdf.csv"
+        args = ["--spec", str(spec_path), "--out", str(out_csv), "--cdf-out", str(out_cdf)]
+        res = CliRunner().invoke(cli_main, ["sweep", *args])
         assert res.exit_code == 0, res.output
         assert len(out_csv.read_text().strip().splitlines()) == 1 + 2 * 2
-        # without --out the spec's own path is used
-        res = runner.invoke(cli_main, ["sweep", "--spec", str(spec_path)])
-        assert res.exit_code == 0, res.output
-        assert (tmp_path / "default.csv").read_bytes() == out_csv.read_bytes()
-        out_cdf = tmp_path / "cdf.csv"
-        res = runner.invoke(cli_main, ["cdf", "--spec", str(spec_path), "--out", str(out_cdf)])
-        assert res.exit_code == 0, res.output
         assert out_cdf.read_text().startswith("algorithm,snr_db,value,cumulative_probability")
 
     def test_sweep_summary_lists_nonconverged(self, tmp_path, monkeypatch):
@@ -559,7 +556,6 @@ class TestCli:
             pytest.param("sweep", {**_SMALL_SPEC, "snr_db": "10"}, id="sweep-string-snr"),
             pytest.param("sweep", {**_SMALL_SPEC, "scenario": []}, id="sweep-list-scenario"),
             pytest.param("sweep", [], id="sweep-list"),
-            pytest.param("cdf", [], id="cdf-list"),
             pytest.param(
                 "sweep",
                 {k: v for k, v in _SMALL_SPEC.items() if k != "snr_db"},
@@ -596,7 +592,7 @@ class TestCli:
                 {**_SMALL_SPEC["scenario"], "n_macro": 2, "n_users": 3, "macro_spacing_m": 1.7e308},
                 id="gen-overflowing-spacing",
             ),
-            pytest.param("cdf", {**_SMALL_SPEC, "cdf_clip": math.nan}, id="cdf-nan-clip"),
+            pytest.param("sweep", {**_SMALL_SPEC, "cdf_clip": math.nan}, id="sweep-nan-clip"),
             # each once created the output, then failed at the first trial or
             # ran every seed twice
             pytest.param("sweep", {**_SMALL_SPEC, "snr_db": [math.nan]}, id="sweep-nan-snr"),
@@ -656,7 +652,7 @@ class TestCli:
         [
             ("sweep", ["--out", "{missing}"]),
             ("sweep", ["--out", "{tmp}/r.csv", "--json-out", "{missing}"]),
-            ("cdf", ["--out", "{missing}"]),
+            ("sweep", ["--out", "{tmp}/r.csv", "--cdf-out", "{missing}"]),
         ],
         ids=["sweep-out", "sweep-json-out", "cdf-out"],
     )
@@ -671,16 +667,60 @@ class TestCli:
         args = [a.format(tmp=tmp_path, missing=missing) for a in outputs]
         res = CliRunner().invoke(cli_main, [command, "--spec", str(spec), *args])
         assert res.exit_code == 1
-        assert "error:" in res.output
+        assert isinstance(res.exception, SystemExit), res.exception
+        assert "error:" in res.output and "No such file" in res.output
+        assert "Traceback" not in res.output
         assert calls == []
+
+    @pytest.mark.parametrize(
+        "outputs",
+        [
+            ["--out", "{dir}/r", "--cdf-out", "{dir}/r"],
+            ["--out", "{dir}/r", "--json-out", "{dir}/./r"],
+            ["--out", "{dir}/r.csv", "--cdf-out", "{dir}/r", "--json-out", "{dir}/../out/r"],
+        ],
+        ids=["out-cdf-out", "out-json-out", "cdf-out-json-out"],
+    )
+    def test_clashing_outputs_fail_before_any_trial_or_file(self, tmp_path, monkeypatch, outputs):
+        # --out r --json-out r once exited 0 with only the JSON in r
+        calls = []
+        monkeypatch.setattr(harness, "run_trial", lambda *a: calls.append(a))
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(_SMALL_SPEC))
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        args = [a.format(dir=out_dir) for a in outputs]
+        res = CliRunner().invoke(cli_main, ["sweep", "--spec", str(spec), *args])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit), res.exception
+        assert res.output.startswith("error: sweep outputs must be distinct files")
+        assert calls == []
+        assert list(out_dir.iterdir()) == []
+
+    def test_one_sweep_writes_every_pinned_output(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counted_trial(*args):
+            calls.append(args)
+            return run_trial(*args)
+
+        monkeypatch.setattr(harness, "run_trial", counted_trial)
+        out, cdf, doc = tmp_path / "r.csv", tmp_path / "c.csv", tmp_path / "r.json"
+        spec = DATA / "sweep_3x0_k3_all_algorithms.json"
+        args = ["--out", str(out), "--cdf-out", str(cdf), "--json-out", str(doc)]
+        res = CliRunner().invoke(cli_main, ["sweep", "--spec", str(spec), *args])
+        assert res.exit_code == 0, res.output
+        assert out.read_bytes() == (DATA / "sweep_3x0_k3_all_algorithms.csv").read_bytes()
+        assert cdf.read_bytes() == (DATA / "sweep_3x0_k3_all_algorithms_cdf.csv").read_bytes()
+        assert len(json.loads(doc.read_text())["records"]) == 4
+        assert len(calls) == 2 * 2  # 2 SNRs x 2 runs, each trial once
 
     @pytest.mark.parametrize(
         "args",
         [
             ["sweep", "--spec", "{spec}", "--out", "{tmp}/r.csv", "--jobs", "0"],
-            ["cdf", "--spec", "{spec}", "--out", "{tmp}/c.csv", "--jobs", "0"],
         ],
-        ids=["sweep-jobs", "cdf-jobs"],
+        ids=["sweep-jobs"],
     )
     def test_counts_below_one_are_usage_errors(self, tmp_path, monkeypatch, args):
         calls = []
@@ -692,15 +732,16 @@ class TestCli:
         assert "Invalid value" in res.output
         assert calls == []
 
-    @pytest.mark.parametrize("command", ["sweep", "cdf"])
-    def test_no_output_path_exits_one(self, tmp_path, command):
-        # _SMALL_SPEC sets neither out_csv nor out_cdf
+    def test_no_output_path_exits_one(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(harness, "run_trial", lambda *a: calls.append(a))
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps(_SMALL_SPEC))
-        res = CliRunner().invoke(cli_main, [command, "--spec", str(spec)])
+        res = CliRunner().invoke(cli_main, ["sweep", "--spec", str(spec)])
         assert res.exit_code == 1
         assert isinstance(res.exception, SystemExit), res.exception
-        assert res.output.startswith("error: no output path")
+        assert "Missing option '--out'" in res.output
+        assert calls == []
 
     def test_gen_geometry_document_is_the_geometry_fields(self, tmp_path):
         geometry = tmp_path / "geometry.json"
@@ -760,6 +801,14 @@ class TestCli:
         assert res.exit_code == 0, res.output
         doc = json.loads(res.output)
         assert doc["sat_by_solver"] is False and doc["agrees"] is True
+
+    def test_gadget_verify_on_satlib_trailer_file(self):
+        # the file the CI smoke step runs: SATLIB's "%" and "0" trailer once
+        # read as an empty clause
+        path = DATA / "satlib_trailer_3var.cnf"
+        res = CliRunner().invoke(cli_main, ["gadget", "--cnf", str(path), "--verify"])
+        assert res.exit_code == 0, res.output
+        assert json.loads(res.output)["agrees"] is True
 
     def test_gen_on_fractional_user_count_file(self):
         # the file the CI smoke step runs through the installed entry point

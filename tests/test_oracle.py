@@ -23,7 +23,7 @@ from hetnet_maxmin import power
 from hetnet_maxmin.power import solve_power, solve_power_exact
 from hetnet_maxmin.twostage import dlsum, dlsuma
 
-from helpers import frozen_network, random_formula, random_network, truth_table_sat
+from helpers import DATA, frozen_network, random_formula, random_network, truth_table_sat
 
 P_LOW = (math.sqrt(7.0) - 1.0) / 2.0
 
@@ -288,6 +288,13 @@ p cnf 3 2
         formula = cnf_from_dimacs(text)
         assert formula.n_vars == 3
         assert formula.clauses == ((1, -2, 3), (-1, 2, -3))
+
+    def test_satlib_trailer_ends_the_formula(self):
+        text = (DATA / "satlib_trailer_3var.cnf").read_text()
+        body, trailer = text.split("%\n")
+        assert trailer.split() == ["0"]
+        assert cnf_from_dimacs(text) == cnf_from_dimacs(body)
+        assert cnf_from_dimacs(body).clauses == ((1, -2, 3), (-1, 2, 3))
 
     def test_dimacs_errors(self):
         with pytest.raises(ValidationError):
