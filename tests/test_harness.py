@@ -393,20 +393,26 @@ class TestCli:
         assert json.loads(res.output)["status"] == "infeasible"
 
     @pytest.mark.parametrize("broken", ["input", "out"])
-    @pytest.mark.parametrize("command", ["gen", "solve", "sweep", "gadget"])
+    @pytest.mark.parametrize("command", ["gen", "solve", "sweep", "cdf", "gadget"])
     def test_missing_file_exits_one(self, tmp_path, command, broken):
+        # "cdf" is a sweep whose --cdf-out is the output under test
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps(_SMALL_SPEC))
         option, path = {
             "gen": ("--config", self._write_scenario(tmp_path)),
             "solve": ("--net", DATA / "uni_3x0_k3_10db_seed3.json"),
             "sweep": ("--spec", spec),
+            "cdf": ("--spec", spec),
             "gadget": ("--cnf", DATA / "unsat_1var.cnf"),
         }[command]
         if broken == "input":
             path = tmp_path / "no-such-file"
         out = tmp_path / ("no-such-dir" if broken == "out" else "") / "out"
-        args = [command, option, str(path), "--out", str(out)]
+        if command == "cdf":
+            args = ["sweep", option, str(path), "--out", str(tmp_path / "r.csv")]
+            args += ["--cdf-out", str(out)]
+        else:
+            args = [command, option, str(path), "--out", str(out)]
         res = CliRunner().invoke(cli_main, args + (["--alg", "maxsnr"] if command == "solve" else []))
         assert res.exit_code == 1
         assert isinstance(res.exception, SystemExit), res.exception
@@ -732,16 +738,22 @@ class TestCli:
         assert "Invalid value" in res.output
         assert calls == []
 
-    def test_no_output_path_exits_one(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize(
+        "outputs", [[], ["--cdf-out", "{tmp}/cdf.csv"]], ids=["sweep", "cdf"]
+    )
+    def test_no_output_path_exits_one(self, tmp_path, monkeypatch, outputs):
+        # the records CSV is required even when only the CDF is wanted
         calls = []
         monkeypatch.setattr(harness, "run_trial", lambda *a: calls.append(a))
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps(_SMALL_SPEC))
-        res = CliRunner().invoke(cli_main, ["sweep", "--spec", str(spec)])
+        args = [a.format(tmp=tmp_path) for a in outputs]
+        res = CliRunner().invoke(cli_main, ["sweep", "--spec", str(spec), *args])
         assert res.exit_code == 1
         assert isinstance(res.exception, SystemExit), res.exception
         assert "Missing option '--out'" in res.output
         assert calls == []
+        assert list(tmp_path.iterdir()) == [spec]
 
     def test_gen_geometry_document_is_the_geometry_fields(self, tmp_path):
         geometry = tmp_path / "geometry.json"
