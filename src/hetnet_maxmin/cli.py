@@ -19,7 +19,6 @@ import click
 from .harness import (
     ALGORITHMS,
     Outcome,
-    _check_eps,
     _db,
     experiment_from_json,
     export_cdf_csv,
@@ -28,7 +27,7 @@ from .harness import (
     monte_carlo,
 )
 from .matching import InfeasibleMatchingError
-from .model import _to_json, network_from_json, network_to_json
+from .model import ValidationError, _to_json, network_from_json, network_to_json
 from .oracle import build_3sat_gadget, cnf_from_dimacs, verify_sat_equivalence
 from .scenario import generate_hetnet, geometry_to_json, scenario_from_json
 
@@ -57,12 +56,22 @@ def _dump(doc: dict, out):
 
 
 def _create(*paths):
-    """Open a sweep's distinct outputs, so that a bad path fails before any trial runs."""
+    """Open a sweep's distinct outputs, so that a bad path fails before any trial
+    runs; on a failure, remove the files this call created and no other."""
     paths = [path for path in paths if path]
     if len({os.path.realpath(path) for path in paths}) < len(paths):
         raise ValueError(f"sweep outputs must be distinct files, got {paths}")
-    for path in paths:
-        open(path, "a").close()
+    created = []
+    try:
+        for path in paths:
+            existed = os.path.lexists(path)
+            open(path, "a").close()
+            if not existed:
+                created.append(path)
+    except OSError:
+        for path in created:
+            os.remove(path)
+        raise
 
 
 class _Cli(click.Group):
@@ -92,6 +101,12 @@ def gen(config_path, seed, out_path, geometry_out):
     _dump(network_to_json(instance.network), out_path)
     if geometry_out:
         _dump(geometry_to_json(instance.geometry), geometry_out)
+
+
+def _check_eps(eps: float | None) -> None:
+    """An auction eps is None (the auction's default) or a positive number, never NaN."""
+    if eps is not None and not eps > 0:
+        raise ValidationError(f"eps must be None or a positive number, got {eps!r}")
 
 
 def _solve_document(alg: str, out: Outcome) -> dict:

@@ -42,6 +42,7 @@ from .twostage import StageInfo, TwoStageResult, dlsum, dlsuma, ulsuma
 
 __all__ = [
     "ALGORITHMS",
+    "CDF_CLIP",
     "Outcome",
     "ExperimentSpec",
     "AlgoCell",
@@ -57,9 +58,8 @@ __all__ = [
     "experiment_to_json",
 ]
 
-
-def _canonical_name(name: str) -> str:
-    return name.strip().lower().replace("-", "").replace("_", "")
+# Upper end of every empirical min-SINR CDF: larger values are clipped to it.
+CDF_CLIP = 3.0
 
 
 def _db(x: float | None) -> float | None:
@@ -165,8 +165,8 @@ def _matched(net: Network, solver, *args) -> Outcome:
 
 
 # Every entry is run(net, eps) -> Outcome.  ``eps`` is the auction's bidding
-# increment (aufp); every algorithm, the brute-force oracle included, solves
-# its power problems exactly.
+# increment (aufp), None for its default; every algorithm, the brute-force
+# oracle included, solves its power problems exactly.
 ALGORITHMS = {
     "maxsnr": lambda net, eps: _per_bs(solve_power_exact(net, max_snr_association(net))),
     "ulsum": lambda net, eps: _relaxation(ulsum_exact(net), "uplink sum-power relaxation"),
@@ -181,21 +181,14 @@ ALGORITHMS = {
 }
 
 
-def _check_eps(eps: float | None) -> None:
-    """The one rule for an auction eps from a document or the command line:
-    None (the auction's default) or a positive number, never NaN."""
-    if eps is not None and not eps > 0:
-        raise ValidationError(f"eps must be None or a positive number, got {eps!r}")
-
-
-def run_algorithm(name: str, net: Network, eps: float | None = None) -> AlgoCell:
-    """Run one registered algorithm, timing it and trapping failures."""
-    key = _canonical_name(name)
-    if key not in ALGORITHMS:
+def run_algorithm(name: str, net: Network) -> AlgoCell:
+    """Run one registered algorithm (aufp at its default eps), timing it and
+    trapping failures."""
+    if name not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {name!r}; choose from {sorted(ALGORITHMS)}")
     start = time.perf_counter()
     try:
-        out = ALGORITHMS[key](net, eps)
+        out = ALGORITHMS[name](net, None)
     except Exception as exc:  # recorded per-cell, trial continues
         elapsed = (time.perf_counter() - start) * 1e3
         return AlgoCell(None, elapsed, None, None, note=f"error: {exc}")
@@ -205,36 +198,34 @@ def run_algorithm(name: str, net: Network, eps: float | None = None) -> AlgoCell
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """A Monte-Carlo sweep: scenario base, SNR grid, algorithms, run count."""
+    """A Monte-Carlo sweep: scenario base, SNR grid, algorithms, run count.
+
+    Each algorithm name is a key of :data:`ALGORITHMS`, spelled exactly.
+    """
 
     scenario: ScenarioConfig
     snr_db: tuple[float, ...]
     algorithms: tuple[str, ...]
     n_runs: int = 500
     seed_base: int = 0
-    cdf_clip: float = 3.0
-    eps: float | None = None
 
     def __post_init__(self):
         _check_field_types(self)
         if self.n_runs < 1:
             raise ValidationError("n_runs must be at least 1")
-        if not self.cdf_clip > 0:
-            raise ValidationError(f"cdf_clip must be positive, got {self.cdf_clip!r}")
-        _check_eps(self.eps)
         snr_db = tuple(float(s) for s in self.snr_db)
         if not snr_db:
             raise ValidationError("need at least one snr_db point")
         # NaN and duplicate points would only fail, or run twice, trial by trial
         if not all(math.isfinite(s) for s in snr_db) or len(set(snr_db)) < len(snr_db):
             raise ValidationError(f"snr_db entries must be finite and distinct, got {list(snr_db)}")
-        names = tuple(_canonical_name(a) for a in self.algorithms)
+        names = tuple(self.algorithms)
         unknown = [a for a in names if a not in ALGORITHMS]
         if unknown:
             raise ValidationError(f"unknown algorithms {unknown}; choose from {sorted(ALGORITHMS)}")
         if len(set(names)) < len(names):
             # two rows would be written for the one cell they share
-            raise ValidationError(f"algorithms must be distinct, got {list(self.algorithms)}")
+            raise ValidationError(f"algorithms must be distinct, got {list(names)}")
         if "brute" in names and self.scenario.n_bs**self.scenario.n_users > MAX_CANDIDATES:
             raise ValidationError("brute force not allowed at this scenario size")
         object.__setattr__(self, "algorithms", names)
@@ -246,7 +237,7 @@ def run_trial(spec: ExperimentSpec, trial_index: int, snr_db: float) -> TrialRec
     seed = spec.seed_base + trial_index
     config = replace(spec.scenario, snr_db=float(snr_db), seed=seed)
     net = generate_hetnet(config).network
-    cells = {name: run_algorithm(name, net, eps=spec.eps) for name in spec.algorithms}
+    cells = {name: run_algorithm(name, net) for name in spec.algorithms}
     return TrialRecord(seed=seed, snr_db=float(snr_db), cells=cells)
 
 
@@ -307,7 +298,7 @@ def monte_carlo(spec: ExperimentSpec, jobs: int = 1) -> MonteCarloResult:
             means[(name, snr)] = MeanCell(
                 mean, int(ok.size), len(cells) - len(valued), len(valued) - int(ok.size)
             )
-            clipped = np.sort(np.minimum(ok, spec.cdf_clip)) if ok.size else np.array([])
+            clipped = np.sort(np.minimum(ok, CDF_CLIP)) if ok.size else np.array([])
             probs = (np.arange(clipped.size) + 1) / clipped.size if clipped.size else np.array([])
             cdf[(name, snr)] = (clipped, probs)
     return MonteCarloResult(spec=spec, records=records, means=means, cdf=cdf)

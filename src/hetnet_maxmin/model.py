@@ -160,8 +160,8 @@ def _to_json(value):
 def check_association(net: Network, assoc) -> np.ndarray:
     """Validate an association vector against a network.
 
-    Requires one serving BS index per user, in range, with a strictly
-    positive direct gain.  Returns the validated int array.
+    Requires one integer serving BS index per user, in range, with a
+    strictly positive direct gain.  Returns the validated int array.
     """
     a = np.asarray(assoc)
     if a.shape != (net.n_users,):
@@ -169,9 +169,7 @@ def check_association(net: Network, assoc) -> np.ndarray:
             f"association must have shape ({net.n_users},), got {a.shape}"
         )
     if not np.issubdtype(a.dtype, np.integer):
-        if not np.all(a == np.floor(a)):
-            raise ValidationError("association entries must be integers")
-        a = a.astype(int)
+        raise ValidationError(f"association entries must be integers, got dtype {a.dtype}")
     if np.any((a < 0) | (a >= net.n_bs)):
         raise ValidationError("association entries must be valid BS indices")
     direct = net.gain[a, np.arange(net.n_users)]

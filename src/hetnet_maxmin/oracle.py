@@ -195,7 +195,6 @@ class GadgetNetwork:
     """
 
     network: Network
-    formula: CnfFormula
     clause_index: tuple[int, ...]
     pos_index: tuple[int, ...]
     neg_index: tuple[int, ...]
@@ -238,7 +237,6 @@ def build_3sat_gadget(formula: CnfFormula) -> GadgetNetwork:
     net = Network(gain=gain, budget=np.ones(size), noise_dl=ones_users, noise_ul=np.ones(size))
     return GadgetNetwork(
         network=net,
-        formula=formula,
         clause_index=clause_index,
         pos_index=pos_index,
         neg_index=neg_index,

@@ -91,20 +91,29 @@ class TestRunTrial:
             assert cell.min_sinr is None
             assert "skipped" in cell.note
 
-    def test_algorithm_error_is_recorded_not_raised(self, monkeypatch):
+    def test_algorithm_error_is_recorded_not_raised(self, tmp_path, monkeypatch):
         def boom(net, eps):
             raise RuntimeError("synthetic failure")
 
         monkeypatch.setitem(ALGORITHMS, "maxsnr", boom)
-        record = run_trial(small_spec(algorithms=("maxsnr", "ulsuma")), 0, 10.0)
+        result = monte_carlo(small_spec(algorithms=("maxsnr", "ulsuma"), n_runs=1))
+        record = result.records[0]
         assert record.cells["maxsnr"].min_sinr is None
         assert "synthetic failure" in record.cells["maxsnr"].note
         assert record.cells["ulsuma"].min_sinr is not None
+        # the failed cell's row has no value in either min-SINR column
+        export_csv(result, tmp_path / "r.csv")
+        failed = load_records_csv(tmp_path / "r.csv")[0]
+        assert failed["algorithm"] == "maxsnr"
+        assert failed["min_sinr_linear"] is None and failed["min_sinr_db"] is None
+        assert failed["note"] == "error: synthetic failure"
 
     def test_unknown_algorithm_rejected(self):
         net = generate_hetnet(ScenarioConfig(n_macro=1, picos_per_macro=0, n_users=1)).network
         with pytest.raises(ValueError):
             run_algorithm("simulated-annealing", net)
+        with pytest.raises(ValueError, match="DL-SUMA"):
+            run_algorithm("DL-SUMA", net)  # names are registry keys, spelled exactly
 
     def test_oversized_brute_force_records_the_oracle_cap(self):
         cell = run_algorithm("brute", frozen_network("uni_9x1_k18_35db_seed1000021"))
@@ -155,8 +164,9 @@ class TestMonteCarlo:
             assert record.cells["dlsum"].min_sinr == record.cells["dlsumtwin"].min_sinr
             assert record.cells["dlsum"].upper_bound == record.cells["dlsumtwin"].upper_bound
 
-    def test_cdf_is_clipped_and_monotone(self):
-        spec = small_spec(n_runs=5, algorithms=("ulsuma",), cdf_clip=1.5)
+    def test_cdf_is_clipped_and_monotone(self, monkeypatch):
+        monkeypatch.setattr(harness, "CDF_CLIP", 1.5)
+        spec = small_spec(n_runs=5, algorithms=("ulsuma",))
         result = monte_carlo(spec)
         values, probs = result.cdf[("ulsuma", 10.0)]
         assert values.max() <= 1.5
@@ -266,15 +276,20 @@ class TestExports:
         assert load_records_csv(timed)[0]["runtime_ms"] > 0
 
     def test_experiment_spec_round_trip(self):
-        spec = small_spec(cdf_clip=1.5, eps=1e-4)
+        spec = small_spec()
         doc = json.loads(json.dumps(experiment_to_json(spec)))
         assert experiment_from_json(doc) == spec
 
-    @pytest.mark.parametrize("field", ["out_csv", "out_cdf"])
-    def test_experiment_document_names_no_output_path(self, field):
-        # output paths are sweep options, not spec fields
-        with pytest.raises(ValidationError, match=field):
-            experiment_from_json({**_SMALL_SPEC, field: "r.csv"})
+    @pytest.mark.parametrize(
+        "field, value",
+        [("out_csv", "r.csv"), ("out_cdf", "c.csv"), ("cdf_clip", 1.5), ("eps", 1e-6)],
+        ids=["out_csv", "out_cdf", "cdf_clip", "eps"],
+    )
+    def test_experiment_document_rejects_removed_fields(self, field, value):
+        # output paths are sweep options, the CDF clip is harness.CDF_CLIP and
+        # a sweep runs the auction at its default eps
+        with pytest.raises(ValidationError, match=f"unknown experiment fields: .*{field}"):
+            experiment_from_json({**_SMALL_SPEC, field: value})
 
     def test_experiment_document_rejects_unknown_fields(self):
         # a misspelt n_runs once ran the 500-trial default
@@ -294,34 +309,20 @@ class TestExports:
                 algorithms=("brute",),
             )
 
-    @pytest.mark.parametrize("eps", ["1e-6", -1, 0, 0.0, math.nan, math.inf, True])
-    def test_spec_rejects_bad_eps(self, eps):
-        with pytest.raises(ValueError, match="eps"):
-            small_spec(algorithms=("aufp",), eps=eps)
-
-    @pytest.mark.parametrize("clip", [0, -1.0, math.nan, math.inf])
-    def test_spec_rejects_bad_cdf_clip(self, clip):
-        with pytest.raises(ValidationError, match="cdf_clip"):
-            small_spec(cdf_clip=clip)
-
     @pytest.mark.parametrize(
         "field, value",
         [
             ("snr_db", (math.nan,)),
             ("snr_db", (10.0, -math.inf)),
             ("snr_db", (10, 10.0)),
-            ("algorithms", ("maxsnr", "MAX-SNR")),
+            ("snr_db", ()),
+            ("algorithms", ("maxsnr", "maxsnr")),
         ],
-        ids=["nan-snr", "infinite-snr", "duplicate-snr", "duplicate-algorithm"],
+        ids=["nan-snr", "infinite-snr", "duplicate-snr", "empty-snr", "duplicate-algorithm"],
     )
     def test_spec_rejects_bad_grid(self, field, value):
         with pytest.raises(ValidationError, match=field):
             small_spec(**{field: value})
-
-    def test_spec_accepts_positive_eps(self):
-        assert small_spec(eps=None).eps is None
-        assert small_spec(eps=1e-6).eps == 1e-6
-        assert small_spec(eps=2).eps == 2
 
 
 _ONE_LINK_NETWORK = {
@@ -468,6 +469,8 @@ class TestCli:
         assert "(2 ok, 0 non-converged, 0 failed)" in res.output
 
     def test_sweep_with_bad_eps_exits_one(self, tmp_path):
+        # eps is no spec field (a sweep runs the auction at its default), so
+        # any eps fails before the output is created
         spec_path = tmp_path / "exp.json"
         spec_path.write_text(
             json.dumps(
@@ -569,7 +572,7 @@ class TestCli:
             ),
             pytest.param("sweep", {**_SMALL_SPEC, "n_runs": 2.5}, id="sweep-fractional-runs"),
             pytest.param("sweep", {**_SMALL_SPEC, "algorithms": [3]}, id="sweep-numeric-algorithm"),
-            pytest.param("sweep", {**_SMALL_SPEC, "out_csv": 5}, id="sweep-numeric-out_csv"),
+            pytest.param("sweep", {**_SMALL_SPEC, "seed_base": "0"}, id="sweep-string-seed_base"),
             pytest.param("sweep", {**_SMALL_SPEC, "n_run": 5}, id="sweep-unknown-field"),
             pytest.param(
                 "solve", {**_ONE_LINK_NETWORK, "gain": [["2"]]}, id="solve-string-gain"
@@ -581,6 +584,11 @@ class TestCli:
                 "solve",
                 {**_ONE_LINK_NETWORK, "n_users": 2, "gain": [[1.0, 1.0], [1.0]]},
                 id="solve-ragged-gain",
+            ),
+            pytest.param(
+                "solve",
+                {k: v for k, v in _ONE_LINK_NETWORK.items() if k != "noise_ul"},
+                id="solve-missing-noise_ul",
             ),
             *(
                 pytest.param("gen", {**_SMALL_SPEC["scenario"], field: value}, id=f"gen-{field}")
@@ -598,15 +606,17 @@ class TestCli:
                 {**_SMALL_SPEC["scenario"], "n_macro": 2, "n_users": 3, "macro_spacing_m": 1.7e308},
                 id="gen-overflowing-spacing",
             ),
-            pytest.param("sweep", {**_SMALL_SPEC, "cdf_clip": math.nan}, id="sweep-nan-clip"),
             # each once created the output, then failed at the first trial or
             # ran every seed twice
             pytest.param("sweep", {**_SMALL_SPEC, "snr_db": [math.nan]}, id="sweep-nan-snr"),
             pytest.param("sweep", {**_SMALL_SPEC, "snr_db": [10, 10.0]}, id="sweep-duplicate-snr"),
             pytest.param(
                 "sweep",
-                {**_SMALL_SPEC, "algorithms": ["maxsnr", "MAX-SNR"]},
+                {**_SMALL_SPEC, "algorithms": ["maxsnr", "maxsnr"]},
                 id="sweep-duplicate-algorithm",
+            ),
+            pytest.param(
+                "sweep", {**_SMALL_SPEC, "algorithms": ["MAX-SNR"]}, id="sweep-algorithm-alias"
             ),
             *(
                 pytest.param(
@@ -659,8 +669,12 @@ class TestCli:
             ("sweep", ["--out", "{missing}"]),
             ("sweep", ["--out", "{tmp}/r.csv", "--json-out", "{missing}"]),
             ("sweep", ["--out", "{tmp}/r.csv", "--cdf-out", "{missing}"]),
+            (
+                "sweep",
+                ["--out", "{tmp}/old.csv", "--cdf-out", "{tmp}/c.csv", "--json-out", "{missing}"],
+            ),
         ],
-        ids=["sweep-out", "sweep-json-out", "cdf-out"],
+        ids=["sweep-out", "sweep-json-out", "cdf-out", "existing-out"],
     )
     def test_unwritable_output_fails_before_any_trial(
         self, tmp_path, monkeypatch, command, outputs
@@ -669,6 +683,8 @@ class TestCli:
         monkeypatch.setattr(harness, "run_trial", lambda *args: calls.append(args))
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps(_SMALL_SPEC))
+        old = tmp_path / "old.csv"
+        old.write_text("kept\n")
         missing = tmp_path / "no-such-dir" / "out"
         args = [a.format(tmp=tmp_path, missing=missing) for a in outputs]
         res = CliRunner().invoke(cli_main, [command, "--spec", str(spec), *args])
@@ -677,6 +693,9 @@ class TestCli:
         assert "error:" in res.output and "No such file" in res.output
         assert "Traceback" not in res.output
         assert calls == []
+        # the outputs created before the failure are gone; an older file is untouched
+        assert sorted(tmp_path.iterdir()) == [old, spec]
+        assert old.read_text() == "kept\n"
 
     @pytest.mark.parametrize(
         "outputs",

@@ -171,6 +171,10 @@ class TestValidation:
         with pytest.raises(ValidationError):
             check_association(net, [0, 0])
         check_association(net, [0, 1])
+        with pytest.raises(ValidationError, match="valid BS indices"):
+            check_association(net, [0, 2])
+        with pytest.raises(ValidationError, match="integers"):
+            check_association(net, [0.0, 1.0])  # a float dtype is rejected, even with whole values
 
     def test_unreachable_user_rejected(self):
         with pytest.raises(ValidationError):
@@ -183,6 +187,8 @@ class TestValidation:
             Network(gain=[[1.0]], budget=[1.0], noise_dl=[-1.0], noise_ul=[1.0])
         with pytest.raises(ValidationError):
             Network(gain=[[np.inf]], budget=[1.0], noise_dl=[1.0], noise_ul=[1.0])
+        with pytest.raises(ValidationError, match="power"):
+            downlink_sinr(pair_block_network(), [0, 1], [-1.0, 1.0])
 
     def test_network_is_immutable(self):
         net = pair_block_network()
@@ -219,8 +225,25 @@ class TestNetworkJson:
             ("budget", [True, 1.0]),
             ("noise_dl", [[1.0], [1.0]]),
             ("noise_ul", "1.0"),
+            ("gain", []),
+            ("gain", [[]]),
+            ("budget", [1.0]),
+            ("noise_dl", [math.nan, 1.0]),
         ],
-        ids=["string", "non-numeric", "ragged", "flat-gain", "huge-int", "bool", "nested", "scalar"],
+        ids=[
+            "string",
+            "non-numeric",
+            "ragged",
+            "flat-gain",
+            "huge-int",
+            "bool",
+            "nested",
+            "scalar",
+            "empty-gain",
+            "no-users",
+            "short-budget",
+            "nan-noise",
+        ],
     )
     def test_arrays_must_be_rectangular_json_numbers(self, field, value):
         doc = {**network_to_json(pair_block_network()), field: value}

@@ -278,6 +278,8 @@ class TestCnfParsing:
             CnfFormula(n_vars=2, clauses=((1, 2, 3),))
         with pytest.raises(ValidationError):
             CnfFormula(n_vars=2, clauses=())
+        with pytest.raises(ValidationError, match="at least one variable"):
+            CnfFormula(n_vars=0, clauses=((1, 1, 1),))
 
     def test_dimacs_round_trip(self):
         text = """c an example
@@ -303,6 +305,9 @@ p cnf 3 2
             cnf_from_dimacs("1 2 3 0\n")
         with pytest.raises(ValidationError):
             cnf_from_dimacs("p cnf 3 1\n1 2 3\n")
+        for bad in ("p dnf 3 1\n1 2 3 0\n", "p cnf 3\n1 2 3 0\n"):
+            with pytest.raises(ValidationError, match="bad DIMACS header"):
+                cnf_from_dimacs(bad)
         for bad in ("p cnf 1 1\n1 a 1 0\n", "p cnf x 1\n1 1 1 0\n", "p cnf 1 1.5\n1 1 1 0\n"):
             with pytest.raises(ValidationError, match="non-integer"):
                 cnf_from_dimacs(bad)

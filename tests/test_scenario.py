@@ -315,6 +315,10 @@ class TestConfigSerialization:
             ScenarioConfig(user_dist="everywhere")
         with pytest.raises(ValidationError):
             ScenarioConfig(macro_spacing_m=-1.0)
+        with pytest.raises(ValidationError, match="shadow_std_db"):
+            ScenarioConfig(shadow_std_db=-1.0)
+        with pytest.raises(ValidationError, match="congested_cell"):
+            ScenarioConfig(n_macro=4, congested_cell=4)
 
     @pytest.mark.parametrize("field", ["snr_db", "macro_spacing_m", "shadow_std_db"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
