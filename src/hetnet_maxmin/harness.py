@@ -19,7 +19,6 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -281,6 +280,9 @@ def monte_carlo(spec: ExperimentSpec, jobs: int = 1) -> MonteCarloResult:
     tasks = [(spec, trial, snr) for snr in spec.snr_db for trial in range(spec.n_runs)]
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers > 1:
+        # imported here: a serial run loads no multiprocessing module
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             records = tuple(pool.map(_task, tasks, chunksize=8))
     else:

@@ -19,11 +19,13 @@ force's candidates.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg.lapack import dgesv
 
 from .model import Network, SolveResult, check_association, downlink_sinr
 
@@ -38,6 +40,38 @@ __all__ = [
     "min_power_for_target",
     "TargetPowerResult",
 ]
+
+
+def _load_dgesv():
+    """LAPACK ``dgesv`` read straight from SciPy's ``_flapack`` extension.
+
+    Importing ``scipy.linalg`` for this one routine also loads ``numpy.f2py``,
+    ``numpy.testing`` and ``numpy.ma``, most of the package's start-up time.
+    The extension registers itself as ``scipy.linalg._flapack``, so a later
+    ``import scipy.linalg`` reuses it and both see the same ``dgesv``.  When
+    the file is missing or does not load (on Windows SciPy's
+    ``_distributor_init`` sets the DLL path), the package import is used.
+    """
+    scipy = importlib.util.find_spec("scipy")
+    if scipy is not None and scipy.submodule_search_locations:
+        linalg = os.path.join(scipy.submodule_search_locations[0], "linalg")
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(linalg, "_flapack" + suffix)
+            if os.path.isfile(path):
+                loader = importlib.machinery.ExtensionFileLoader("scipy.linalg._flapack", path)
+                spec = importlib.util.spec_from_loader(loader.name, loader)
+                try:
+                    module = loader.create_module(spec)
+                    loader.exec_module(module)
+                except (ImportError, OSError):
+                    break
+                return module.dgesv
+    from scipy.linalg.lapack import dgesv
+
+    return dgesv
+
+
+dgesv = _load_dgesv()
 
 
 @dataclass(frozen=True)
@@ -226,11 +260,12 @@ def perron_pair(matrix, start=None) -> PerronPair:
 
     ``start``, strictly positive, warm-starts the vector, which first gets
     ``_POWER_STEPS`` power-iteration steps while they keep it positive.  The
-    solves call LAPACK ``dgesv`` directly.  ``numpy.linalg.solve`` does not
-    give the same bits on these near-singular shifted systems (with numpy
-    2.4.6 and scipy 1.17.1 it matched on 947 of 1,141 of them at K = 18 and
-    on none of 768 at K = 100), and with two BLAS threads it costs 1.4-2.9x
-    the CPU time at K = 57-100.
+    solves call LAPACK ``dgesv`` directly; :func:`_load_dgesv` reads it from
+    SciPy's ``_flapack`` extension without importing ``scipy.linalg``.
+    ``numpy.linalg.solve`` does not give the same bits on these near-singular
+    shifted systems (with numpy 2.4.6 and scipy 1.17.1 it matched on 947 of
+    1,141 of them at K = 18 and on none of 768 at K = 100), and with two BLAS
+    threads it costs 1.4-2.9x the CPU time at K = 57-100.
     """
     a = np.asarray(matrix, dtype=float)
     x = np.ones(a.shape[0]) if start is None else start / np.max(start)

@@ -9,16 +9,20 @@ boundary between feasible and infeasible targets, and the brute force that
 screens with it must find the best fixed-point value over all associations.
 """
 
+import importlib.machinery
+import importlib.util
 import itertools
 
 import numpy as np
 import pytest
+import scipy.linalg.lapack
 from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from hetnet_maxmin import power, sumpower
 from hetnet_maxmin.model import Network, downlink_sinr, max_snr_association, uplink_sinr
 from hetnet_maxmin.oracle import CnfFormula, brute_force_optimum, build_3sat_gadget
+from hetnet_maxmin.scenario import ScenarioConfig, generate_hetnet
 from hetnet_maxmin.power import (
     FixedPointOptions,
     load_norm,
@@ -309,6 +313,74 @@ class TestPerBsKernel:
         pair = perron_pair(matrix)
         assert pair.dense and pair.converged
         assert pair.rho == pytest.approx(1.0 + np.sqrt(6.0), rel=1e-12)
+
+
+def recorded_calls(monkeypatch, name, run):
+    """Copies of the arguments of every ``power.<name>`` call that ``run()`` makes."""
+    calls = []
+    real = getattr(power, name)
+
+    def recording(*args, **kwargs):
+        calls.append(tuple(np.array(arg) for arg in args))
+        return real(*args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(power, name, recording)
+        run()
+    return calls
+
+
+class TestDgesvLoader:
+    def test_loaded_routine_is_scipys(self):
+        assert power.dgesv is scipy.linalg.lapack.dgesv
+        assert power._load_dgesv() is scipy.linalg.lapack.dgesv
+
+    # criterion-09-style draws (N = K, uni_in_cell, 15 dB) at K = 3, 18 and 100
+    @pytest.mark.parametrize(
+        "scenario",
+        [
+            ScenarioConfig(n_macro=3, picos_per_macro=0, n_users=3, seed=3),
+            ScenarioConfig(n_macro=9, picos_per_macro=1, n_users=18, seed=9),
+            ScenarioConfig(n_macro=25, picos_per_macro=3, n_users=100, seed=100),
+        ],
+        ids=["k3", "k18", "k100"],
+    )
+    def test_same_bits_as_scipy_on_shifted_noda_systems(self, monkeypatch, scenario):
+        # every lam (1 + _SHIFT_MARGIN) I - A that dlsuma's Perron solves factor
+        net = generate_hetnet(scenario).network
+        systems = recorded_calls(monkeypatch, "dgesv", lambda: dlsuma(net))
+        assert len(systems) >= 10
+        for system, rhs in systems:
+            y, info = power.dgesv(system.copy(), rhs)[2:]
+            y_ref, info_ref = scipy.linalg.lapack.dgesv(system.copy(), rhs)[2:]
+            assert info == info_ref
+            assert y.tobytes() == y_ref.tobytes()
+
+    @pytest.mark.parametrize("failure", ["no-scipy-spec", "no-suffixes", "load-error"])
+    def test_failed_direct_load_falls_back_to_the_package_import(self, monkeypatch, failure):
+        def load_error(self, spec):
+            raise ImportError("DLL load failed")
+
+        with monkeypatch.context() as patch:
+            if failure == "no-scipy-spec":
+                patch.setattr(importlib.util, "find_spec", lambda name, package=None: None)
+            elif failure == "no-suffixes":
+                patch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [])
+            else:
+                patch.setattr(importlib.machinery.ExtensionFileLoader, "create_module", load_error)
+            fallback = power._load_dgesv()
+        assert fallback is scipy.linalg.lapack.dgesv
+
+        net = frozen_network("uni_9x1_k18_35db_seed1000021")
+        calls = recorded_calls(
+            monkeypatch, "perron_pair", lambda: solve_power_exact(net, max_snr_association(net))
+        )
+        expected = [perron_pair(*call) for call in calls]
+        monkeypatch.setattr(power, "dgesv", fallback)
+        for call, want in zip(calls, expected):
+            got = perron_pair(*call)
+            assert got.rho == want.rho and got.vector.tobytes() == want.vector.tobytes()
+            assert (got.steps, got.converged, got.dense) == (want.steps, want.converged, want.dense)
 
 
 class TestSumPowerKernel:

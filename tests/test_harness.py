@@ -1,6 +1,7 @@
 """Harness tests: per-trial records, dominance bookkeeping, aggregation,
 CSV/JSON exports with byte-level determinism, and the CLI surface."""
 
+import concurrent.futures
 import json
 import math
 import time
@@ -210,7 +211,7 @@ class TestMonteCarlo:
 
         spec = small_spec(n_runs=6, algorithms=("maxsnr",))
         export_csv(monte_carlo(spec), tmp_path / "serial.csv")
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
         export_csv(monte_carlo(spec, jobs=jobs), tmp_path / "pooled.csv")
         assert started_here == started

@@ -140,8 +140,10 @@ class TestAssignmentProblem:
 
 
 # Runs every algorithm on an N = K draw, or only the Hungarian reference, in
-# a fresh interpreter and prints whether scipy.optimize was imported.
+# a fresh interpreter and prints which of scipy.optimize, scipy, scipy.linalg
+# and concurrent.futures.process were imported.
 _FOOTPRINT_SCRIPT = """
+import json
 import sys
 from hetnet_maxmin.harness import ExperimentSpec, run_trial
 from hetnet_maxmin.matching import solve_p1prime
@@ -155,15 +157,18 @@ else:
     spec = ExperimentSpec(scenario=scenario, snr_db=(15.0,), algorithms=algorithms, n_runs=1)
     cells = run_trial(spec, 0, 15.0).cells
     assert all(cell.min_sinr is not None for cell in cells.values()), cells
-print("scipy.optimize" in sys.modules)
+names = ("scipy.optimize", "scipy", "scipy.linalg", "concurrent.futures.process")
+print(json.dumps({name: name in sys.modules for name in names}))
 """
 
 
 class TestImportFootprint:
-    @pytest.mark.parametrize("run, loaded", [("all-but-p1prime", "False"), ("p1prime", "True")])
+    @pytest.mark.parametrize("run, loaded", [("all-but-p1prime", False), ("p1prime", True)])
     def test_scipy_optimize_loads_only_for_a_general_assignment_solve(self, run, loaded):
         # a fresh interpreter: this one already imported scipy.stats for the
-        # scenario tests, and scipy.optimize with it
+        # scenario tests, and scipy.optimize with it.  Without p1prime no
+        # scipy package loads at all (dgesv comes from the _flapack extension
+        # alone), and a serial run loads no process-pool module.
         src = str(Path(hetnet_maxmin.__file__).parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
@@ -174,7 +179,10 @@ class TestImportFootprint:
             timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == loaded
+        modules = json.loads(proc.stdout)
+        assert modules.pop("scipy.optimize") is loaded
+        if not loaded:
+            assert modules == {"scipy": False, "scipy.linalg": False, "concurrent.futures.process": False}
 
 
 class TestHungarian:
