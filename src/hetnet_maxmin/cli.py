@@ -10,6 +10,7 @@ place where an error becomes ``error: <message>`` and exit 1.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import sys
@@ -55,9 +56,10 @@ def _dump(doc: dict, out):
             fh.write(text + "\n")
 
 
-def _create(*paths):
-    """Open a sweep's distinct outputs, so that a bad path fails before any trial
-    runs; on a failure, remove the files this call created and no other."""
+@contextlib.contextmanager
+def _outputs(*paths):
+    """Create a sweep's distinct outputs, so that a bad path fails before any trial
+    runs; if anything raises, remove the files this sweep created and no other."""
     paths = [path for path in paths if path]
     if len({os.path.realpath(path) for path in paths}) < len(paths):
         raise ValueError(f"sweep outputs must be distinct files, got {paths}")
@@ -68,7 +70,8 @@ def _create(*paths):
             open(path, "a").close()
             if not existed:
                 created.append(path)
-    except OSError:
+        yield
+    except BaseException:
         for path in created:
             os.remove(path)
         raise
@@ -144,13 +147,13 @@ def solve(net_path, alg, eps, out_path):
 def sweep(spec_path, out_path, cdf_out, json_out, jobs, timings):
     """Monte-Carlo sweep over the spec's SNR grid; one run writes every output."""
     spec = experiment_from_json(_load_json(spec_path))
-    _create(out_path, cdf_out, json_out)
-    result = monte_carlo(spec, jobs=jobs)
-    export_csv(result, out_path, timings=timings)
-    if cdf_out:
-        export_cdf_csv(result, cdf_out)
-    if json_out:
-        export_json(result, json_out)
+    with _outputs(out_path, cdf_out, json_out):
+        result = monte_carlo(spec, jobs=jobs)
+        export_csv(result, out_path, timings=timings)
+        if cdf_out:
+            export_cdf_csv(result, cdf_out)
+        if json_out:
+            export_json(result, json_out)
     for (name, snr), cell in result.means.items():
         mean = "nan" if cell.mean_min_sinr is None else f"{cell.mean_min_sinr:.6g}"
         click.echo(

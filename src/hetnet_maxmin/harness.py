@@ -30,6 +30,7 @@ from .model import (
     ValidationError,
     _check_document,
     _check_field_types,
+    _of_type,
     _to_json,
     max_snr_association,
 )
@@ -212,6 +213,8 @@ class ExperimentSpec:
         _check_field_types(self)
         if self.n_runs < 1:
             raise ValidationError("n_runs must be at least 1")
+        if not all(_of_type(s, "float") for s in self.snr_db):
+            raise ValidationError(f"snr_db entries must be numbers, got {list(self.snr_db)}")
         snr_db = tuple(float(s) for s in self.snr_db)
         if not snr_db:
             raise ValidationError("need at least one snr_db point")

@@ -123,6 +123,11 @@ _SCALARS = {
 }
 
 
+def _of_type(value, kind: str) -> bool:
+    """Whether ``value`` is of the scalar type ``kind``, a key of ``_SCALARS``."""
+    return isinstance(value, _SCALARS[kind]) and (kind == "bool" or not isinstance(value, bool))
+
+
 def _check_field_types(obj) -> None:
     """Check every scalar field of a dataclass, optional ones too, against its
     annotation; a float field must also be finite (JSON admits NaN and Infinity)."""
@@ -130,7 +135,7 @@ def _check_field_types(obj) -> None:
         kind, value = f.type.removesuffix(" | None"), getattr(obj, name)
         if kind not in _SCALARS or (value is None and kind != f.type):
             continue
-        if not isinstance(value, _SCALARS[kind]) or (isinstance(value, bool) and kind != "bool"):
+        if not _of_type(value, kind):
             raise ValidationError(f"{name} must be of type {f.type}, got {value!r}")
         if kind == "float" and not -math.inf < value < math.inf:
             raise ValidationError(f"{name} must be finite, got {value!r}")

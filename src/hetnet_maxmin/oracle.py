@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Network, SolveResult, ValidationError
+from .model import Network, SolveResult, ValidationError, _check_field_types, _of_type
 from .power import _solve_power_exact, _target_power
 
 __all__ = [
@@ -67,18 +67,21 @@ class CnfFormula:
     clauses: tuple[tuple[int, int, int], ...]
 
     def __post_init__(self):
+        _check_field_types(self)
         if self.n_vars < 1:
             raise ValidationError("formula needs at least one variable")
-        clauses = tuple(tuple(int(l) for l in c) for c in self.clauses)
+        clauses = tuple(tuple(c) for c in self.clauses)
         if not clauses:
             raise ValidationError("formula needs at least one clause")
         for c in clauses:
             if len(c) != 3:
                 raise ValidationError(f"clause {c} must have exactly 3 literals")
             for lit in c:
+                if not _of_type(lit, "int"):
+                    raise ValidationError(f"literal {lit!r} must be an integer")
                 if lit == 0 or abs(lit) > self.n_vars:
                     raise ValidationError(f"literal {lit} out of range 1..{self.n_vars}")
-        object.__setattr__(self, "clauses", clauses)
+        object.__setattr__(self, "clauses", tuple(tuple(int(l) for l in c) for c in clauses))
 
     @property
     def n_clauses(self) -> int:
@@ -125,37 +128,19 @@ def cnf_from_dimacs(text: str) -> CnfFormula:
 
 
 def satisfiable(formula: CnfFormula) -> bool:
-    """Decide satisfiability with a tiny DPLL (unit propagation + split)."""
+    """Decide satisfiability by trying every assignment, a bounded truth table.
 
-    def assign(clauses: list[frozenset[int]], lit: int) -> list[frozenset[int]] | None:
-        out = []
-        for c in clauses:
-            if lit in c:
-                continue
-            reduced = c - {-lit}
-            if not reduced:
-                return None
-            out.append(reduced)
-        return out
-
-    def solve(clauses: list[frozenset[int]]) -> bool:
-        while True:
-            unit = next((c for c in clauses if len(c) == 1), None)
-            if unit is None:
-                break
-            clauses = assign(clauses, next(iter(unit)))
-            if clauses is None:
-                return False
-        if not clauses:
-            return True
-        lit = next(iter(clauses[0]))
-        branch = assign(clauses, lit)
-        if branch is not None and solve(branch):
-            return True
-        branch = assign(clauses, -lit)
-        return branch is not None and solve(branch)
-
-    return solve([frozenset(c) for c in formula.clauses])
+    Raises ValueError when the 2^n_vars assignments exceed ``MAX_CANDIDATES``
+    (n_vars >= 20).  :func:`verify_sat_equivalence` never gets that far: its
+    brute force over the gadget, four candidate associations per variable
+    block, already refuses n_vars > 9.
+    """
+    if formula.n_vars > math.log2(MAX_CANDIDATES):
+        raise ValueError(f"2^{formula.n_vars} assignments exceed the cap of {MAX_CANDIDATES}")
+    return any(
+        all(any(bits[abs(lit) - 1] == (lit > 0) for lit in clause) for clause in formula.clauses)
+        for bits in itertools.product((False, True), repeat=formula.n_vars)
+    )
 
 
 @dataclass(frozen=True)

@@ -143,20 +143,15 @@ def _run_fixed_point(step, opts: FixedPointOptions, level: np.ndarray, scale: fl
     ``max_iter`` ends with ``converged=False``.
     """
     p = level / len(level)
-    residuals = np.empty(opts.max_iter)
-    converged = False
-    iterations = 0
-    res = np.inf
-    for it in range(opts.max_iter):
+    residuals = []
+    for _ in range(opts.max_iter):
         p_new = step(p)
-        res = float(np.max(np.abs(p_new - p))) / scale
-        residuals[it] = res
+        residuals.append(float(np.max(np.abs(p_new - p))) / scale)
         p = p_new
-        iterations = it + 1
-        if res <= opts.tol:
-            converged = True
+        if residuals[-1] <= opts.tol:
             break
-    return FixedPointRun(p, iterations, converged, res, residuals[:iterations].copy())
+    res = residuals[-1]
+    return FixedPointRun(p, len(residuals), res <= opts.tol, res, np.array(residuals))
 
 
 def _downlink_result(net: Network, assoc: np.ndarray, run: FixedPointRun) -> SolveResult:

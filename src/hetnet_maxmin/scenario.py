@@ -16,7 +16,7 @@ bit-identical network.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -127,18 +127,12 @@ class HetnetInstance:
 
 
 def _macro_grid(config: ScenarioConfig) -> np.ndarray:
-    """Near-square triangular grid of macro centers, 1000 m to all neighbors."""
+    """Near-square triangular grid of macro centers, 1000 m to all neighbors,
+    filled row by row; odd rows shift half a spacing."""
     n = config.n_macro
     s = config.macro_spacing_m
-    rows = max(1, int(math.floor(math.sqrt(n))))
-    cols = math.ceil(n / rows)
-    centers = []
-    for i in range(rows):
-        for j in range(cols):
-            if len(centers) == n:
-                break
-            centers.append([j * s + (i % 2) * s / 2.0, i * s * _SQRT3 / 2.0])
-    return np.array(centers)
+    i, j = np.divmod(np.arange(n), math.ceil(n / math.floor(math.sqrt(n))))
+    return np.column_stack([j * s + (i % 2) * s / 2.0, i * s * _SQRT3 / 2.0])
 
 
 def _in_hex(points: np.ndarray, center: np.ndarray, spacing: float) -> np.ndarray:
@@ -171,10 +165,6 @@ def _hex_offsets(
     return np.concatenate(kept)[:count]
 
 
-def _wrap_deltas(deltas: np.ndarray, span: np.ndarray) -> np.ndarray:
-    return deltas - span * np.round(deltas / span)
-
-
 def _distances(
     config: ScenarioConfig, bs_pos: np.ndarray, user_pos: np.ndarray
 ) -> np.ndarray:
@@ -183,14 +173,18 @@ def _distances(
         lo = bs_pos.min(axis=0) - config.macro_spacing_m / _SQRT3
         hi = bs_pos.max(axis=0) + config.macro_spacing_m / _SQRT3
         span = np.maximum(hi - lo, 1e-9)
-        deltas = _wrap_deltas(deltas, span)
+        deltas = deltas - span * np.round(deltas / span)
     return np.sqrt((deltas**2).sum(axis=-1))
 
 
 def place_users(
-    config: ScenarioConfig, geometry: Geometry, rng: np.random.Generator
+    config: ScenarioConfig,
+    bs_positions: np.ndarray,
+    bs_is_macro: np.ndarray,
+    rng: np.random.Generator,
 ) -> np.ndarray:
-    """Draw user coordinates according to the configured layout.
+    """Draw user coordinates among the BSs at ``bs_positions``, shape (N, 2),
+    whose macros ``bs_is_macro`` marks, according to the configured layout.
 
     congested: floor(sqrt(K)) users uniform in the congested macro cell, the
     rest uniform over the whole network area.  uni_in_cell: user k lands
@@ -199,7 +193,7 @@ def place_users(
     candidate cap (an empty one, say) raises ValidationError.
     """
     s = config.macro_spacing_m
-    macro_centers = geometry.bs_positions[geometry.bs_is_macro]
+    macro_centers = bs_positions[bs_is_macro]
     if config.user_dist == "congested":
         hot = config.congested_cell
         if hot is None:  # the macro nearest the centroid
@@ -213,8 +207,7 @@ def place_users(
     # BS t, which holds t's cell clipped to the area: a point of the area is
     # within s/sqrt(3) of its macro, and a point of t's cell no farther from
     # t.  Keep those nearest to t that lie in their nearest macro's hexagon.
-    bs = geometry.bs_positions
-    perm = rng.permutation(len(bs))
+    perm = rng.permutation(len(bs_positions))
     targets = perm[np.arange(config.n_users) % len(perm)]
     positions = np.zeros((config.n_users, 2))
     pending = np.arange(config.n_users)
@@ -224,15 +217,15 @@ def place_users(
             raise ValidationError(
                 f"could not place a user in the Voronoi cell of BS {targets[pending[0]]}"
             )
-        m = max(1, min(per_user, _BLOCK_ENTRIES // (pending.size * len(bs))))
-        cand = bs[targets[pending], None, :] + rng.uniform(
+        m = max(1, min(per_user, _BLOCK_ENTRIES // (pending.size * len(bs_positions))))
+        cand = bs_positions[targets[pending], None, :] + rng.uniform(
             -s / _SQRT3, s / _SQRT3, size=(pending.size, m, 2)
         )
         drawn, per_user = drawn + m, 2 * per_user
         flat = cand.reshape(-1, 2)
         home = macro_centers[_nearest(macro_centers, flat)]
-        ok = (_nearest(bs, flat) == np.repeat(targets[pending], m)) & _in_hex(flat, home, s)
-        ok = ok.reshape(pending.size, m)
+        ok = _nearest(bs_positions, flat) == np.repeat(targets[pending], m)
+        ok = (ok & _in_hex(flat, home, s)).reshape(pending.size, m)
         done = ok.any(axis=1)
         positions[pending[done]] = cand[done, ok[done].argmax(axis=1)]
         pending = pending[~done]
@@ -242,38 +235,28 @@ def place_users(
 def generate_hetnet(config: ScenarioConfig) -> HetnetInstance:
     """Generate one network draw; deterministic given (config, seed)."""
     rng = np.random.default_rng(config.seed)
-    s = config.macro_spacing_m
     macro_centers = _macro_grid(config)
-
-    n_macro = len(macro_centers)
-    pico_parent = np.repeat(np.arange(n_macro), config.picos_per_macro)
-    pico_offsets = _hex_offsets(rng, len(pico_parent), s, config.pico_min_dist_m)
+    pico_parent = np.repeat(np.arange(config.n_macro), config.picos_per_macro)
+    pico_offsets = _hex_offsets(rng, len(pico_parent), config.macro_spacing_m, config.pico_min_dist_m)
     bs_positions = np.vstack([macro_centers, macro_centers[pico_parent] + pico_offsets])
-    bs_is_macro = np.arange(len(bs_positions)) < n_macro
+    bs_is_macro = np.arange(len(bs_positions)) < config.n_macro
+    user_positions = place_users(config, bs_positions, bs_is_macro, rng)
 
-    skeleton = Geometry(
-        bs_positions=bs_positions,
-        bs_is_macro=bs_is_macro,
-        bs_parent_macro=np.concatenate([np.arange(n_macro), pico_parent]),
-        user_positions=np.zeros((0, 2)),
-        user_cell=np.zeros(0, dtype=int),
-    )
-    user_positions = place_users(config, skeleton, rng)
-
-    dist = _distances(config, bs_positions, user_positions)
-    dist = np.maximum(dist, 1.0)  # 1 m floor keeps gains finite
+    # a 1 m floor keeps gains finite
+    dist = np.maximum(_distances(config, bs_positions, user_positions), 1.0)
     shadow_db = rng.standard_normal(dist.shape) * config.shadow_std_db
     gain = 10.0 ** (shadow_db / 10.0) * (config.pathloss_ref_m / dist) ** config.pathloss_exp
 
-    budget = np.where(bs_is_macro, config.macro_power, config.pico_power)
     network = Network(
         gain=gain,
-        budget=budget,
+        budget=np.where(bs_is_macro, config.macro_power, config.pico_power),
         noise_dl=np.full(config.n_users, config.noise),
         noise_ul=np.full(len(bs_positions), config.noise),
     )
-    geometry = replace(
-        skeleton,
+    geometry = Geometry(
+        bs_positions=bs_positions,
+        bs_is_macro=bs_is_macro,
+        bs_parent_macro=np.concatenate([np.arange(config.n_macro), pico_parent]),
         user_positions=user_positions,
         user_cell=_nearest(bs_positions, user_positions).astype(int),
     )

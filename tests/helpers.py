@@ -14,6 +14,8 @@ import math
 from pathlib import Path
 
 import numpy as np
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from hetnet_maxmin.model import Network, network_from_json
 
@@ -45,6 +47,27 @@ def random_network(
         budget=budget,
         noise_dl=np.ones(n_users),
         noise_ul=np.ones(n_bs),
+    )
+
+
+@st.composite
+def networks(draw, max_bs=4, max_users=6, square=False):
+    """Log-uniform gains with random zero links, budgets and noise.  A square
+    network has as many users as BSs and always a perfect matching."""
+    n = draw(st.integers(1, max_bs))
+    k = n if square else draw(st.integers(1, max_users))
+    exponents = draw(arrays(float, (n, k), elements=st.floats(-2.0, 2.0)))
+    linked = draw(arrays(bool, (n, k)))
+    if square:
+        serving = draw(st.permutations(range(n)))
+    else:
+        serving = draw(arrays(int, k, elements=st.integers(0, n - 1)))
+    linked[serving, np.arange(k)] = True
+    return Network(
+        gain=np.where(linked, 10.0**exponents, 0.0),
+        budget=10.0 ** draw(arrays(float, n, elements=st.floats(-1.0, 2.0))),
+        noise_dl=10.0 ** draw(arrays(float, k, elements=st.floats(-1.0, 1.0))),
+        noise_ul=10.0 ** draw(arrays(float, n, elements=st.floats(-1.0, 1.0))),
     )
 
 

@@ -34,26 +34,10 @@ from hetnet_maxmin.power import (
 from hetnet_maxmin.sumpower import ulsum, ulsum_exact, uplink_unit_sinr_power
 from hetnet_maxmin.twostage import dlsuma
 
-from helpers import frozen_network
+from helpers import frozen_network, networks
 
 REFERENCE = FixedPointOptions(tol=1e-12, max_iter=20_000)
 PROPERTY = settings(max_examples=150, deadline=None)
-
-
-@st.composite
-def networks(draw, max_bs=4, max_users=6):
-    """Log-uniform gains with random zero links, budgets and noise."""
-    n = draw(st.integers(1, max_bs))
-    k = draw(st.integers(1, max_users))
-    exponents = draw(arrays(float, (n, k), elements=st.floats(-2.0, 2.0)))
-    linked = draw(arrays(bool, (n, k)))
-    linked[draw(arrays(int, k, elements=st.integers(0, n - 1))), np.arange(k)] = True
-    return Network(
-        gain=np.where(linked, 10.0**exponents, 0.0),
-        budget=10.0 ** draw(arrays(float, n, elements=st.floats(-1.0, 2.0))),
-        noise_dl=10.0 ** draw(arrays(float, k, elements=st.floats(-1.0, 1.0))),
-        noise_ul=10.0 ** draw(arrays(float, n, elements=st.floats(-1.0, 1.0))),
-    )
 
 
 @st.composite

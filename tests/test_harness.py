@@ -10,6 +10,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 from hetnet_maxmin import harness
 from hetnet_maxmin.cli import main as cli_main
@@ -28,10 +29,14 @@ from hetnet_maxmin.harness import (
     run_algorithm,
     run_trial,
 )
-from hetnet_maxmin.model import ValidationError, max_snr_association
+from hetnet_maxmin.model import Network, ValidationError, max_snr_association
 from hetnet_maxmin.scenario import Geometry, ScenarioConfig, generate_hetnet, scenario_to_json
 
-from helpers import DATA, frozen_network, load_records_csv
+from helpers import DATA, frozen_network, load_records_csv, networks
+
+# Relative tolerance of the scale-invariance property; the largest change seen
+# over 1,500 random 1-3 BS x 1-5 user networks was 6.4e-12 (dlsuma).
+SCALE_RTOL = 1e-9
 
 
 def small_spec(**overrides) -> ExperimentSpec:
@@ -120,6 +125,20 @@ class TestRunTrial:
         cell = run_algorithm("brute", frozen_network("uni_9x1_k18_35db_seed1000021"))
         assert cell.min_sinr is None and cell.converged is None
         assert cell.note.startswith("error:") and "exceed the cap" in cell.note
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.booleans().flatmap(lambda sq: networks(3, 5, square=sq)), st.floats(-3.0, 3.0))
+    def test_every_algorithm_ignores_a_common_power_scale(self, net, log_c):
+        # SINR has degree 0 in powers and noise jointly, so scaling every budget
+        # and both noise vectors by c leaves each optimum where it was
+        c = 10.0**log_c
+        scaled = Network(net.gain, c * net.budget, c * net.noise_dl, c * net.noise_ul)
+        for name in ALGORITHMS:
+            base, other = run_algorithm(name, net), run_algorithm(name, scaled)
+            if base.min_sinr is None:  # p1prime and aufp skip a network that is not square
+                assert other.min_sinr is None, name
+            else:
+                assert other.min_sinr == pytest.approx(base.min_sinr, rel=SCALE_RTOL), name
 
 
 class TestMonteCarlo:
@@ -318,8 +337,18 @@ class TestExports:
             ("snr_db", (10, 10.0)),
             ("snr_db", ()),
             ("algorithms", ("maxsnr", "maxsnr")),
+            ("snr_db", ("10", True)),
+            ("snr_db", (10.0, True)),
         ],
-        ids=["nan-snr", "infinite-snr", "duplicate-snr", "empty-snr", "duplicate-algorithm"],
+        ids=[
+            "nan-snr",
+            "infinite-snr",
+            "duplicate-snr",
+            "empty-snr",
+            "duplicate-algorithm",
+            "string-snr",
+            "bool-snr",
+        ],
     )
     def test_spec_rejects_bad_grid(self, field, value):
         with pytest.raises(ValidationError, match=field):
@@ -663,6 +692,23 @@ class TestCli:
         assert isinstance(res.exception, SystemExit), res.exception
         assert res.output.startswith("error: snr_db")
         assert not out.exists()
+
+    @pytest.mark.parametrize("existing", [False, True], ids=["new-out", "existing-out"])
+    def test_failed_sweep_removes_the_outputs_it_created(self, tmp_path, existing):
+        # the file the CI smoke step runs through the installed entry point: a
+        # pico ring just inside the macro's corner distance that no draw lands in
+        out, cdf, doc = tmp_path / "r.csv", tmp_path / "c.csv", tmp_path / "r.json"
+        if existing:
+            out.write_bytes(b"kept\n")
+        args = ["--out", str(out), "--cdf-out", str(cdf), "--json-out", str(doc)]
+        spec = DATA / "experiment_unplaceable_pico.json"
+        res = CliRunner().invoke(cli_main, ["sweep", "--spec", str(spec), *args])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit), res.exception
+        assert res.output.startswith("error: hexagon sampling failed")
+        assert sorted(tmp_path.iterdir()) == ([out] if existing else [])
+        if existing:
+            assert out.read_bytes() == b"kept\n"
 
     @pytest.mark.parametrize(
         "command, outputs",

@@ -234,6 +234,13 @@ class TestSatisfiable:
             seen.add(expected)
         assert seen == {True, False}
 
+    def test_candidate_cap(self):
+        # 2^19 assignments fit under MAX_CANDIDATES and 2^20 do not; the first
+        # assignment, all false, satisfies the clause
+        assert satisfiable(CnfFormula(n_vars=19, clauses=((-1, -1, -1),)))
+        with pytest.raises(ValueError, match="exceed the cap"):
+            satisfiable(CnfFormula(n_vars=20, clauses=((-1, -1, -1),)))
+
 
 class TestEquivalence:
     def test_satisfiable_formula_reaches_threshold(self):
@@ -280,6 +287,16 @@ class TestCnfParsing:
             CnfFormula(n_vars=2, clauses=())
         with pytest.raises(ValidationError, match="at least one variable"):
             CnfFormula(n_vars=0, clauses=((1, 1, 1),))
+
+    @pytest.mark.parametrize(
+        "n_vars, clause",
+        [(1, (1.5, 1, 1)), (1, ("1", 1, 1)), (1, (True, 1, 1)), (1.5, (1, 1, 1)), ("1", (1, 1, 1))],
+        ids=["float-literal", "string-literal", "bool-literal", "float-n_vars", "string-n_vars"],
+    )
+    def test_formula_rejects_non_integers(self, n_vars, clause):
+        # int() once truncated 1.5 to 1 and parsed "1"
+        with pytest.raises(ValidationError, match="integer|type int"):
+            CnfFormula(n_vars=n_vars, clauses=(clause,))
 
     def test_dimacs_round_trip(self):
         text = """c an example

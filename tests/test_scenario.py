@@ -12,7 +12,6 @@ from scipy.stats import ks_2samp
 
 from hetnet_maxmin.model import ValidationError
 from hetnet_maxmin.scenario import (
-    Geometry,
     ScenarioConfig,
     generate_hetnet,
     geometry_to_json,
@@ -26,14 +25,8 @@ from helpers import naive_cell_points
 
 
 def _skeleton(bs_positions, n_macro):
-    n_bs = len(bs_positions)
-    return Geometry(
-        bs_positions=np.asarray(bs_positions, dtype=float),
-        bs_is_macro=np.arange(n_bs) < n_macro,
-        bs_parent_macro=np.zeros(n_bs, dtype=int),
-        user_positions=np.zeros((0, 2)),
-        user_cell=np.zeros(0, dtype=int),
-    )
+    """The (bs_positions, bs_is_macro) arguments of place_users."""
+    return np.asarray(bs_positions, dtype=float), np.arange(len(bs_positions)) < n_macro
 
 
 def _nearest_bs(bs_positions, points):
@@ -206,15 +199,8 @@ class TestUserLayouts:
     def test_place_users_respects_given_rng(self):
         config = ScenarioConfig(n_macro=4, picos_per_macro=0, n_users=4, seed=9)
         geo = generate_hetnet(config).geometry
-        skeleton = Geometry(
-            bs_positions=geo.bs_positions,
-            bs_is_macro=geo.bs_is_macro,
-            bs_parent_macro=geo.bs_parent_macro,
-            user_positions=np.zeros((0, 2)),
-            user_cell=np.zeros(0, dtype=int),
-        )
-        first = place_users(config, skeleton, np.random.default_rng(33))
-        second = place_users(config, skeleton, np.random.default_rng(33))
+        first = place_users(config, geo.bs_positions, geo.bs_is_macro, np.random.default_rng(33))
+        second = place_users(config, geo.bs_positions, geo.bs_is_macro, np.random.default_rng(33))
         np.testing.assert_array_equal(first, second)
 
 
@@ -253,7 +239,9 @@ class TestSamplerInvariants:
         if user_dist == "uni_in_cell":
             # place_users draws its permutation first
             perm = np.random.default_rng(seed).permutation(config.n_bs)
-            users = place_users(config, geo, np.random.default_rng(seed))
+            users = place_users(
+                config, geo.bs_positions, geo.bs_is_macro, np.random.default_rng(seed)
+            )
             served = _nearest_bs(geo.bs_positions, users)
             assert served == [perm[k % config.n_bs] for k in range(n_users)]
         assert geo.user_cell.tolist() == _nearest_bs(geo.bs_positions, geo.user_positions)
@@ -268,7 +256,7 @@ class TestSamplerInvariants:
         bs = np.vstack([macros, [[300.0, 250.0]], [small], ring])
         reps = 300
         config = ScenarioConfig(n_macro=4, picos_per_macro=1, n_users=reps * len(bs))
-        users = place_users(config, _skeleton(bs, 4), np.random.default_rng(20))
+        users = place_users(config, *_skeleton(bs, 4), np.random.default_rng(20))
         cells = np.array(_nearest_bs(bs, users))
         assert np.bincount(cells).tolist() == [reps] * len(bs)
 
@@ -291,7 +279,7 @@ class TestSamplerInvariants:
         bs = [[0.0, 0.0], [200.0, 300.0], [200.0, 300.0]]
         config = ScenarioConfig(n_macro=1, picos_per_macro=2, n_users=3)
         with pytest.raises(ValidationError, match="Voronoi cell of BS 2"):
-            place_users(config, _skeleton(bs, 1), np.random.default_rng(0))
+            place_users(config, *_skeleton(bs, 1), np.random.default_rng(0))
 
 
 class TestConfigSerialization:
