@@ -3,7 +3,7 @@
 One ``sweep`` run writes the records, CDF and JSON outputs of one sweep.
 
 Exit codes: 0 success, 2 infeasible / not-converged / failed verification,
-1 usage error, malformed document, I/O error, or an algorithm that skips
+1 usage error, malformed document, I/O error, or an algorithm that rejects
 the network.  The commands catch nothing: the group's ``invoke`` is the one
 place where an error becomes ``error: <message>`` and exit 1.
 """
@@ -28,7 +28,7 @@ from .harness import (
     monte_carlo,
 )
 from .matching import InfeasibleMatchingError
-from .model import ValidationError, _to_json, network_from_json, network_to_json
+from .model import _to_json, network_from_json, network_to_json
 from .oracle import build_3sat_gadget, cnf_from_dimacs, verify_sat_equivalence
 from .scenario import generate_hetnet, geometry_to_json, scenario_from_json
 
@@ -106,33 +106,23 @@ def gen(config_path, seed, out_path, geometry_out):
         _dump(geometry_to_json(instance.geometry), geometry_out)
 
 
-def _check_eps(eps: float | None) -> None:
-    """An auction eps is None (the auction's default) or a positive number, never NaN."""
-    if eps is not None and not eps > 0:
-        raise ValidationError(f"eps must be None or a positive number, got {eps!r}")
-
-
 def _solve_document(alg: str, out: Outcome) -> dict:
     """The ``solve`` JSON document; fields the algorithm does not fill are left out."""
     doc = {"algorithm": alg, **_to_json(out), "min_sinr_db": _db(out.min_sinr)}
-    return {key: value for key, value in doc.items() if value is not None and key != "note"}
+    return {key: value for key, value in doc.items() if value is not None}
 
 
 @main.command()
 @click.option("--net", "net_path", required=True, type=click.Path(), help="Network JSON")
 @click.option("--alg", required=True, type=click.Choice(list(ALGORITHMS)))
-@click.option("--eps", type=float, default=None, help="Auction bidding increment (aufp)")
 @click.option("--out", "out_path", default=None, help="Output JSON (default stdout)")
-def solve(net_path, alg, eps, out_path):
+def solve(net_path, alg, out_path):
     """Solve one network with the chosen algorithm and print the result.
 
     Exits 2 when the run did not converge or a matched solve is not optimal,
-    and 1 when the algorithm skips the network or eps is not positive.
+    and 1 when the algorithm rejects the network.
     """
-    _check_eps(eps)
-    outcome = ALGORITHMS[alg](network_from_json(_load_json(net_path)), eps)
-    if outcome.min_sinr is None:
-        _fail(outcome.note)
+    outcome = ALGORITHMS[alg](network_from_json(_load_json(net_path)))
     _dump(_solve_document(alg, outcome), out_path)
     sys.exit(0 if outcome.converged and outcome.status in (None, "optimal") else 2)
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .matching import aufp, solve_p1prime
+from .matching import OneToOneResult, aufp, solve_p1prime
 from .model import (
     Network,
     SolveResult,
@@ -93,18 +93,16 @@ class TrialRecord:
 class Outcome:
     """One algorithm's answer on one network.
 
-    ``min_sinr``, ``upper_bound``, ``converged`` and ``note`` are what a
-    sweep records; a skipped run has ``min_sinr=None`` and the reason in
-    ``note``.  The remaining fields are what ``hetnet-maxmin solve`` prints;
+    ``min_sinr``, ``upper_bound`` and ``converged`` are what a sweep
+    records.  The remaining fields are what ``hetnet-maxmin solve`` prints;
     each family fills its own extras (``stages``/``selected_stage`` for the
     two-stage solvers, ``status``/``assignment_total_gain`` for the matched
     ones) and leaves the others None.
     """
 
-    min_sinr: float | None
+    min_sinr: float
     upper_bound: float | None = None
     converged: bool | None = None
-    note: str | None = None
     problem: str = "per-BS power budgets"
     association: np.ndarray | None = None
     power: np.ndarray | None = None
@@ -152,48 +150,39 @@ def _two_stage(res: TwoStageResult) -> Outcome:
     )
 
 
-def _matched(net: Network, solver, *args) -> Outcome:
-    if net.n_bs != net.n_users:
-        return Outcome(None, note="skipped: requires n_bs == n_users")
-    res = solver(net, *args)
-    return _per_bs(
-        res.result,
-        note=f"status={res.status}",
-        status=res.status,
-        assignment_total_gain=res.total_gain,
-    )
+def _matched(res: OneToOneResult) -> Outcome:
+    return _per_bs(res.result, status=res.status, assignment_total_gain=res.total_gain)
 
 
-# Every entry is run(net, eps) -> Outcome.  ``eps`` is the auction's bidding
-# increment (aufp), None for its default; every algorithm, the brute-force
-# oracle included, solves its power problems exactly.
+# Every entry is run(net) -> Outcome: aufp runs at its default eps, and every
+# algorithm, the brute-force oracle included, solves its power problems
+# exactly.  A network an algorithm cannot take (p1prime and aufp need as many
+# BSs as users) raises.
 ALGORITHMS = {
-    "maxsnr": lambda net, eps: _per_bs(solve_power_exact(net, max_snr_association(net))),
-    "ulsum": lambda net, eps: _relaxation(ulsum_exact(net), "uplink sum-power relaxation"),
-    "ulsuma": lambda net, eps: _relaxation(
-        ulsuma(net), "uplink sum-power relaxation (power-balanced)"
-    ),
-    "dlsum": lambda net, eps: _two_stage(dlsum(net)),
-    "dlsuma": lambda net, eps: _two_stage(dlsuma(net)),
-    "p1prime": lambda net, eps: _matched(net, solve_p1prime),
-    "aufp": lambda net, eps: _matched(net, aufp, eps),
-    "brute": lambda net, eps: _per_bs(brute_force_optimum(net)),
+    "maxsnr": lambda net: _per_bs(solve_power_exact(net, max_snr_association(net))),
+    "ulsum": lambda net: _relaxation(ulsum_exact(net), "uplink sum-power relaxation"),
+    "ulsuma": lambda net: _relaxation(ulsuma(net), "uplink sum-power relaxation (power-balanced)"),
+    "dlsum": lambda net: _two_stage(dlsum(net)),
+    "dlsuma": lambda net: _two_stage(dlsuma(net)),
+    "p1prime": lambda net: _matched(solve_p1prime(net)),
+    "aufp": lambda net: _matched(aufp(net)),
+    "brute": lambda net: _per_bs(brute_force_optimum(net)),
 }
 
 
 def run_algorithm(name: str, net: Network) -> AlgoCell:
-    """Run one registered algorithm (aufp at its default eps), timing it and
-    trapping failures."""
+    """Run one registered algorithm, timing it and trapping failures."""
     if name not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {name!r}; choose from {sorted(ALGORITHMS)}")
     start = time.perf_counter()
     try:
-        out = ALGORITHMS[name](net, None)
+        out = ALGORITHMS[name](net)
     except Exception as exc:  # recorded per-cell, trial continues
         elapsed = (time.perf_counter() - start) * 1e3
         return AlgoCell(None, elapsed, None, None, note=f"error: {exc}")
     elapsed = (time.perf_counter() - start) * 1e3
-    return AlgoCell(out.min_sinr, elapsed, out.converged, out.upper_bound, note=out.note)
+    note = None if out.status is None else f"status={out.status}"
+    return AlgoCell(out.min_sinr, elapsed, out.converged, out.upper_bound, note=note)
 
 
 @dataclass(frozen=True)
@@ -222,6 +211,8 @@ class ExperimentSpec:
         if not all(math.isfinite(s) for s in snr_db) or len(set(snr_db)) < len(snr_db):
             raise ValidationError(f"snr_db entries must be finite and distinct, got {list(snr_db)}")
         names = tuple(self.algorithms)
+        if not all(_of_type(a, "str") for a in names):
+            raise ValidationError(f"algorithms entries must be names, got {list(names)}")
         unknown = [a for a in names if a not in ALGORITHMS]
         if unknown:
             raise ValidationError(f"unknown algorithms {unknown}; choose from {sorted(ALGORITHMS)}")
@@ -249,7 +240,7 @@ class MeanCell:
 
     Only converged values count: ``n_ok`` values enter the mean and the CDF,
     ``n_nonconverged`` values were returned with ``converged=False`` and
-    ``n_failed`` cells returned no value (errors and skips).
+    ``n_failed`` cells raised an error.
     """
 
     mean_min_sinr: float | None
@@ -409,13 +400,12 @@ def experiment_to_json(spec: ExperimentSpec) -> dict:
 def experiment_from_json(doc: dict) -> ExperimentSpec:
     """Inverse of :func:`experiment_to_json`; a malformed document raises ValidationError."""
     _check_document(doc, ExperimentSpec, "experiment")
-    # exact JSON types: a bool is not a number here
-    for key, kinds, noun in (("snr_db", (int, float), "numbers"), ("algorithms", (str,), "names")):
+    # ExperimentSpec checks the entries' types
+    for key in ("snr_db", "algorithms"):
         if key not in doc:
             raise ValidationError(f"experiment document is missing field {key!r}")
-        values = doc[key]
-        if not isinstance(values, list) or any(type(v) not in kinds for v in values):
-            raise ValidationError(f"experiment field {key!r} must be a JSON list of {noun}")
+        if not isinstance(doc[key], list):
+            raise ValidationError(f"experiment field {key!r} must be a JSON list")
     return ExperimentSpec(
         **{
             **doc,

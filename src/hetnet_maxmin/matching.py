@@ -60,7 +60,10 @@ class AssignmentProblem:
     def __post_init__(self):
         g = np.array(self.gain, dtype=float)
         if g.ndim != 2 or g.shape[0] != g.shape[1]:
-            raise ValidationError(f"assignment gain must be square, got {g.shape}")
+            raise ValidationError(
+                "assignment gain must be square (p1prime and aufp need as many BSs as users), "
+                f"got {g.shape}"
+            )
         if np.any(np.isnan(g) | np.isposinf(g)):
             raise ValidationError("assignment gains must be real numbers or FORBIDDEN (-inf)")
         # Only a pattern with a forbidden pair needs the check (without one the

@@ -47,6 +47,8 @@ SAT_GAMMA = (math.sqrt(7.0) - 1.0) / 3.0
 CLAUSE_GAIN = (2.0 * math.sqrt(7.0) + 1.0) / 3.0
 # Largest number of candidate associations the brute force will enumerate.
 MAX_CANDIDATES = 1_000_000
+# Largest gadget, in BSs (= users), that will be built: a 32 MB gain matrix.
+_MAX_GADGET_SIZE = 2_000
 # Associations the brute force screens per batched target-power test.
 _BATCH_SIZE = 2048
 # Relative margin by which a candidate must beat the best value so far;
@@ -197,10 +199,18 @@ def build_3sat_gadget(formula: CnfFormula) -> GadgetNetwork:
     hears 2 from both block BSs, its second hears 1 from both.  This is the
     gain pattern whose split-configuration optimum matches
     :func:`gadget_pair_values` and makes the reduction arithmetic close.
+
+    A formula whose gadget exceeds ``_MAX_GADGET_SIZE`` BSs raises
+    ValidationError before any gain is allocated.
     """
     m = formula.n_clauses
     t = formula.n_vars
     size = m + 2 * t
+    if size > _MAX_GADGET_SIZE:
+        raise ValidationError(
+            f"a gadget of {size} BSs ({m} clauses, {t} variables) exceeds the cap of "
+            f"{_MAX_GADGET_SIZE}"
+        )
     gain = np.zeros((size, size))
 
     clause_index = tuple(range(m))

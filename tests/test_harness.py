@@ -4,8 +4,12 @@ CSV/JSON exports with byte-level determinism, and the CLI surface."""
 import concurrent.futures
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +33,7 @@ from hetnet_maxmin.harness import (
     run_algorithm,
     run_trial,
 )
+from hetnet_maxmin.matching import InfeasibleMatchingError, default_eps, log_gain_matrix
 from hetnet_maxmin.model import Network, ValidationError, max_snr_association
 from hetnet_maxmin.scenario import Geometry, ScenarioConfig, generate_hetnet, scenario_to_json
 
@@ -37,6 +42,9 @@ from helpers import DATA, frozen_network, load_records_csv, networks
 # Relative tolerance of the scale-invariance property; the largest change seen
 # over 1,500 random 1-3 BS x 1-5 user networks was 6.4e-12 (dlsuma).
 SCALE_RTOL = 1e-9
+# Relative tolerance of the relabeling property; the largest change seen over
+# 1,500 random 1-3 BS x 1-5 user networks was 1.1e-13 (ulsum).
+RELABEL_RTOL = 1e-9
 
 
 def small_spec(**overrides) -> ExperimentSpec:
@@ -87,6 +95,7 @@ class TestRunTrial:
             assert brute >= record.cells["maxsnr"].min_sinr - 1e-9
 
     def test_one_to_one_algorithms_skip_rectangular_networks(self):
+        # a rectangular network is an error cell, whose note names the rule
         spec = small_spec(
             scenario=ScenarioConfig(n_macro=4, picos_per_macro=0, n_users=6),
             algorithms=("aufp", "p1prime"),
@@ -94,11 +103,14 @@ class TestRunTrial:
         record = run_trial(spec, 0, 10.0)
         for name in ("aufp", "p1prime"):
             cell = record.cells[name]
-            assert cell.min_sinr is None
-            assert "skipped" in cell.note
+            assert cell.min_sinr is None and cell.converged is None
+            assert cell.note == (
+                "error: assignment gain must be square "
+                "(p1prime and aufp need as many BSs as users), got (4, 6)"
+            )
 
     def test_algorithm_error_is_recorded_not_raised(self, tmp_path, monkeypatch):
-        def boom(net, eps):
+        def boom(net):
             raise RuntimeError("synthetic failure")
 
         monkeypatch.setitem(ALGORITHMS, "maxsnr", boom)
@@ -135,10 +147,44 @@ class TestRunTrial:
         scaled = Network(net.gain, c * net.budget, c * net.noise_dl, c * net.noise_ul)
         for name in ALGORITHMS:
             base, other = run_algorithm(name, net), run_algorithm(name, scaled)
-            if base.min_sinr is None:  # p1prime and aufp skip a network that is not square
+            if base.min_sinr is None:  # p1prime and aufp reject a network that is not square
                 assert other.min_sinr is None, name
             else:
                 assert other.min_sinr == pytest.approx(base.min_sinr, rel=SCALE_RTOL), name
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.booleans()
+        .flatmap(lambda sq: networks(3, 5, square=sq))
+        .flatmap(lambda net: st.tuples(st.just(net), st.permutations(range(net.n_users))))
+    )
+    def test_every_algorithm_ignores_a_relabeling_of_users(self, case):
+        # permuting the users (gain columns with their noise) leaves every
+        # answer's value where it was.  The matched entries compare their
+        # assignment totals: with tied log-gains the optimal matching, and so
+        # its min-SINR, is not unique
+        net, order = case
+        relabeled = Network(net.gain[:, order], net.budget, net.noise_dl[order], net.noise_ul)
+        for name in ("maxsnr", "ulsum", "ulsuma", "dlsum", "dlsuma", "brute"):
+            base, other = ALGORITHMS[name](net), ALGORITHMS[name](relabeled)
+            assert other.min_sinr == pytest.approx(base.min_sinr, rel=RELABEL_RTOL), name
+        try:
+            eps = default_eps(log_gain_matrix(net))
+        except (ValidationError, InfeasibleMatchingError) as exc:
+            # not square, or no perfect matching: both sides are rejected alike
+            for name in ("p1prime", "aufp"):
+                for network in (net, relabeled):
+                    with pytest.raises(type(exc)):
+                        ALGORITHMS[name](network)
+            return
+        base, other = ALGORITHMS["p1prime"](net), ALGORITHMS["p1prime"](relabeled)
+        assert other.assignment_total_gain == pytest.approx(
+            base.assignment_total_gain, rel=RELABEL_RTOL
+        )
+        # each auction ends within k * eps of the optimum
+        gap = 2 * net.n_users * eps
+        base, other = ALGORITHMS["aufp"](net), ALGORITHMS["aufp"](relabeled)
+        assert abs(other.assignment_total_gain - base.assignment_total_gain) <= gap
 
 
 class TestMonteCarlo:
@@ -150,7 +196,7 @@ class TestMonteCarlo:
         assert result.means[("maxsnr", 10.0)].n_ok == 1
 
     def test_nonconverged_values_are_counted_not_averaged(self, monkeypatch):
-        def stalled(net, eps):
+        def stalled(net):
             return Outcome(1e6, converged=False)
 
         monkeypatch.setitem(ALGORITHMS, "stalled", stalled)
@@ -166,7 +212,7 @@ class TestMonteCarlo:
     def test_nonconverged_trial_left_out_of_mean(self, monkeypatch):
         calls = []
 
-        def flaky(net, eps):
+        def flaky(net):
             calls.append(None)
             return Outcome(float(len(calls)), converged=len(calls) != 2)
 
@@ -354,6 +400,24 @@ class TestExports:
         with pytest.raises(ValidationError, match=field):
             small_spec(**{field: value})
 
+    @pytest.mark.parametrize(
+        "field, values, message",
+        [
+            ("algorithms", [["maxsnr"]], "algorithms entries must be names"),
+            ("algorithms", [{"a": 1}], "algorithms entries must be names"),
+            ("algorithms", [3], "algorithms entries must be names"),
+            ("snr_db", [True], "snr_db entries must be numbers"),
+            ("snr_db", [None], "snr_db entries must be numbers"),
+        ],
+        ids=["list-algorithm", "dict-algorithm", "numeric-algorithm", "bool-snr", "null-snr"],
+    )
+    def test_experiment_document_entries_meet_the_spec_rule(self, field, values, message):
+        # one element rule: a document's entries fail as the Python spec's do
+        with pytest.raises(ValidationError, match=message):
+            experiment_from_json({**_SMALL_SPEC, field: values})
+        with pytest.raises(ValidationError, match=message):
+            small_spec(**{field: tuple(values)})
+
 
 _ONE_LINK_NETWORK = {
     "n_bs": 1,
@@ -477,7 +541,7 @@ class TestCli:
         assert out_cdf.read_text().startswith("algorithm,snr_db,value,cumulative_probability")
 
     def test_sweep_summary_lists_nonconverged(self, tmp_path, monkeypatch):
-        monkeypatch.setitem(ALGORITHMS, "stalled", lambda net, eps: Outcome(1.0, converged=False))
+        monkeypatch.setitem(ALGORITHMS, "stalled", lambda net: Outcome(1.0, converged=False))
         spec_path = tmp_path / "exp.json"
         spec_path.write_text(
             json.dumps(
@@ -551,39 +615,14 @@ class TestCli:
         )
         assert res.exit_code == 1
 
-    def test_solve_aufp_with_infinite_eps_exits_one(self, tmp_path):
-        net_path = tmp_path / "net.json"
-        net_path.write_text(json.dumps(_ONE_LINK_NETWORK))
-        res = CliRunner().invoke(
-            cli_main, ["solve", "--net", str(net_path), "--alg", "aufp", "--eps", "inf"]
-        )
-        assert res.exit_code == 1
-        assert "error:" in res.output and "eps" in res.output
-
-    @pytest.mark.parametrize("alg", list(ALGORITHMS))
-    @pytest.mark.parametrize("eps", ["-1", "0", "nan"])
-    def test_solve_with_nonpositive_eps_exits_one(self, tmp_path, alg, eps):
-        # the rule a sweep spec applies, for every algorithm, not only aufp
-        net_path = tmp_path / "net.json"
-        net_path.write_text(json.dumps(_ONE_LINK_NETWORK))
-        res = CliRunner().invoke(
-            cli_main, ["solve", "--net", str(net_path), "--alg", alg, "--eps", eps]
-        )
-        assert res.exit_code == 1
-        assert isinstance(res.exception, SystemExit), res.exception
-        assert res.output.startswith("error: eps must be None or a positive number")
-
-    def test_solve_aufp_with_subnormal_eps_is_an_error_not_a_traceback(self):
-        # a subnormal eps is far below the log-gains' float spacing, where a
-        # price step would vanish in gain - price
+    def test_solve_eps_flag_is_gone(self):
+        # a sweep and solve run the auction at its default eps alike
         net_path = DATA / "uni_3x0_k3_10db_seed3.json"
         res = CliRunner().invoke(
-            cli_main, ["solve", "--net", str(net_path), "--alg", "aufp", "--eps", "1e-320"]
+            cli_main, ["solve", "--net", str(net_path), "--alg", "aufp", "--eps", "1e-8"]
         )
         assert res.exit_code == 1
-        assert isinstance(res.exception, SystemExit), res.exception
-        assert "error:" in res.output and "eps" in res.output
-        assert "Traceback" not in res.output
+        assert "--eps" in res.output
 
     @pytest.mark.parametrize(
         "command, doc",
@@ -672,15 +711,14 @@ class TestCli:
         assert "Traceback" not in res.output
         assert not (tmp_path / "out").exists()
 
-    def test_solve_aufp_on_tied_gains_with_tiny_eps_exits_one(self):
-        # the file the CI smoke step runs through the installed entry point
-        net_path = DATA / "tied_3x3.json"
+    def test_solve_aufp_on_tied_gains_ends_infeasible(self):
+        # the file the CI smoke step runs through the installed entry point:
+        # the default eps breaks the ties, and the match cannot give SINR 1
         res = CliRunner().invoke(
-            cli_main, ["solve", "--net", str(net_path), "--alg", "aufp", "--eps", "1e-25"]
+            cli_main, ["solve", "--net", str(DATA / "tied_3x3.json"), "--alg", "aufp"]
         )
-        assert res.exit_code == 1
-        assert isinstance(res.exception, SystemExit), res.exception
-        assert res.output.startswith("error: eps")
+        assert res.exit_code == 2, res.output
+        assert json.loads(res.output)["status"] == "infeasible"
 
     def test_sweep_over_nan_snr_exits_one_before_creating_its_output(self, tmp_path):
         # the file the CI smoke step runs through the installed entry point
@@ -887,6 +925,33 @@ class TestCli:
         res = CliRunner().invoke(cli_main, ["gadget", "--cnf", str(path), "--verify"])
         assert res.exit_code == 0, res.output
         assert json.loads(res.output)["agrees"] is True
+
+    def test_gadget_on_huge_header_file_fails_before_allocating(self):
+        # the file the CI smoke step runs through the installed entry point:
+        # 30,000 variables would need a 60,001 x 60,001 gain matrix (26.8 GiB),
+        # so the CLI runs with its address space capped at 2 GB
+        resource = pytest.importorskip("resource")
+        cap = 2 * 1024**3
+
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+        src = str(Path(harness.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        command = [sys.executable, "-m", "hetnet_maxmin.cli", "gadget", "--cnf"]
+        for extra in ([], ["--verify"]):
+            proc = subprocess.run(
+                [*command, str(DATA / "huge_header_30000var.cnf"), *extra],
+                env={**os.environ, "PYTHONPATH": path},
+                preexec_fn=limit_memory,
+                capture_output=True,
+                text=True,
+                timeout=120,
+            )
+            assert proc.returncode == 1, proc.stderr
+            assert proc.stderr.startswith("error: a gadget of 60001 BSs"), proc.stderr
+            assert "Traceback" not in proc.stderr
+            assert proc.stdout == ""
 
     def test_gen_on_fractional_user_count_file(self):
         # the file the CI smoke step runs through the installed entry point
