@@ -5,11 +5,18 @@ records, aggregation (means and CDFs) and CSV/JSON export.
 entries through :func:`run_algorithm`, and ``hetnet-maxmin solve`` renders
 their :class:`Outcome` as its JSON document.
 
+Within a trial each sum-power relaxation is solved once: ``ulsum`` and
+``dlsum`` share the plain one, ``ulsuma`` and ``dlsuma`` the power-balanced
+one, and whichever cell of a pair comes first solves it.
+
 Trial i always uses seed ``seed_base + i``, independent of worker order, so
 serial and parallel sweeps produce bit-identical outputs.  Means are taken
 on linear min-SINR; dB columns are provided for convenience.  Wall-clock
 timings are kept out of CSV exports by default so that repeated sweeps are
 byte-identical; pass ``timings=True`` (CLI ``--timings``) to include them.
+A cell's ``runtime_ms`` is what its algorithm costs when it runs alone: a
+cell that reuses a relaxation adds the time that relaxation's solve took,
+so the cells of a trial can sum to more than the trial took.
 """
 
 from __future__ import annotations
@@ -19,6 +26,7 @@ import json
 import math
 import os
 import time
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -69,7 +77,7 @@ def _db(x: float | None) -> float | None:
     return 10.0 * math.log10(x) if x > 0 else -math.inf
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AlgoCell:
     """One algorithm's outcome inside a trial."""
 
@@ -80,7 +88,7 @@ class AlgoCell:
     note: str | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrialRecord:
     """All algorithm outcomes for one generated network."""
 
@@ -154,33 +162,73 @@ def _matched(res: OneToOneResult) -> Outcome:
     return _per_bs(res.result, status=res.status, assignment_total_gain=res.total_gain)
 
 
+@dataclass(frozen=True)
+class _OnRelaxation:
+    """A registry entry built on a sum-power relaxation: ``entry(net)`` is
+    ``finish(net, relax(net))``.  Entries with the same ``relax`` start from
+    the same relaxation, so :func:`run_trial` solves it once for them all."""
+
+    relax: Callable[[Network], UlsumResult]
+    finish: Callable[[Network, UlsumResult], Outcome]
+
+    def __call__(self, net: Network) -> Outcome:
+        return self.finish(net, self.relax(net))
+
+
+# The two relaxations; like every entry they look their solver up per call.
+def _ulsum(net: Network) -> UlsumResult:
+    return ulsum_exact(net)
+
+
+def _ulsuma(net: Network) -> UlsumResult:
+    return ulsuma(net)
+
+
 # Every entry is run(net) -> Outcome: aufp runs at its default eps, and every
 # algorithm, the brute-force oracle included, solves its power problems
 # exactly.  A network an algorithm cannot take (p1prime and aufp need as many
-# BSs as users) raises.
+# BSs as users) raises.  ulsum and ulsuma are the stage 1 of dlsum and dlsuma.
 ALGORITHMS = {
     "maxsnr": lambda net: _per_bs(solve_power_exact(net, max_snr_association(net))),
-    "ulsum": lambda net: _relaxation(ulsum_exact(net), "uplink sum-power relaxation"),
-    "ulsuma": lambda net: _relaxation(ulsuma(net), "uplink sum-power relaxation (power-balanced)"),
-    "dlsum": lambda net: _two_stage(dlsum(net)),
-    "dlsuma": lambda net: _two_stage(dlsuma(net)),
+    "ulsum": _OnRelaxation(_ulsum, lambda net, s: _relaxation(s, "uplink sum-power relaxation")),
+    "ulsuma": _OnRelaxation(
+        _ulsuma, lambda net, s: _relaxation(s, "uplink sum-power relaxation (power-balanced)")
+    ),
+    "dlsum": _OnRelaxation(_ulsum, lambda net, s: _two_stage(dlsum(net, stage1=s))),
+    "dlsuma": _OnRelaxation(_ulsuma, lambda net, s: _two_stage(dlsuma(net, stage1=s))),
     "p1prime": lambda net: _matched(solve_p1prime(net)),
     "aufp": lambda net: _matched(aufp(net)),
     "brute": lambda net: _per_bs(brute_force_optimum(net)),
 }
 
 
-def run_algorithm(name: str, net: Network) -> AlgoCell:
-    """Run one registered algorithm, timing it and trapping failures."""
+def run_algorithm(name: str, net: Network, *, relaxations: dict | None = None) -> AlgoCell:
+    """Run one registered algorithm, timing it and trapping failures.
+
+    ``relaxations`` maps a relaxation to its result on ``net`` and the
+    milliseconds its solve took.  An entry built on a relaxation found there
+    reuses it and adds those milliseconds to its own; one that solves its
+    relaxation stores it there.  A failed solve stores nothing.
+    """
     if name not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {name!r}; choose from {sorted(ALGORITHMS)}")
+    entry = ALGORITHMS[name]
+    reused_ms = 0.0
     start = time.perf_counter()
     try:
-        out = ALGORITHMS[name](net)
+        if isinstance(entry, _OnRelaxation) and relaxations is not None:
+            if entry.relax in relaxations:
+                relaxed, reused_ms = relaxations[entry.relax]
+            else:
+                relaxed = entry.relax(net)
+                relaxations[entry.relax] = relaxed, (time.perf_counter() - start) * 1e3
+            out = entry.finish(net, relaxed)
+        else:
+            out = entry(net)
     except Exception as exc:  # recorded per-cell, trial continues
-        elapsed = (time.perf_counter() - start) * 1e3
+        elapsed = (time.perf_counter() - start) * 1e3 + reused_ms
         return AlgoCell(None, elapsed, None, None, note=f"error: {exc}")
-    elapsed = (time.perf_counter() - start) * 1e3
+    elapsed = (time.perf_counter() - start) * 1e3 + reused_ms
     note = None if out.status is None else f"status={out.status}"
     return AlgoCell(out.min_sinr, elapsed, out.converged, out.upper_bound, note=note)
 
@@ -200,6 +248,11 @@ class ExperimentSpec:
 
     def __post_init__(self):
         _check_field_types(self)
+        for key in ("snr_db", "algorithms"):
+            values = getattr(self, key)
+            # a bare string would count as a sequence of one-letter names
+            if isinstance(values, (str, bytes)) or not isinstance(values, (Sequence, np.ndarray)):
+                raise ValidationError(f"{key} must be a sequence, got {values!r}")
         if self.n_runs < 1:
             raise ValidationError("n_runs must be at least 1")
         if not all(_of_type(s, "float") for s in self.snr_db):
@@ -230,7 +283,8 @@ def run_trial(spec: ExperimentSpec, trial_index: int, snr_db: float) -> TrialRec
     seed = spec.seed_base + trial_index
     config = replace(spec.scenario, snr_db=float(snr_db), seed=seed)
     net = generate_hetnet(config).network
-    cells = {name: run_algorithm(name, net) for name in spec.algorithms}
+    relaxations: dict = {}  # this network's only, so it dies with the trial
+    cells = {name: run_algorithm(name, net, relaxations=relaxations) for name in spec.algorithms}
     return TrialRecord(seed=seed, snr_db=float(snr_db), cells=cells)
 
 

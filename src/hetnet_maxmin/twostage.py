@@ -47,16 +47,22 @@ class StageInfo:
 class TwoStageResult:
     """A feasible solution for the per-BS problem plus its relaxation bound.
 
-    ``result.min_sinr <= upper_bound`` always (relaxation dominance); the
-    bound is meaningful when uplink and downlink noise agree, which is the
-    regime the relaxation's duality argument needs.  ``selected_stage``
-    indexes the stage whose power allocation was returned.
+    ``stage1`` is the relaxation the association came from, and its value
+    is ``upper_bound``.  ``result.min_sinr <= upper_bound`` always
+    (relaxation dominance); the bound is meaningful when uplink and
+    downlink noise agree, which is the regime the relaxation's duality
+    argument needs.  ``selected_stage`` indexes the stage whose power
+    allocation was returned.
     """
 
     result: SolveResult
-    upper_bound: float
+    stage1: UlsumResult
     stages: tuple[StageInfo, ...]
     selected_stage: int = 1
+
+    @property
+    def upper_bound(self) -> float:
+        return self.stage1.gamma_sum
 
 
 def power_balance_transform(net: Network) -> Network:
@@ -95,15 +101,19 @@ def _power_stage(name: str, res: SolveResult, iterations: int | None = None) -> 
     return StageInfo(name, its, res.association, float(res.power.sum()), res.min_sinr)
 
 
-def dlsum(net: Network) -> TwoStageResult:
-    """Two-stage solver: sum-relaxation association, then per-BS power."""
-    stage1 = ulsum_exact(net)
+def dlsum(net: Network, *, stage1: UlsumResult | None = None) -> TwoStageResult:
+    """Two-stage solver: sum-relaxation association, then per-BS power.
+
+    ``stage1``, when given, is ``ulsum_exact(net)`` already solved.
+    """
+    if stage1 is None:
+        stage1 = ulsum_exact(net)
     stage2 = solve_power_exact(net, stage1.assoc)
     stages = (
         _relaxation_stage("sum-relaxation association", stage1, float(np.sum(net.budget))),
         _power_stage("per-BS power", stage2),
     )
-    return TwoStageResult(result=stage2, upper_bound=stage1.gamma_sum, stages=stages)
+    return TwoStageResult(result=stage2, stage1=stage1, stages=stages)
 
 
 def _to_original_domain(net: Network, scaled_budget_max: float, res: SolveResult) -> SolveResult:
@@ -113,7 +123,7 @@ def _to_original_domain(net: Network, scaled_budget_max: float, res: SolveResult
     return replace(res, power=p, sinr=sinr, min_sinr=float(np.min(sinr)))
 
 
-def dlsuma(net: Network) -> TwoStageResult:
+def dlsuma(net: Network, *, stage1: UlsumResult | None = None) -> TwoStageResult:
     """Two-stage solver with power balancing and effective sum power.
 
     Pipeline on the balanced network: (1) the :func:`ulsuma` relaxation,
@@ -123,10 +133,12 @@ def dlsuma(net: Network) -> TwoStageResult:
     (2) and (4) mapped back to the original network; when (3) reproduces
     the association of (1), step (4) is skipped and (2) is reused
     bit-for-bit.  The reported upper bound is the stage-(1) value, the
-    :func:`ulsuma` bound.
+    :func:`ulsuma` bound.  ``stage1``, when given, is ``ulsuma(net)``
+    already solved.
     """
     bnet = power_balance_transform(net)
-    stage1 = ulsum_exact(bnet)
+    if stage1 is None:
+        stage1 = ulsum_exact(bnet)
     stage2 = solve_power_exact(bnet, stage1.assoc)
     spent = float(stage2.power.sum())
     stage3 = ulsum_exact(bnet, spent)
@@ -148,7 +160,7 @@ def dlsuma(net: Network) -> TwoStageResult:
 
     return TwoStageResult(
         result=_to_original_domain(net, float(bnet.budget[0]), best),
-        upper_bound=stage1.gamma_sum,
+        stage1=stage1,
         stages=tuple(stages),
         selected_stage=selected,
     )

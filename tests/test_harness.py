@@ -16,7 +16,7 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
-from hetnet_maxmin import harness
+from hetnet_maxmin import harness, twostage
 from hetnet_maxmin.cli import main as cli_main
 from hetnet_maxmin.harness import (
     ALGORITHMS,
@@ -45,6 +45,16 @@ SCALE_RTOL = 1e-9
 # Relative tolerance of the relabeling property; the largest change seen over
 # 1,500 random 1-3 BS x 1-5 user networks was 1.1e-13 (ulsum).
 RELABEL_RTOL = 1e-9
+
+
+# Criterion-08 draws: 4 macros with 2 picos each and 18 users.
+C08_SCENARIO = ScenarioConfig(n_macro=4, picos_per_macro=2, n_users=18)
+# Spec orders in which each relaxation entry comes before, or after, the
+# two-stage entry built on it.
+SHARING_ORDERS = [
+    ("maxsnr", "ulsum", "dlsum", "ulsuma", "dlsuma"),
+    ("dlsuma", "dlsum", "maxsnr", "ulsuma", "ulsum"),
+]
 
 
 def small_spec(**overrides) -> ExperimentSpec:
@@ -125,6 +135,58 @@ class TestRunTrial:
         assert failed["algorithm"] == "maxsnr"
         assert failed["min_sinr_linear"] is None and failed["min_sinr_db"] is None
         assert failed["note"] == "error: synthetic failure"
+
+    @pytest.mark.parametrize("algorithms", SHARING_ORDERS, ids=["relaxation-first", "two-stage-first"])
+    def test_shared_relaxation_cells_equal_unshared_ones(self, algorithms):
+        spec = small_spec(scenario=C08_SCENARIO, algorithms=algorithms)
+        for snr in (5.0, 35.0):
+            for trial in range(2):
+                record = run_trial(spec, trial, snr)
+                config = replace(spec.scenario, snr_db=snr, seed=record.seed)
+                net = generate_hetnet(config).network
+                for name in algorithms:
+                    shared, alone = record.cells[name], run_algorithm(name, net)
+                    assert (shared.min_sinr, shared.upper_bound) == (alone.min_sinr, alone.upper_bound)
+                    assert (shared.converged, shared.note) == (alone.converged, alone.note)
+                # ulsum and ulsuma are the stage 1 of dlsum and dlsuma, bit for bit
+                for relaxation, two_stage in (("ulsum", "dlsum"), ("ulsuma", "dlsuma")):
+                    assert record.cells[relaxation].upper_bound == record.cells[two_stage].upper_bound
+
+    @pytest.mark.parametrize("algorithms", SHARING_ORDERS, ids=["relaxation-first", "two-stage-first"])
+    def test_failed_relaxation_fails_each_cell_as_alone(self, monkeypatch, algorithms):
+        calls = []
+
+        def boom(net, sum_budget=None):
+            calls.append(None)
+            raise RuntimeError("synthetic relaxation failure")
+
+        for module in (harness, twostage):
+            monkeypatch.setattr(module, "ulsum_exact", boom)
+        record = run_trial(small_spec(scenario=C08_SCENARIO, algorithms=algorithms), 0, 15.0)
+        # nothing failed is shared: each of the four cells solved, and failed, on its own
+        assert len(calls) == 4
+        net = generate_hetnet(replace(C08_SCENARIO, snr_db=15.0, seed=record.seed)).network
+        for name in ("ulsum", "dlsum", "ulsuma", "dlsuma"):
+            cell = record.cells[name]
+            assert cell.note == run_algorithm(name, net).note == "error: synthetic relaxation failure"
+            assert cell.min_sinr is None and cell.upper_bound is None
+        assert record.cells["maxsnr"].note is None
+
+    @pytest.mark.parametrize(
+        "algorithms", [("maxsnr", "dlsuma", "ulsuma"), ("ulsuma", "maxsnr", "dlsuma")]
+    )
+    def test_criterion_08_trial_solves_the_balanced_relaxation_once(self, monkeypatch, algorithms):
+        # dlsuma's stages 1 and 3; ulsuma reads stage 1 instead of solving it again
+        calls = []
+        solve = twostage.ulsum_exact
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(twostage, "ulsum_exact", counted)
+        run_trial(small_spec(scenario=C08_SCENARIO, algorithms=algorithms), 0, 25.0)
+        assert len(calls) == 2
 
     def test_unknown_algorithm_rejected(self):
         net = generate_hetnet(ScenarioConfig(n_macro=1, picos_per_macro=0, n_users=1)).network
@@ -332,6 +394,34 @@ class TestExports:
         export_csv(monte_carlo(spec), b)
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("algorithms", SHARING_ORDERS, ids=["relaxation-first", "two-stage-first"])
+    def test_reusing_cell_is_timed_with_the_shared_relaxation(self, tmp_path, monkeypatch, algorithms):
+        # runtime_ms is what an algorithm costs alone: a cell that reuses a
+        # relaxation adds the time that relaxation's one solve took
+        delay_s, slowed = 0.05, []
+
+        def slow(relax):
+            def run(net):
+                slowed.append(relax.__name__)
+                time.sleep(delay_s)
+                return relax(net)
+
+            return run
+
+        for name in ("ulsum_exact", "ulsuma"):
+            monkeypatch.setattr(harness, name, slow(getattr(harness, name)))
+        spec_path, out = tmp_path / "exp.json", tmp_path / "r.csv"
+        spec = small_spec(scenario=C08_SCENARIO, algorithms=algorithms, n_runs=1)
+        spec_path.write_text(json.dumps(experiment_to_json(spec)))
+        res = CliRunner().invoke(
+            cli_main, ["sweep", "--spec", str(spec_path), "--out", str(out), "--timings"]
+        )
+        assert res.exit_code == 0, res.output
+        assert sorted(slowed) == ["ulsum_exact", "ulsuma"]  # one solve of each relaxation
+        runtime = {row["algorithm"]: row["runtime_ms"] for row in load_records_csv(out)}
+        for name in ("ulsum", "dlsum", "ulsuma", "dlsuma"):
+            assert runtime[name] >= delay_s * 1e3, name
+
     def test_timings_column_gated(self, tmp_path):
         spec = small_spec(n_runs=1, algorithms=("maxsnr",))
         result = monte_carlo(spec)
@@ -398,6 +488,24 @@ class TestExports:
     )
     def test_spec_rejects_bad_grid(self, field, value):
         with pytest.raises(ValidationError, match=field):
+            small_spec(**{field: value})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("snr_db", 10.0),
+            ("snr_db", None),
+            ("snr_db", "10"),
+            ("algorithms", None),
+            ("algorithms", "maxsnr"),
+            ("algorithms", 3),
+        ],
+        ids=["float-snr", "null-snr", "string-snr", "null-algorithms", "string-algorithms", "int-algorithms"],
+    )
+    def test_spec_fields_must_be_sequences(self, field, value):
+        # a bare string is not a sequence of names: "maxsnr" once became
+        # unknown algorithms ['m', 'a', 'x', ...]; 10.0 and None once raised TypeError
+        with pytest.raises(ValidationError, match=f"^{field} must be a sequence"):
             small_spec(**{field: value})
 
     @pytest.mark.parametrize(

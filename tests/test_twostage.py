@@ -122,6 +122,16 @@ class TestUlsumaBound:
         assert dlsuma(net).upper_bound == ulsuma(net).gamma_sum
         assert dlsum(net).upper_bound == ulsum_exact(net).gamma_sum
 
+    def test_precomputed_stage_one_gives_the_same_result(self):
+        net = frozen_network("uni_4x2_k18_35db_seed7000015")
+        for solve, relax in ((dlsum, ulsum_exact), (dlsuma, ulsuma)):
+            fresh, given = solve(net), solve(net, stage1=relax(net))
+            assert given.upper_bound == fresh.upper_bound
+            assert given.selected_stage == fresh.selected_stage
+            for field in ("association", "power", "sinr"):
+                assert np.array_equal(getattr(given.result, field), getattr(fresh.result, field))
+            assert [s.gamma for s in given.stages] == [s.gamma for s in fresh.stages]
+
 
 class TestDlsuma:
     def test_reuses_stage_two_when_association_repeats(self):
