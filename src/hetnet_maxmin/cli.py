@@ -161,7 +161,7 @@ def gadget(cnf_path, verify, out_path):
     with open(cnf_path) as fh:
         formula = cnf_from_dimacs(fh.read())
     if not verify:
-        _dump(network_to_json(build_3sat_gadget(formula).network), out_path)
+        _dump(network_to_json(build_3sat_gadget(formula)), out_path)
         return
     report = verify_sat_equivalence(formula)
     _dump(_to_json(report), out_path)

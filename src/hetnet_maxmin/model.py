@@ -31,6 +31,11 @@ __all__ = [
 ]
 
 
+# Largest gain matrix built from a short input (a scenario config or a 3-SAT
+# formula), per side: 2,000 x 2,000 floats, 32 MB.
+_MAX_GAIN_SIDE = 2_000
+
+
 class ValidationError(ValueError):
     """An input violates a structural contract (shape, sign, or link)."""
 

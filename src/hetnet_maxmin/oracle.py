@@ -1,5 +1,4 @@
-"""Ground-truth engines: exhaustive optima, the 3-SAT network gadget, and
-closed-form constants for the two-cell variable block.
+"""Ground-truth engines: exhaustive optima and the 3-SAT network gadget.
 
 The brute-force solver enumerates every association that avoids zero-gain
 links and keeps the best, scoring exactly: a batched target-power test
@@ -22,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Network, SolveResult, ValidationError, _check_field_types, _of_type
+from .model import _MAX_GAIN_SIDE, Network, SolveResult, ValidationError, _check_field_types, _of_type
 from .power import _solve_power_exact, _target_power
 
 __all__ = [
@@ -32,9 +31,6 @@ __all__ = [
     "CnfFormula",
     "cnf_from_dimacs",
     "satisfiable",
-    "PairValues",
-    "gadget_pair_values",
-    "GadgetNetwork",
     "build_3sat_gadget",
     "EquivalenceReport",
     "verify_sat_equivalence",
@@ -47,8 +43,6 @@ SAT_GAMMA = (math.sqrt(7.0) - 1.0) / 3.0
 CLAUSE_GAIN = (2.0 * math.sqrt(7.0) + 1.0) / 3.0
 # Largest number of candidate associations the brute force will enumerate.
 MAX_CANDIDATES = 1_000_000
-# Largest gadget, in BSs (= users), that will be built: a 32 MB gain matrix.
-_MAX_GADGET_SIZE = 2_000
 # Associations the brute force screens per batched target-power test.
 _BATCH_SIZE = 2048
 # Relative margin by which a candidate must beat the best value so far;
@@ -91,8 +85,11 @@ class CnfFormula:
 
 
 def cnf_from_dimacs(text: str) -> CnfFormula:
-    """Parse DIMACS CNF text; every clause must have exactly 3 literals."""
-    n_vars = None
+    """Parse DIMACS CNF text; every clause must have exactly 3 literals.
+
+    The one ``p cnf`` header must declare as many clauses as the text holds.
+    """
+    n_vars = n_clauses = None
     clauses: list[tuple[int, int, int]] = []
     pending: list[int] = []
     for raw in text.splitlines():
@@ -110,7 +107,9 @@ def cnf_from_dimacs(text: str) -> CnfFormula:
         except ValueError:
             raise ValidationError(f"non-integer token in DIMACS line {line!r}") from None
         if header:
-            n_vars = numbers[0]
+            if n_vars is not None:
+                raise ValidationError(f"second DIMACS header: {line!r}")
+            n_vars, n_clauses = numbers
             continue
         for lit in numbers:
             if lit == 0:
@@ -126,6 +125,10 @@ def cnf_from_dimacs(text: str) -> CnfFormula:
         raise ValidationError("unterminated clause at end of DIMACS input")
     if n_vars is None:
         raise ValidationError("missing DIMACS 'p cnf' header")
+    if len(clauses) != n_clauses:
+        raise ValidationError(
+            f"DIMACS header declares {n_clauses} clauses, the text holds {len(clauses)}"
+        )
     return CnfFormula(n_vars=n_vars, clauses=tuple(clauses))
 
 
@@ -145,50 +148,12 @@ def satisfiable(formula: CnfFormula) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class PairValues:
-    """Closed-form optima of a two-BS / two-user variable block.
-
-    With receiver gains f (at the first user, from either BS) and g (at the
-    second user), the two split associations both achieve
-    2 / (1/g + sqrt(1/g^2 + 4 (1 + 1/f))) with powers
-    (1/value - 1/g, 1); the two shared associations (one BS serving both
-    users from a common budget) achieve 1 / (1/f + 1/g + 1).
-    """
-
-    values: tuple[float, float, float, float]
-    split_powers: tuple[float, float]
-
-
-def gadget_pair_values(f: float, g: float) -> PairValues:
-    """Per-configuration optima for the variable block; requires f >= g > 0."""
-    if not (f >= g > 0):
-        raise ValidationError("need f >= g > 0")
-    split = 2.0 / (1.0 / g + math.sqrt(1.0 / g**2 + 4.0 * (1.0 + 1.0 / f)))
-    shared = 1.0 / (1.0 / f + 1.0 / g + 1.0)
-    return PairValues(
-        values=(split, split, shared, shared),
-        split_powers=(1.0 / split - 1.0 / g, 1.0),
-    )
-
-
-@dataclass(frozen=True)
-class GadgetNetwork:
-    """The network encoding of a formula plus its index maps.
-
-    BSs and users share the layout: clause blocks first (index m for clause
-    m), then for variable t the positive BS/user at ``pos_of(t)`` and the
-    negated one right after it.  Budgets and both noise vectors are all 1.
-    """
-
-    network: Network
-    clause_index: tuple[int, ...]
-    pos_index: tuple[int, ...]
-    neg_index: tuple[int, ...]
-
-
-def build_3sat_gadget(formula: CnfFormula) -> GadgetNetwork:
+def build_3sat_gadget(formula: CnfFormula) -> Network:
     """Build the network whose optimum encodes satisfiability.
+
+    BSs and users share one layout.  With M clauses, clause m is index m,
+    and variable t (0-based) has its positive BS/user at M + 2t and its
+    negated one at M + 2t + 1.  Budgets and both noise vectors are all 1.
 
     Gains: each clause BS reaches only its own clause user (gain
     CLAUSE_GAIN); each literal occurrence adds gain 1 from that literal's BS
@@ -196,46 +161,37 @@ def build_3sat_gadget(formula: CnfFormula) -> GadgetNetwork:
     separated from other blocks.
 
     A block's internal gain depends on the receiving user: its first user
-    hears 2 from both block BSs, its second hears 1 from both.  This is the
-    gain pattern whose split-configuration optimum matches
-    :func:`gadget_pair_values` and makes the reduction arithmetic close.
+    hears 2 from both block BSs, its second hears 1 from both.  On its own,
+    a block's two split associations (each BS serves one user) then reach
+    SAT_GAMMA with powers ((sqrt(7) - 1) / 2, 1), and its two shared ones
+    (one BS serves both users) reach 0.4, which makes the reduction
+    arithmetic close.
 
-    A formula whose gadget exceeds ``_MAX_GADGET_SIZE`` BSs raises
+    A formula whose gadget exceeds ``_MAX_GAIN_SIDE`` BSs raises
     ValidationError before any gain is allocated.
     """
     m = formula.n_clauses
     t = formula.n_vars
     size = m + 2 * t
-    if size > _MAX_GADGET_SIZE:
+    if size > _MAX_GAIN_SIDE:
         raise ValidationError(
             f"a gadget of {size} BSs ({m} clauses, {t} variables) exceeds the cap of "
-            f"{_MAX_GADGET_SIZE}"
+            f"{_MAX_GAIN_SIDE}"
         )
     gain = np.zeros((size, size))
-
-    clause_index = tuple(range(m))
-    pos_index = tuple(m + 2 * i for i in range(t))
-    neg_index = tuple(m + 2 * i + 1 for i in range(t))
 
     for cm in range(m):
         gain[cm, cm] = CLAUSE_GAIN
         for lit in formula.clauses[cm]:
-            bs = pos_index[abs(lit) - 1] if lit > 0 else neg_index[abs(lit) - 1]
-            gain[bs, cm] += 1.0
+            gain[m + 2 * (abs(lit) - 1) + (lit < 0), cm] += 1.0
 
     for i in range(t):
-        pos, neg = pos_index[i], neg_index[i]
+        pos, neg = m + 2 * i, m + 2 * i + 1
         gain[pos, pos] = gain[neg, pos] = 2.0
         gain[pos, neg] = gain[neg, neg] = 1.0
 
-    ones_users = np.ones(size)
-    net = Network(gain=gain, budget=np.ones(size), noise_dl=ones_users, noise_ul=np.ones(size))
-    return GadgetNetwork(
-        network=net,
-        clause_index=clause_index,
-        pos_index=pos_index,
-        neg_index=neg_index,
-    )
+    ones = np.ones(size)
+    return Network(gain=gain, budget=ones, noise_dl=ones, noise_ul=ones)
 
 
 @dataclass(frozen=True)
@@ -256,7 +212,7 @@ def verify_sat_equivalence(formula: CnfFormula, tol: float = 1e-6) -> Equivalenc
     candidate BSs, variable users two, so the zero-link-skipping enumeration
     is exactly the constrained search).
     """
-    best = brute_force_optimum(build_3sat_gadget(formula).network)
+    best = brute_force_optimum(build_3sat_gadget(formula))
     sat = satisfiable(formula)
     achieves = best.min_sinr >= SAT_GAMMA - tol
     return EquivalenceReport(

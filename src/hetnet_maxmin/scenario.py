@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Network, ValidationError, _check_document, _check_field_types, _to_json
+from .model import _MAX_GAIN_SIDE, Network, ValidationError, _check_document, _check_field_types, _to_json
 
 __all__ = [
     "ScenarioConfig",
@@ -54,6 +54,8 @@ class ScenarioConfig:
 
     ``snr_db`` fixes the pico budget via SNR = 10 log10(P_pico) against the
     unit noise floor; macro budgets sit ``macro_power_gap_db`` above it.
+    A config whose gain matrix would exceed ``_MAX_GAIN_SIDE**2`` entries
+    raises ValidationError.
     """
 
     n_macro: int = 9
@@ -88,6 +90,11 @@ class ScenarioConfig:
         if self.picos_per_macro > 0 and not self.pico_min_dist_m < self.macro_spacing_m / _SQRT3:
             raise ValidationError(
                 "pico_min_dist_m must be below macro_spacing_m/sqrt(3), a macro's corner distance"
+            )
+        if self.n_bs * self.n_users > _MAX_GAIN_SIDE**2:
+            raise ValidationError(
+                f"a scenario of {self.n_bs} BSs and {self.n_users} users exceeds the cap of "
+                f"{_MAX_GAIN_SIDE**2} gain entries"
             )
 
     @property

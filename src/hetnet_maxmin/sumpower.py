@@ -80,7 +80,8 @@ class UlsumResult:
 
     At the optimum the full sum budget is spent, all per-user uplink SINRs
     equal ``gamma_sum``, and ``assoc`` is the final (optimal after finitely
-    many iterations) association.
+    many iterations) association.  ``residuals`` is the fixed point's
+    residual trace; the exact policy iteration leaves it None.
     """
 
     power_ul: np.ndarray
@@ -89,7 +90,7 @@ class UlsumResult:
     iterations: int
     converged: bool
     residual: float
-    residuals: np.ndarray
+    residuals: np.ndarray | None = None
 
 
 def ulsum(
@@ -151,19 +152,18 @@ def ulsum_exact(net: Network, sum_budget: float | None = None) -> UlsumResult:
     of M(a') q = rho q, which makes a a global optimum.  This is the
     fixed point of :func:`ulsum` without the inner iteration.
 
-    ``iterations`` counts policy steps, ``residuals`` holds each step's
-    normalized fixed-point residual max |T(q) - q| / sum_budget with T the
-    step of :func:`ulsum`, and ``residual`` the last of them.  A run that
-    hits ``_POLICY_MAX_STEPS`` returns ``converged=False``.
+    ``iterations`` counts policy steps, and ``residual`` is the final
+    solve's normalized fixed-point residual max |T(q) - q| / sum_budget, with
+    T the step of :func:`ulsum`; ``residuals`` stays None.  A run that hits
+    ``_POLICY_MAX_STEPS`` returns ``converged=False``.
     """
     budget = _sum_budget(net, sum_budget)
     k = net.n_users
     users = np.arange(k)
     assoc = uplink_unit_sinr_power(net, np.full(k, budget / k)).best_bs
     x = None
-    residuals = []
     converged = False
-    for _ in range(_POLICY_MAX_STEPS):
+    for iterations in range(1, _POLICY_MAX_STEPS + 1):
         solved = assoc
         direct = net.gain[solved, users]
         coupling = net.gain[solved, :] / direct[:, None]
@@ -173,22 +173,20 @@ def ulsum_exact(net: Network, sum_budget: float | None = None) -> UlsumResult:
         q = pair.vector * (budget / float(pair.vector.sum()))
         maps = uplink_unit_sinr_power(net, q)
         current = maps.per_bs[solved, users]
-        image = maps.best * (budget / float(maps.best.sum()))
-        residuals.append(float(np.max(np.abs(image - q))) / budget)
         moved = maps.best < current * (1.0 - _MOVE_RTOL)
         if not moved.any():
             converged = pair.converged
             break
         assoc = np.where(moved, maps.best_bs, solved)
         x = pair.vector
+    image = maps.best * (budget / float(maps.best.sum()))
     return UlsumResult(
         power_ul=q,
         assoc=solved,
         gamma_sum=budget / float(current.sum()),
-        iterations=len(residuals),
+        iterations=iterations,
         converged=converged,
-        residual=residuals[-1],
-        residuals=np.array(residuals),
+        residual=float(np.max(np.abs(image - q))) / budget,
     )
 
 

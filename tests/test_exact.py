@@ -46,7 +46,7 @@ def gadgets(draw):
     n_vars = draw(st.integers(1, 2))
     literal = st.integers(1, n_vars).flatmap(lambda v: st.sampled_from((v, -v)))
     clauses = draw(st.lists(st.tuples(literal, literal, literal), min_size=1, max_size=2))
-    return build_3sat_gadget(CnfFormula(n_vars=n_vars, clauses=tuple(clauses))).network
+    return build_3sat_gadget(CnfFormula(n_vars=n_vars, clauses=tuple(clauses)))
 
 
 def linked_association(draw, net: Network) -> np.ndarray:

@@ -1034,10 +1034,9 @@ class TestCli:
         assert res.exit_code == 0, res.output
         assert json.loads(res.output)["agrees"] is True
 
-    def test_gadget_on_huge_header_file_fails_before_allocating(self):
-        # the file the CI smoke step runs through the installed entry point:
-        # 30,000 variables would need a 60,001 x 60,001 gain matrix (26.8 GiB),
-        # so the CLI runs with its address space capped at 2 GB
+    @staticmethod
+    def run_in_2_gb(*args):
+        """Run the CLI in a subprocess whose address space is capped at 2 GB."""
         resource = pytest.importorskip("resource")
         cap = 2 * 1024**3
 
@@ -1046,20 +1045,34 @@ class TestCli:
 
         src = str(Path(harness.__file__).parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        command = [sys.executable, "-m", "hetnet_maxmin.cli", "gadget", "--cnf"]
+        return subprocess.run(
+            [sys.executable, "-m", "hetnet_maxmin.cli", *map(str, args)],
+            env={**os.environ, "PYTHONPATH": path},
+            preexec_fn=limit_memory,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+
+    def test_gadget_on_huge_header_file_fails_before_allocating(self):
+        # the file the CI smoke step runs through the installed entry point:
+        # 30,000 variables would need a 60,001 x 60,001 gain matrix (26.8 GiB)
         for extra in ([], ["--verify"]):
-            proc = subprocess.run(
-                [*command, str(DATA / "huge_header_30000var.cnf"), *extra],
-                env={**os.environ, "PYTHONPATH": path},
-                preexec_fn=limit_memory,
-                capture_output=True,
-                text=True,
-                timeout=120,
-            )
+            proc = self.run_in_2_gb("gadget", "--cnf", DATA / "huge_header_30000var.cnf", *extra)
             assert proc.returncode == 1, proc.stderr
             assert proc.stderr.startswith("error: a gadget of 60001 BSs"), proc.stderr
             assert "Traceback" not in proc.stderr
             assert proc.stdout == ""
+
+    def test_gen_on_huge_scenario_file_fails_before_allocating(self):
+        # the file the CI smoke step runs through the installed entry point:
+        # 10,000 BSs and 10^6 users once died in user placement, allocating
+        # a 10,000 x 10^6 distance array (74.5 GiB)
+        proc = self.run_in_2_gb("gen", "--config", DATA / "scenario_huge_10000bs_1000000users.json")
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.startswith("error: a scenario of 10000 BSs and 1000000 users"), proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
 
     def test_gen_on_fractional_user_count_file(self):
         # the file the CI smoke step runs through the installed entry point
@@ -1083,8 +1096,14 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "old, new",
-        [("1 1 1 0", "1 a 1 0"), ("p cnf 1 2", "p cnf x 2"), ("p cnf 1 2", "p cnf 1 2.0")],
-        ids=["literal", "variable-count", "clause-count"],
+        [
+            ("1 1 1 0", "1 a 1 0"),
+            ("p cnf 1 2", "p cnf x 2"),
+            ("p cnf 1 2", "p cnf 1 2.0"),
+            ("p cnf 1 2", "p cnf 1 3"),
+            ("p cnf 1 2", "p cnf 1 2\np cnf 1 2"),
+        ],
+        ids=["literal", "variable-count", "clause-count", "clause-count-mismatch", "second-header"],
     )
     def test_malformed_dimacs_is_an_error_not_a_traceback(self, tmp_path, old, new):
         cnf = tmp_path / "bad.cnf"

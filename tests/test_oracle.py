@@ -1,5 +1,5 @@
-"""Oracle-layer tests: exhaustive optimum, closed-form block constants, the
-3-SAT network gadget, and the satisfiability equivalence check."""
+"""Oracle-layer tests: exhaustive optimum, the 3-SAT network gadget, and the
+satisfiability equivalence check."""
 
 import itertools
 import math
@@ -15,7 +15,6 @@ from hetnet_maxmin.oracle import (
     brute_force_optimum,
     build_3sat_gadget,
     cnf_from_dimacs,
-    gadget_pair_values,
     satisfiable,
     verify_sat_equivalence,
 )
@@ -26,6 +25,12 @@ from hetnet_maxmin.twostage import dlsum, dlsuma
 from helpers import DATA, frozen_network, random_formula, random_network, truth_table_sat
 
 P_LOW = (math.sqrt(7.0) - 1.0) / 2.0
+
+
+def gadget_layout(formula: CnfFormula) -> tuple[list[int], list[int], list[int]]:
+    """Clause, positive and negated BS/user indices of the gadget's layout."""
+    m, t = formula.n_clauses, formula.n_vars
+    return list(range(m)), [m + 2 * i for i in range(t)], [m + 2 * i + 1 for i in range(t)]
 
 
 def pair_block_network() -> Network:
@@ -61,6 +66,9 @@ class TestBruteForce:
         }
         for assoc, expected in values.items():
             assert solve_power(net, list(assoc)).min_sinr == pytest.approx(expected, abs=1e-6)
+        # with unit gains everywhere the block's optimum falls to 0.5
+        ones = Network(gain=np.ones((2, 2)), budget=[1.0, 1.0], noise_dl=[1.0, 1.0], noise_ul=[1.0, 1.0])
+        assert brute_force_optimum(ones).min_sinr == pytest.approx(0.5, abs=1e-6)
 
     def test_dominates_every_algorithm(self):
         rng = np.random.default_rng(0)
@@ -91,7 +99,7 @@ class TestBruteForce:
     def test_ties_resolve_to_the_first_candidate(self):
         # the two split configurations of the second variable block tie
         # exactly; the fixed point's rounding used to pick the later one
-        net = build_3sat_gadget(CnfFormula(2, ((2, -2, 1), (-2, -1, 1)))).network
+        net = build_3sat_gadget(CnfFormula(2, ((2, -2, 1), (-2, -1, 1))))
         links = [np.flatnonzero(net.gain[:, k] > 0).tolist() for k in range(net.n_users)]
         candidates = list(itertools.product(*links))
         values = [solve_power_exact(net, list(c)).min_sinr for c in candidates]
@@ -116,85 +124,48 @@ class TestBruteForce:
         np.testing.assert_allclose(p[1], [4.0, 2.0], rtol=1e-14)
 
 
-class TestPairValues:
-    def test_reference_constants(self):
-        pair = gadget_pair_values(2.0, 1.0)
-        assert pair.values[0] == pytest.approx(SAT_GAMMA, abs=1e-15)
-        assert pair.values[1] == pytest.approx(SAT_GAMMA, abs=1e-15)
-        assert pair.values[2] == pytest.approx(0.4, abs=1e-15)
-        assert pair.values[3] == pytest.approx(0.4, abs=1e-15)
-        assert pair.split_powers[0] == pytest.approx(P_LOW, abs=1e-15)
-        assert pair.split_powers[1] == 1.0
-
-    def test_unit_gains(self):
-        pair = gadget_pair_values(1.0, 1.0)
-        assert pair.values[0] == pytest.approx(0.5)
-        assert pair.values[2] == pytest.approx(1.0 / 3.0)
-        net = Network(
-            gain=np.ones((2, 2)), budget=[1.0, 1.0], noise_dl=[1.0, 1.0], noise_ul=[1.0, 1.0]
-        )
-        assert brute_force_optimum(net).min_sinr == pytest.approx(0.5, abs=1e-6)
-
-    def test_rejects_bad_inputs(self):
-        with pytest.raises(ValidationError):
-            gadget_pair_values(1.0, 2.0)
-        with pytest.raises(ValidationError):
-            gadget_pair_values(2.0, 0.0)
-
-
 class TestGadgetConstruction:
     def test_single_clause_link_pattern(self):
         formula = CnfFormula(n_vars=3, clauses=((1, -2, 3),))
-        gadget = build_3sat_gadget(formula)
-        g = gadget.network.gain
-        clause_user = gadget.clause_index[0]
+        g = build_3sat_gadget(formula).gain
+        clause, pos, neg = gadget_layout(formula)
+        clause_user = clause[0]
         # the clause user hears its own BS plus exactly the three literal BSs
         hears = np.flatnonzero(g[:, clause_user] > 0)
-        expected = sorted(
-            [
-                gadget.clause_index[0],
-                gadget.pos_index[0],
-                gadget.neg_index[1],
-                gadget.pos_index[2],
-            ]
-        )
-        assert hears.tolist() == expected
-        assert g[gadget.clause_index[0], clause_user] == pytest.approx(CLAUSE_GAIN)
-        assert g[gadget.pos_index[0], clause_user] == 1.0
+        assert hears.tolist() == sorted([clause[0], pos[0], neg[1], pos[2]])
+        assert g[clause[0], clause_user] == pytest.approx(CLAUSE_GAIN)
+        assert g[pos[0], clause_user] == 1.0
         # clause BS reaches nobody else
-        assert np.flatnonzero(g[gadget.clause_index[0]] > 0).tolist() == [clause_user]
+        assert np.flatnonzero(g[clause[0]] > 0).tolist() == [clause_user]
 
     def test_blocks_are_isolated(self):
         formula = CnfFormula(n_vars=3, clauses=((1, 2, 3), (-1, -2, -3)))
-        gadget = build_3sat_gadget(formula)
-        g = gadget.network.gain
+        g = build_3sat_gadget(formula).gain
+        _, pos, neg = gadget_layout(formula)
         for t in range(3):
             for s in range(3):
                 if t == s:
                     continue
-                for bs in (gadget.pos_index[t], gadget.neg_index[t]):
-                    for user in (gadget.pos_index[s], gadget.neg_index[s]):
+                for bs in (pos[t], neg[t]):
+                    for user in (pos[s], neg[s]):
                         assert g[bs, user] == 0.0
 
     def test_receiver_gain_pattern(self):
         formula = CnfFormula(n_vars=1, clauses=((1, 1, 1),))
-        gadget = build_3sat_gadget(formula)
-        g = gadget.network.gain
-        pos, neg = gadget.pos_index[0], gadget.neg_index[0]
+        g = build_3sat_gadget(formula).gain
+        _, (pos,), (neg,) = gadget_layout(formula)
         assert g[pos, pos] == g[neg, pos] == 2.0
         assert g[pos, neg] == g[neg, neg] == 1.0
 
     def test_repeated_literal_raises_interference_weight(self):
         formula = CnfFormula(n_vars=1, clauses=((1, 1, 1),))
-        gadget = build_3sat_gadget(formula)
-        assert gadget.network.gain[gadget.pos_index[0], gadget.clause_index[0]] == 3.0
+        clause, pos, _ = gadget_layout(formula)
+        assert build_3sat_gadget(formula).gain[pos[0], clause[0]] == 3.0
 
     def test_block_alone_reaches_pair_optimum(self):
         formula = CnfFormula(n_vars=2, clauses=((1, 2, -1),))
-        gadget = build_3sat_gadget(formula)
-        g = gadget.network.gain
-        for t in range(2):
-            idx = [gadget.pos_index[t], gadget.neg_index[t]]
+        g = build_3sat_gadget(formula).gain
+        for idx in zip(*gadget_layout(formula)[1:]):
             block = Network(
                 gain=g[np.ix_(idx, idx)],
                 budget=[1.0, 1.0],
@@ -328,3 +299,9 @@ p cnf 3 2
         for bad in ("p cnf 1 1\n1 a 1 0\n", "p cnf x 1\n1 1 1 0\n", "p cnf 1 1.5\n1 1 1 0\n"):
             with pytest.raises(ValidationError, match="non-integer"):
                 cnf_from_dimacs(bad)
+        # a truncated file once checked a shorter formula, and a second header
+        # once replaced the first's variable count
+        with pytest.raises(ValidationError, match="declares 5 clauses, the text holds 1"):
+            cnf_from_dimacs("p cnf 3 5\n1 2 3 0\n")
+        with pytest.raises(ValidationError, match="second DIMACS header"):
+            cnf_from_dimacs("p cnf 3 1\n1 2 3 0\np cnf 3 1\n")
