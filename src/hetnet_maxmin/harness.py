@@ -7,7 +7,12 @@ their :class:`Outcome` as its JSON document.
 
 Within a trial each sum-power relaxation is solved once: ``ulsum`` and
 ``dlsum`` share the plain one, ``ulsuma`` and ``dlsuma`` the power-balanced
-one, and whichever cell of a pair comes first solves it.
+one, and whichever cell of a pair comes first solves it.  The balanced
+relaxation carries its balanced network, so a trial balances once.
+
+A sweep's unit of work is one seed: its SNR points differ only in their
+budgets, so the seed's network is generated once and each later point is
+built from that draw.
 
 Trial i always uses seed ``seed_base + i``, independent of worker order, so
 serial and parallel sweeps produce bit-identical outputs.  Means are taken
@@ -44,7 +49,7 @@ from .model import (
 )
 from .oracle import MAX_CANDIDATES, brute_force_optimum
 from .power import solve_power_exact
-from .scenario import ScenarioConfig, generate_hetnet, scenario_from_json
+from .scenario import ScenarioConfig, _network, generate_hetnet, scenario_from_json
 from .sumpower import UlsumResult, ulsum_exact
 from .twostage import StageInfo, TwoStageResult, dlsum, dlsuma, ulsuma
 
@@ -278,11 +283,24 @@ class ExperimentSpec:
         object.__setattr__(self, "snr_db", snr_db)
 
 
-def run_trial(spec: ExperimentSpec, trial_index: int, snr_db: float) -> TrialRecord:
-    """Generate the trial's network and run every selected algorithm on it."""
+def run_trial(
+    spec: ExperimentSpec, trial_index: int, snr_db: float, draws: dict | None = None
+) -> TrialRecord:
+    """Run every selected algorithm on the trial's network at ``snr_db``.
+
+    ``draws`` maps a seed to its generated instance.  A trial whose seed is
+    there builds its network from that draw's gains at its own budgets, equal
+    bit for bit to a fresh draw; any other trial generates one and stores it.
+    """
     seed = spec.seed_base + trial_index
     config = replace(spec.scenario, snr_db=float(snr_db), seed=seed)
-    net = generate_hetnet(config).network
+    draws = {} if draws is None else draws
+    if seed in draws:
+        drawn = draws[seed]
+        net = _network(config, drawn.network.gain, drawn.geometry.bs_is_macro)
+    else:
+        draws[seed] = generate_hetnet(config)
+        net = draws[seed].network
     relaxations: dict = {}  # this network's only, so it dies with the trial
     cells = {name: run_algorithm(name, net, relaxations=relaxations) for name in spec.algorithms}
     return TrialRecord(seed=seed, snr_db=float(snr_db), cells=cells)
@@ -313,28 +331,37 @@ class MonteCarloResult:
     cdf: dict[tuple[str, float], tuple[np.ndarray, np.ndarray]]
 
 
-def _task(args: tuple[ExperimentSpec, int, float]) -> TrialRecord:
-    # Looks run_trial up at call time, so patching harness.run_trial reaches it.
-    return run_trial(*args)
+def _task(args: tuple[ExperimentSpec, int]) -> tuple[TrialRecord, ...]:
+    # One seed at every grid point, in grid order, sharing one draw.  Looks
+    # run_trial up at call time, so patching harness.run_trial reaches it.
+    spec, trial = args
+    draws: dict = {}  # this seed's only, so it dies with the task
+    return tuple(run_trial(spec, trial, snr, draws) for snr in spec.snr_db)
 
 
 def monte_carlo(spec: ExperimentSpec, jobs: int = 1) -> MonteCarloResult:
     """Run the sweep and aggregate means and clipped empirical CDFs.
 
-    Trials are independent; with ``jobs > 1`` they run in a process pool of
-    at most one worker per task and per CPU, whose ordered map keeps the
-    output identical to a serial run.
+    The unit of work is one seed: it generates its network once and runs
+    :func:`run_trial` at every SNR point.  Seeds are independent; with
+    ``jobs > 1`` they run in a process pool of at most one worker per seed
+    and per CPU, whose ordered map keeps the output identical to a serial
+    run.  Either way the records are laid out SNR-major: every seed at the
+    first point, then every seed at the next.
     """
-    tasks = [(spec, trial, snr) for snr in spec.snr_db for trial in range(spec.n_runs)]
+    tasks = [(spec, trial) for trial in range(spec.n_runs)]
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers > 1:
         # imported here: a serial run loads no multiprocessing module
         from concurrent.futures import ProcessPoolExecutor
 
+        # chunks of about 8 trials, so that a sweep of few seeds still spreads
+        chunksize = max(1, 8 // len(spec.snr_db))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = tuple(pool.map(_task, tasks, chunksize=8))
+            by_seed = list(pool.map(_task, tasks, chunksize=chunksize))
     else:
-        records = tuple(map(_task, tasks))
+        by_seed = list(map(_task, tasks))
+    records = tuple(record for point in zip(*by_seed) for record in point)
 
     means: dict[tuple[str, float], MeanCell] = {}
     cdf: dict[tuple[str, float], tuple[np.ndarray, np.ndarray]] = {}

@@ -254,12 +254,7 @@ def generate_hetnet(config: ScenarioConfig) -> HetnetInstance:
     shadow_db = rng.standard_normal(dist.shape) * config.shadow_std_db
     gain = 10.0 ** (shadow_db / 10.0) * (config.pathloss_ref_m / dist) ** config.pathloss_exp
 
-    network = Network(
-        gain=gain,
-        budget=np.where(bs_is_macro, config.macro_power, config.pico_power),
-        noise_dl=np.full(config.n_users, config.noise),
-        noise_ul=np.full(len(bs_positions), config.noise),
-    )
+    network = _network(config, gain, bs_is_macro)
     geometry = Geometry(
         bs_positions=bs_positions,
         bs_is_macro=bs_is_macro,
@@ -268,6 +263,17 @@ def generate_hetnet(config: ScenarioConfig) -> HetnetInstance:
         user_cell=_nearest(bs_positions, user_positions).astype(int),
     )
     return HetnetInstance(network=network, geometry=geometry)
+
+
+def _network(config: ScenarioConfig, gain: np.ndarray, bs_is_macro: np.ndarray) -> Network:
+    """The network of a draw's ``gain`` at ``config``'s budgets and noise;
+    ``snr_db`` enters a draw only here."""
+    return Network(
+        gain=gain,
+        budget=np.where(bs_is_macro, config.macro_power, config.pico_power),
+        noise_dl=np.full(config.n_users, config.noise),
+        noise_ul=np.full(len(bs_is_macro), config.noise),
+    )
 
 
 def scenario_to_json(config: ScenarioConfig) -> dict:

@@ -80,10 +80,12 @@ class UlsumResult:
 
     At the optimum the full sum budget is spent, all per-user uplink SINRs
     equal ``gamma_sum``, and ``assoc`` is the final (optimal after finitely
-    many iterations) association.  ``residuals`` is the fixed point's
-    residual trace; the exact policy iteration leaves it None.
+    many iterations) association.  ``network`` is the network it was solved
+    on.  ``residuals`` is the fixed point's residual trace; the exact policy
+    iteration leaves it None.
     """
 
+    network: Network
     power_ul: np.ndarray
     assoc: np.ndarray
     gamma_sum: float
@@ -118,6 +120,7 @@ def ulsum(
     run = _run_fixed_point(step, opts or FixedPointOptions(), np.full(net.n_users, budget), budget)
     final = uplink_unit_sinr_power(net, run.power)
     return UlsumResult(
+        network=net,
         power_ul=run.power,
         assoc=final.best_bs,
         gamma_sum=budget / float(final.best.sum()),
@@ -181,6 +184,7 @@ def ulsum_exact(net: Network, sum_budget: float | None = None) -> UlsumResult:
         x = pair.vector
     image = maps.best * (budget / float(maps.best.sum()))
     return UlsumResult(
+        network=net,
         power_ul=q,
         assoc=solved,
         gamma_sum=budget / float(current.sum()),

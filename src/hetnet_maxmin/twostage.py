@@ -84,10 +84,11 @@ def power_balance_transform(net: Network) -> Network:
 def ulsuma(net: Network) -> UlsumResult:
     """The sum-power relaxation solved on the power-balanced network.
 
-    The association, powers and value belong to the balanced network.  Its
-    ``gamma_sum`` bounds the original per-BS optimum: balancing keeps that
-    optimum, and the pooled budget relaxes the per-BS ones.  The balancing
-    typically tightens the bound when budgets are very uneven.
+    The association, powers and value belong to the balanced network, the
+    result's ``network``.  Its ``gamma_sum`` bounds the original per-BS
+    optimum: balancing keeps that optimum, and the pooled budget relaxes the
+    per-BS ones.  The balancing typically tightens the bound when budgets
+    are very uneven.
     """
     return ulsum_exact(power_balance_transform(net))
 
@@ -134,11 +135,12 @@ def dlsuma(net: Network, *, stage1: UlsumResult | None = None) -> TwoStageResult
     the association of (1), step (4) is skipped and (2) is reused
     bit-for-bit.  The reported upper bound is the stage-(1) value, the
     :func:`ulsuma` bound.  ``stage1``, when given, is ``ulsuma(net)``
-    already solved.
+    already solved, whose ``network`` is the balanced one, so a caller that
+    passes it balances once.
     """
-    bnet = power_balance_transform(net)
     if stage1 is None:
-        stage1 = ulsum_exact(bnet)
+        stage1 = ulsuma(net)
+    bnet = stage1.network
     stage2 = solve_power_exact(bnet, stage1.assoc)
     spent = float(stage2.power.sum())
     stage3 = ulsum_exact(bnet, spent)

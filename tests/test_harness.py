@@ -57,6 +57,31 @@ SHARING_ORDERS = [
 ]
 
 
+@pytest.fixture
+def recording_pool(monkeypatch):
+    """Replace the process pool by one that records each pool's worker count
+    and its map's task count and chunk size.  A fork pool starts all its
+    workers at the first submit, so this one maps serially and starts none."""
+    pools = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            pools.append({"workers": max_workers})
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            pools[-1].update(tasks=len(tasks), chunksize=chunksize)
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    return pools
+
+
 def small_spec(**overrides) -> ExperimentSpec:
     defaults = dict(
         scenario=ScenarioConfig(n_macro=4, picos_per_macro=0, n_users=4),
@@ -188,6 +213,34 @@ class TestRunTrial:
         run_trial(small_spec(scenario=C08_SCENARIO, algorithms=algorithms), 0, 25.0)
         assert len(calls) == 2
 
+    @pytest.mark.parametrize(
+        "algorithms", [("maxsnr", "dlsuma", "ulsuma"), ("ulsuma", "maxsnr", "dlsuma")]
+    )
+    def test_criterion_08_trial_balances_the_network_once(self, monkeypatch, algorithms):
+        # dlsuma takes the balanced network with the stage 1 that ulsuma solved on it
+        calls = []
+        balance = twostage.power_balance_transform
+
+        def counted(net):
+            calls.append(None)
+            return balance(net)
+
+        monkeypatch.setattr(twostage, "power_balance_transform", counted)
+        run_trial(small_spec(scenario=C08_SCENARIO, algorithms=algorithms), 0, 25.0)
+        assert len(calls) == 1
+
+    def test_lone_trial_generates_its_own_draw(self, monkeypatch):
+        # three arguments: no draw to share, so each call generates one
+        calls = []
+        generate = harness.generate_hetnet
+        monkeypatch.setattr(harness, "generate_hetnet", lambda c: calls.append(c) or generate(c))
+        spec = small_spec(algorithms=("maxsnr",))
+        run_trial(spec, 0, 10.0)
+        record = run_trial(spec, 0, 20.0)
+        assert [(c.seed, c.snr_db) for c in calls] == [(17, 10.0), (17, 20.0)]
+        net = generate_hetnet(replace(spec.scenario, snr_db=20.0, seed=17)).network
+        assert record.cells["maxsnr"].min_sinr == run_algorithm("maxsnr", net).min_sinr
+
     def test_unknown_algorithm_rejected(self):
         net = generate_hetnet(ScenarioConfig(n_macro=1, picos_per_macro=0, n_users=1)).network
         with pytest.raises(ValueError):
@@ -318,31 +371,77 @@ class TestMonteCarlo:
         [(10**6, 64, [6]), (10**6, 4, [4]), (3, 64, [3]), (10**6, None, []), (1, 64, [])],
         ids=["tasks", "cpus", "jobs", "unknown-cpus", "serial"],
     )
-    def test_workers_bounded_by_tasks_and_cpus(self, tmp_path, monkeypatch, jobs, cpus, started):
-        # a fork pool starts all its workers at the first submit, so the
-        # recording pool below maps serially and never starts a process
-        started_here = []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                started_here.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks, chunksize=1):
-                return map(fn, tasks)
-
+    def test_workers_bounded_by_tasks_and_cpus(
+        self, tmp_path, monkeypatch, recording_pool, jobs, cpus, started
+    ):
         spec = small_spec(n_runs=6, algorithms=("maxsnr",))
         export_csv(monte_carlo(spec), tmp_path / "serial.csv")
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
         export_csv(monte_carlo(spec, jobs=jobs), tmp_path / "pooled.csv")
-        assert started_here == started
+        assert [pool["workers"] for pool in recording_pool] == started
         assert (tmp_path / "pooled.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
+
+    @pytest.mark.parametrize("snr_db, chunksize", [((10.0,), 8), ((5.0, 15.0, 25.0, 35.0), 2)])
+    def test_pool_chunks_hold_about_eight_trials(
+        self, monkeypatch, recording_pool, snr_db, chunksize
+    ):
+        # a task is a whole seed, so three 4-point seeds make two chunks,
+        # one for each worker, as twelve one-point trials did
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 64)
+        monte_carlo(small_spec(snr_db=snr_db, n_runs=3, algorithms=("maxsnr",)), jobs=2)
+        assert recording_pool == [{"workers": 2, "tasks": 3, "chunksize": chunksize}]
+
+    @pytest.mark.parametrize(
+        "scenario, snr_db",
+        [
+            (C08_SCENARIO, (5.0, 15.0, 25.0, 35.0)),
+            (
+                ScenarioConfig(
+                    n_macro=3, picos_per_macro=1, n_users=6, user_dist="congested",
+                    wrap_around=True, snr_db=7.0,
+                ),
+                (20.0, 0.0, 10.0),
+            ),
+        ],
+        ids=["criterion-08", "congested-wrap-around"],
+    )
+    def test_each_snr_point_gets_the_network_of_a_fresh_draw(self, monkeypatch, scenario, snr_db):
+        # the points after a seed's first are built from its draw, and must
+        # equal what generating at their SNR gives, byte for byte
+        seen = []
+
+        def record(name, net, *, relaxations=None):
+            seen.append(net)
+            return AlgoCell(1.0, 0.0, True, None)
+
+        monkeypatch.setattr(harness, "run_algorithm", record)
+        spec = small_spec(scenario=scenario, snr_db=snr_db, algorithms=("maxsnr",), n_runs=20)
+        monte_carlo(spec)
+        # a serial sweep runs one seed at every point, then the next seed
+        points = [(spec.seed_base + t, snr) for t in range(spec.n_runs) for snr in snr_db]
+        assert len(seen) == len(points)
+        for net, (seed, snr) in zip(seen, points):
+            fresh = generate_hetnet(replace(scenario, snr_db=snr, seed=seed)).network
+            for name in ("gain", "budget", "noise_dl", "noise_ul"):
+                got, want = getattr(net, name), getattr(fresh, name)
+                assert (got.dtype, got.shape) == (want.dtype, want.shape), name
+                assert got.tobytes() == want.tobytes(), (seed, snr, name)
+
+    def test_each_seed_is_generated_once_across_the_grid(self, monkeypatch):
+        generated, trials = [], []
+        generate, trial = harness.generate_hetnet, harness.run_trial
+        monkeypatch.setattr(harness, "generate_hetnet", lambda c: generated.append(c) or generate(c))
+        monkeypatch.setattr(harness, "run_trial", lambda *a: trials.append(a[1:3]) or trial(*a))
+        spec = small_spec(snr_db=(5.0, 15.0, 25.0, 35.0), algorithms=("maxsnr",), n_runs=3)
+        result = monte_carlo(spec, jobs=1)
+        assert [c.seed for c in generated] == [17, 18, 19]
+        assert {c.snr_db for c in generated} == {5.0}
+        # one seed at every point in grid order, then the next seed
+        assert trials == [(t, s) for t in range(3) for s in spec.snr_db]
+        # the records stay SNR-major
+        assert [(r.snr_db, r.seed) for r in result.records] == [
+            (s, 17 + t) for s in spec.snr_db for t in range(3)
+        ]
 
 
 class TestExports:
@@ -838,6 +937,22 @@ class TestCli:
         assert isinstance(res.exception, SystemExit), res.exception
         assert res.output.startswith("error: snr_db")
         assert not out.exists()
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_sweep_over_an_overflowing_snr_point_exits_one(self, tmp_path, jobs):
+        # the file the CI smoke step runs: the macro budget at 3075 dB
+        # overflows to inf, so that point's network, built from the seed's
+        # 5 dB draw, fails its validation as a fresh draw would
+        out, cdf = tmp_path / "r.csv", tmp_path / "c.csv"
+        spec = DATA / "experiment_overflow_snr.json"
+        res = CliRunner().invoke(
+            cli_main,
+            ["sweep", "--spec", str(spec), "--out", str(out), "--cdf-out", str(cdf), "--jobs", jobs],
+        )
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit), res.exception
+        assert res.output == "error: budget must be finite\n"
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("existing", [False, True], ids=["new-out", "existing-out"])
     def test_failed_sweep_removes_the_outputs_it_created(self, tmp_path, existing):
