@@ -1048,6 +1048,21 @@ class TestCli:
         assert len(json.loads(doc.read_text())["records"]) == 4
         assert len(calls) == 2 * 2  # 2 SNRs x 2 runs, each trial once
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_criterion_08_size_sweep_matches_its_pinned_files(self, tmp_path, jobs):
+        # 18 users at 5-35 dB: every Perron solve takes several Noda steps,
+        # the relaxations several policy steps, and dlsuma's stage 4 runs in
+        # 13 of the 24 trials, none of which the 3-user pinned sweep reaches
+        out, cdf = tmp_path / "r.csv", tmp_path / "c.csv"
+        spec = DATA / "sweep_4x2_k18_criterion08.json"
+        res = CliRunner().invoke(
+            cli_main,
+            ["sweep", "--spec", str(spec), "--out", str(out), "--cdf-out", str(cdf), "--jobs", jobs],
+        )
+        assert res.exit_code == 0, res.output
+        assert out.read_bytes() == (DATA / "sweep_4x2_k18_criterion08.csv").read_bytes()
+        assert cdf.read_bytes() == (DATA / "sweep_4x2_k18_criterion08_cdf.csv").read_bytes()
+
     @pytest.mark.parametrize(
         "args",
         [
