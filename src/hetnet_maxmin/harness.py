@@ -43,13 +43,14 @@ from .model import (
     ValidationError,
     _check_document,
     _check_field_types,
+    _derived,
     _of_type,
     _to_json,
     max_snr_association,
 )
 from .oracle import MAX_CANDIDATES, brute_force_optimum
 from .power import solve_power_exact
-from .scenario import ScenarioConfig, _network, generate_hetnet, scenario_from_json
+from .scenario import ScenarioConfig, _budget, generate_hetnet, scenario_from_json
 from .sumpower import UlsumResult, ulsum_exact
 from .twostage import StageInfo, TwoStageResult, dlsum, dlsuma, ulsuma
 
@@ -193,6 +194,8 @@ def _ulsuma(net: Network) -> UlsumResult:
 # algorithm, the brute-force oracle included, solves its power problems
 # exactly.  A network an algorithm cannot take (p1prime and aufp need as many
 # BSs as users) raises.  ulsum and ulsuma are the stage 1 of dlsum and dlsuma.
+# maxsnr's association is checked: where gain * budget underflows to 0 the
+# greedy rule can pick a BS without a link.
 ALGORITHMS = {
     "maxsnr": lambda net: _per_bs(solve_power_exact(net, max_snr_association(net))),
     "ulsum": _OnRelaxation(_ulsum, lambda net, s: _relaxation(s, "uplink sum-power relaxation")),
@@ -289,15 +292,16 @@ def run_trial(
     """Run every selected algorithm on the trial's network at ``snr_db``.
 
     ``draws`` maps a seed to its generated instance.  A trial whose seed is
-    there builds its network from that draw's gains at its own budgets, equal
-    bit for bit to a fresh draw; any other trial generates one and stores it.
+    there derives its network from that draw's: the draw's gains and noises at
+    this point's budgets, equal bit for bit to a fresh draw, with only the
+    budgets checked.  Any other trial generates one and stores it.
     """
     seed = spec.seed_base + trial_index
     config = replace(spec.scenario, snr_db=float(snr_db), seed=seed)
     draws = {} if draws is None else draws
     if seed in draws:
         drawn = draws[seed]
-        net = _network(config, drawn.network.gain, drawn.geometry.bs_is_macro)
+        net = _derived(drawn.network, budget=_budget(config, drawn.geometry.bs_is_macro))
     else:
         draws[seed] = generate_hetnet(config)
         net = draws[seed].network

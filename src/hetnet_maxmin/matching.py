@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import Network, SolveResult, ValidationError
-from .power import solve_power_exact
+from .power import _solve_power_exact
 
 __all__ = [
     "FORBIDDEN",
@@ -224,7 +224,7 @@ def _solve_matched(
     net: Network, assignment: np.ndarray, total_gain: float, state: AuctionState | None = None
 ) -> OneToOneResult:
     """Max-min power at the matched association; min-SINR >= 1 certifies optimality."""
-    result = solve_power_exact(net, assignment)
+    result = _solve_power_exact(net, assignment)
     status = "optimal" if result.min_sinr >= 1.0 else "infeasible"
     return OneToOneResult(status=status, result=result, total_gain=total_gain, auction=state)
 

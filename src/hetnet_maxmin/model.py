@@ -76,11 +76,7 @@ class Network:
             raise ValidationError("network needs at least one BS and one user")
         if not np.all(np.isfinite(g)) or np.any(g < 0):
             raise ValidationError("gains must be finite and non-negative")
-        unreachable = np.flatnonzero(g.max(axis=0) <= 0)
-        if unreachable.size:
-            raise ValidationError(
-                f"users {unreachable.tolist()} have no BS with positive gain"
-            )
+        _check_reachable(g)
         object.__setattr__(self, "gain", g)
         object.__setattr__(self, "budget", _vector(self.budget, n, "budget", positive=True))
         object.__setattr__(self, "noise_dl", _vector(self.noise_dl, k, "noise_dl", positive=True))
@@ -95,6 +91,39 @@ class Network:
     @property
     def n_users(self) -> int:
         return self.gain.shape[1]
+
+
+def _check_reachable(gain: np.ndarray) -> None:
+    unreachable = np.flatnonzero(gain.max(axis=0) <= 0)
+    if unreachable.size:
+        raise ValidationError(f"users {unreachable.tolist()} have no BS with positive gain")
+
+
+def _derived(base: Network, *, gain: np.ndarray | None = None, budget=None) -> Network:
+    """``base`` with a ``gain`` or ``budget`` derived from its own, checked
+    only as far as the derivation can break them.
+
+    A derived gain is ``base.gain`` scaled by finite non-negative factors: it
+    keeps the shape, finiteness and sign, but an underflow can leave a user
+    without a positive gain, which raises as in :class:`Network`.  A derived
+    budget gets :class:`Network`'s full budget check.  The other arrays are
+    ``base``'s own, and every array is read-only.
+    """
+    if gain is None:
+        gain = base.gain
+    else:
+        _check_reachable(gain)
+    if budget is None:
+        budget = base.budget
+    else:
+        budget = _vector(budget, base.n_bs, "budget", positive=True)
+    net = object.__new__(Network)
+    for name, value in zip(
+        ("gain", "budget", "noise_dl", "noise_ul"), (gain, budget, base.noise_dl, base.noise_ul)
+    ):
+        value.setflags(write=False)
+        object.__setattr__(net, name, value)
+    return net
 
 
 @dataclass(frozen=True)
@@ -206,8 +235,11 @@ def downlink_sinr(net: Network, assoc, power) -> np.ndarray:
     user's transmission i != k interferes through gain[a_i, k], including
     co-served users of the same BS.  A zero-power user gets SINR 0.
     """
-    a = check_association(net, assoc)
-    p = check_power(net, power)
+    return _downlink_sinr(net, check_association(net, assoc), check_power(net, power))
+
+
+def _downlink_sinr(net: Network, a: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """:func:`downlink_sinr` at an association and power already known valid."""
     gains_at_users = net.gain[a, :]              # [i, k] = gain of i's serving BS at user k
     received = p[:, None] * gains_at_users
     total = received.sum(axis=0)

@@ -19,8 +19,10 @@ force's candidates.
 
 from __future__ import annotations
 
+import functools
 import importlib.machinery
 import importlib.util
+import math
 import os
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -263,34 +265,46 @@ def perron_pair(matrix, start=None) -> PerronPair:
     threads it costs 1.4-2.9x the CPU time at K = 57-100.
     """
     a = np.asarray(matrix, dtype=float)
-    x = np.ones(a.shape[0]) if start is None else start / np.max(start)
+    x = np.ones(len(a)) if start is None else start / np.maximum.reduce(start)
     for _ in range(_POWER_STEPS):
         y = a @ x
-        if not y.min() > 0:
+        if not np.minimum.reduce(y) > 0:
             break
-        x = y / y.max()
+        x = y / np.maximum.reduce(y)
+    # the bracket [lo, lam] of each ratio vector, reduced once
     ratios = (a @ x) / x
-    lam = float(ratios.max())
-    floor = _PERRON_RTOL * float(a.max(initial=0.0))
-    eye = np.eye(a.shape[0])
+    lam, lo = float(np.maximum.reduce(ratios)), float(np.minimum.reduce(ratios))
+    floor = _PERRON_RTOL * float(np.maximum.reduce(a, axis=None, initial=0.0))
+    eye = _identity(len(a))
     for steps in range(_NODA_MAX_STEPS):
-        if lam - float(ratios.min()) <= _PERRON_RTOL * lam or lam <= floor:
+        if lam - lo <= _PERRON_RTOL * lam or lam <= floor:
             return PerronPair(lam, x, steps, True)
         y, info = dgesv(lam * (1.0 + _SHIFT_MARGIN) * eye - a, x, overwrite_a=1)[2:]
-        if info == 0 and y.min() > 0 and np.isfinite(y.max()):
+        if info == 0 and np.minimum.reduce(y) > 0 and math.isfinite(np.maximum.reduce(y)):
             ay = a @ y
-            x_new = ay / ay.max() if ay.min() > 0 else y / y.max()
-            ratios_new = (a @ x_new) / x_new
-            lam_new = float(ratios_new.max())
+            if np.minimum.reduce(ay) > 0:
+                x_new = ay / np.maximum.reduce(ay)
+            else:
+                x_new = y / np.maximum.reduce(y)
+            ratios = (a @ x_new) / x_new
+            lam_new, lo_new = float(np.maximum.reduce(ratios)), float(np.minimum.reduce(ratios))
             if lam_new < lam * (1.0 - _PERRON_RTOL):
-                x, ratios, lam = x_new, ratios_new, lam_new
+                x, lam, lo = x_new, lam_new, lo_new
                 continue
-            if float(ratios_new.min()) / lam_new > float(ratios.min()) / lam:
-                x, ratios, lam = x_new, ratios_new, lam_new
-        if lam - float(ratios.min()) <= _STALL_RTOL * lam:
+            if lo_new / lam_new > lo / lam:
+                x, lam, lo = x_new, lam_new, lo_new
+        if lam - lo <= _STALL_RTOL * lam:
             return PerronPair(lam, x, steps + 1, True)
         return _dense_perron(a, steps + 1)
     return PerronPair(lam, x, _NODA_MAX_STEPS, False)
+
+
+@functools.lru_cache(maxsize=4)
+def _identity(k: int) -> np.ndarray:
+    """The read-only K x K identity of :func:`perron_pair`'s shifts."""
+    eye = np.eye(k)
+    eye.setflags(write=False)
+    return eye
 
 
 # Relative overload of another BS below which the per-BS climb stops.  Loads
@@ -333,39 +347,40 @@ def solve_power_exact(net: Network, assoc) -> SolveResult:
 
 
 def _solve_power_exact(net: Network, a: np.ndarray) -> SolveResult:
-    """:func:`solve_power_exact` at a checked association, for callers that loop."""
+    """:func:`solve_power_exact` at an association known to be valid: checked
+    by the caller, or made by a solver from the network's links."""
     k = net.n_users
     cross, u = _coupling(net, a)
     members = (a[None, :] == np.arange(net.n_bs)[:, None]) / net.budget[:, None]
 
     x = u + cross @ (net.budget[a] / k)
-    n = int(np.argmax(members @ x))
+    n = int((members @ x).argmax())
     visited = set()
     steps = 0
     converged = False
     while n not in visited:
         visited.add(n)
-        pair = perron_pair(cross + np.outer(u, members[n]), x)
+        pair = perron_pair(cross + u[:, None] * members[n], x)
         steps += pair.steps
         loads = members @ pair.vector
-        m = int(np.argmax(loads))
+        m = int(loads.argmax())
         if loads[m] <= loads[n] * (1.0 + _SWITCH_RTOL):
             converged = pair.converged
             break
         n = m
         x = np.maximum(pair.vector, np.finfo(float).tiny)
-    p = pair.vector / float(loads.max())
+    p = pair.vector / float(np.maximum.reduce(loads))
     unit = u + cross @ p
-    image = unit / float(np.max(members @ unit))
+    image = unit / float(np.maximum.reduce(members @ unit))
     sinr = p / unit
     return SolveResult(
         association=a,
         power=p,
         sinr=sinr,
-        min_sinr=float(np.min(sinr)),
+        min_sinr=float(np.minimum.reduce(sinr)),
         iterations=steps,
         converged=converged,
-        residual=float(np.max(np.abs(image - p))) / float(np.max(net.budget)),
+        residual=float(np.maximum.reduce(np.abs(image - p))) / float(np.maximum.reduce(net.budget)),
     )
 
 

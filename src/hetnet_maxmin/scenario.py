@@ -254,7 +254,12 @@ def generate_hetnet(config: ScenarioConfig) -> HetnetInstance:
     shadow_db = rng.standard_normal(dist.shape) * config.shadow_std_db
     gain = 10.0 ** (shadow_db / 10.0) * (config.pathloss_ref_m / dist) ** config.pathloss_exp
 
-    network = _network(config, gain, bs_is_macro)
+    network = Network(
+        gain=gain,
+        budget=_budget(config, bs_is_macro),
+        noise_dl=np.full(config.n_users, config.noise),
+        noise_ul=np.full(len(bs_is_macro), config.noise),
+    )
     geometry = Geometry(
         bs_positions=bs_positions,
         bs_is_macro=bs_is_macro,
@@ -265,15 +270,9 @@ def generate_hetnet(config: ScenarioConfig) -> HetnetInstance:
     return HetnetInstance(network=network, geometry=geometry)
 
 
-def _network(config: ScenarioConfig, gain: np.ndarray, bs_is_macro: np.ndarray) -> Network:
-    """The network of a draw's ``gain`` at ``config``'s budgets and noise;
-    ``snr_db`` enters a draw only here."""
-    return Network(
-        gain=gain,
-        budget=np.where(bs_is_macro, config.macro_power, config.pico_power),
-        noise_dl=np.full(config.n_users, config.noise),
-        noise_ul=np.full(len(bs_is_macro), config.noise),
-    )
+def _budget(config: ScenarioConfig, bs_is_macro: np.ndarray) -> np.ndarray:
+    """The per-BS budgets at ``config``'s SNR; ``snr_db`` enters a draw only here."""
+    return np.where(bs_is_macro, config.macro_power, config.pico_power)
 
 
 def scenario_to_json(config: ScenarioConfig) -> dict:

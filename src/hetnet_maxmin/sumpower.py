@@ -57,21 +57,30 @@ class UplinkUnitPower(NamedTuple):
 def uplink_unit_sinr_power(net: Network, power) -> UplinkUnitPower:
     """Evaluate the uplink unit-SINR power map at the given user powers.
 
-    It runs once per fixed-point or policy step and checks nothing: pass
-    powers that :func:`~hetnet_maxmin.model.check_power` accepts.
+    It checks nothing: pass powers that
+    :func:`~hetnet_maxmin.model.check_power` accepts.
     """
-    p = np.asarray(power, dtype=float)
-    totals = net.gain @ p
-    interference = totals[:, None] - net.gain * p[None, :]
-    with np.errstate(divide="ignore"):
-        per_bs = np.where(
-            net.gain > 0,
-            (net.noise_ul[:, None] + interference) / np.where(net.gain > 0, net.gain, 1.0),
-            np.inf,
-        )
-    best = per_bs.min(axis=0)
-    best_bs = per_bs.argmin(axis=0).astype(int)
-    return UplinkUnitPower(per_bs=per_bs, best=best, best_bs=best_bs)
+    return _unit_power_map(net)(np.asarray(power, dtype=float))
+
+
+def _unit_power_map(net: Network):
+    """:func:`uplink_unit_sinr_power` on ``net`` as a function of the powers.
+
+    The link mask and the safe divisors depend on the network alone, so a
+    solver that evaluates the map once per step builds it once.
+    """
+    gain, noise = net.gain, net.noise_ul[:, None]
+    linked = gain > 0
+    safe_gain = np.where(linked, gain, 1.0)
+    users = np.arange(net.n_users)
+
+    def unit_power(p: np.ndarray) -> UplinkUnitPower:
+        interference = (gain @ p)[:, None] - gain * p
+        per_bs = np.where(linked, (noise + interference) / safe_gain, np.inf)
+        best_bs = per_bs.argmin(axis=0)
+        return UplinkUnitPower(per_bs=per_bs, best=per_bs[best_bs, users], best_bs=best_bs)
+
+    return unit_power
 
 
 @dataclass(frozen=True)
@@ -112,13 +121,14 @@ def ulsum(
     is normalized by ``sum_budget``.
     """
     budget = _sum_budget(net, sum_budget)
+    unit_power = _unit_power_map(net)
 
     def step(p):
-        best = uplink_unit_sinr_power(net, p).best
+        best = unit_power(p).best
         return best * (budget / float(best.sum()))
 
     run = _run_fixed_point(step, opts or FixedPointOptions(), np.full(net.n_users, budget), budget)
-    final = uplink_unit_sinr_power(net, run.power)
+    final = unit_power(run.power)
     return UlsumResult(
         network=net,
         power_ul=run.power,
@@ -163,18 +173,19 @@ def ulsum_exact(net: Network, sum_budget: float | None = None) -> UlsumResult:
     budget = _sum_budget(net, sum_budget)
     k = net.n_users
     users = np.arange(k)
-    assoc = uplink_unit_sinr_power(net, np.full(k, budget / k)).best_bs
+    unit_power = _unit_power_map(net)
+    assoc = unit_power(np.full(k, budget / k)).best_bs
     x = None
     converged = False
     for iterations in range(1, _POLICY_MAX_STEPS + 1):
         solved = assoc
         direct = net.gain[solved, users]
         coupling = net.gain[solved, :] / direct[:, None]
-        np.fill_diagonal(coupling, 0.0)
+        coupling[users, users] = 0.0
         coupling += (net.noise_ul[solved] / direct)[:, None] / budget
         pair = perron_pair(coupling, x)
-        q = pair.vector * (budget / float(pair.vector.sum()))
-        maps = uplink_unit_sinr_power(net, q)
+        q = pair.vector * (budget / float(np.add.reduce(pair.vector)))
+        maps = unit_power(q)
         current = maps.per_bs[solved, users]
         moved = maps.best < current * (1.0 - _MOVE_RTOL)
         if not moved.any():
@@ -229,15 +240,14 @@ def convergence_rate_bound(net: Network, sum_budget: float | None = None) -> flo
     Diagnostic only; observed decay is usually much faster.
     """
     budget = _sum_budget(net, sum_budget)
-    with np.errstate(divide="ignore"):
-        linked = net.gain > 0
-        safe_gain = np.where(linked, net.gain, 1.0)
-        floor = np.where(linked, net.noise_ul[:, None] / safe_gain, np.inf)
-        ceil = np.where(
-            linked,
-            (net.noise_ul + budget * net.gain.max(axis=1))[:, None] / safe_gain,
-            np.inf,
-        )
+    linked = net.gain > 0
+    safe_gain = np.where(linked, net.gain, 1.0)
+    floor = np.where(linked, net.noise_ul[:, None] / safe_gain, np.inf)
+    ceil = np.where(
+        linked,
+        (net.noise_ul + budget * net.gain.max(axis=1))[:, None] / safe_gain,
+        np.inf,
+    )
     a_k = floor.min(axis=0)
     b_k = ceil.min(axis=0)
     return float(1.0 - np.min(a_k / b_k))

@@ -18,8 +18,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import Network, SolveResult, downlink_sinr
-from .power import solve_power_exact
+from .model import Network, SolveResult, _derived, _downlink_sinr
+from .power import _solve_power_exact
 from .sumpower import UlsumResult, ulsum_exact
 
 __all__ = [
@@ -70,14 +70,13 @@ def power_balance_transform(net: Network) -> Network:
 
     Gains become gain * budget / max_budget and every budget becomes
     max_budget.  Any solution maps between the two problems with identical
-    SINRs, so the per-BS-constrained optimal value is unchanged.
+    SINRs, so the per-BS-constrained optimal value is unchanged.  A gain
+    that underflows to 0 can leave a user without a link, which raises
+    :class:`~hetnet_maxmin.model.ValidationError`.
     """
     p_max = float(np.max(net.budget))
-    return Network(
-        gain=net.gain * (net.budget / p_max)[:, None],
-        budget=np.full(net.n_bs, p_max),
-        noise_dl=net.noise_dl,
-        noise_ul=net.noise_ul,
+    return _derived(
+        net, gain=net.gain * (net.budget / p_max)[:, None], budget=np.full(net.n_bs, p_max)
     )
 
 
@@ -109,7 +108,7 @@ def dlsum(net: Network, *, stage1: UlsumResult | None = None) -> TwoStageResult:
     """
     if stage1 is None:
         stage1 = ulsum_exact(net)
-    stage2 = solve_power_exact(net, stage1.assoc)
+    stage2 = _solve_power_exact(net, stage1.assoc)
     stages = (
         _relaxation_stage("sum-relaxation association", stage1, float(np.sum(net.budget))),
         _power_stage("per-BS power", stage2),
@@ -120,7 +119,7 @@ def dlsum(net: Network, *, stage1: UlsumResult | None = None) -> TwoStageResult:
 def _to_original_domain(net: Network, scaled_budget_max: float, res: SolveResult) -> SolveResult:
     """Map a solution of the balanced problem back to the original network."""
     p = res.power * net.budget[res.association] / scaled_budget_max
-    sinr = downlink_sinr(net, res.association, p)
+    sinr = _downlink_sinr(net, res.association, p)
     return replace(res, power=p, sinr=sinr, min_sinr=float(np.min(sinr)))
 
 
@@ -141,7 +140,7 @@ def dlsuma(net: Network, *, stage1: UlsumResult | None = None) -> TwoStageResult
     if stage1 is None:
         stage1 = ulsuma(net)
     bnet = stage1.network
-    stage2 = solve_power_exact(bnet, stage1.assoc)
+    stage2 = _solve_power_exact(bnet, stage1.assoc)
     spent = float(stage2.power.sum())
     stage3 = ulsum_exact(bnet, spent)
     stages = [
@@ -155,7 +154,7 @@ def dlsuma(net: Network, *, stage1: UlsumResult | None = None) -> TwoStageResult
     if np.array_equal(stage3.assoc, stage1.assoc):
         stages.append(_power_stage("per-BS power (reused: association unchanged)", stage2, 0))
     else:
-        stage4 = solve_power_exact(bnet, stage3.assoc)
+        stage4 = _solve_power_exact(bnet, stage3.assoc)
         stages.append(_power_stage("per-BS power at refreshed association", stage4))
         if stage4.min_sinr >= stage2.min_sinr:
             best, selected = stage4, 3

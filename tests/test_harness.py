@@ -82,6 +82,15 @@ def recording_pool(monkeypatch):
     return pools
 
 
+def assert_same_network(net: Network, want: Network) -> None:
+    """``net`` has read-only arrays equal to ``want``'s bit for bit."""
+    for field in fields(Network):
+        got, expected = getattr(net, field.name), getattr(want, field.name)
+        assert not got.flags.writeable, field.name
+        assert (got.dtype, got.shape) == (expected.dtype, expected.shape), field.name
+        assert got.tobytes() == expected.tobytes(), field.name
+
+
 def small_spec(**overrides) -> ExperimentSpec:
     defaults = dict(
         scenario=ScenarioConfig(n_macro=4, picos_per_macro=0, n_users=4),
@@ -229,6 +238,45 @@ class TestRunTrial:
         run_trial(small_spec(scenario=C08_SCENARIO, algorithms=algorithms), 0, 25.0)
         assert len(calls) == 1
 
+    def test_criterion_08_seed_validates_one_network(self, monkeypatch):
+        # one validated build, the draw; the later SNR points and the balanced
+        # networks are derived from it, and each equals its validated build
+        validated, at_snr, balanced = [], [], []
+        post_init, derive = Network.__post_init__, harness._derived
+        balance = twostage.power_balance_transform
+
+        def balanced_once(net):
+            balanced.append((net, balance(net)))
+            return balanced[-1][1]
+
+        monkeypatch.setattr(
+            Network, "__post_init__", lambda net: validated.append(net) or post_init(net)
+        )
+        monkeypatch.setattr(
+            harness, "_derived", lambda *a, **kw: at_snr.append(derive(*a, **kw)) or at_snr[-1]
+        )
+        monkeypatch.setattr(twostage, "power_balance_transform", balanced_once)
+        spec = small_spec(
+            scenario=C08_SCENARIO,
+            snr_db=(5.0, 15.0, 25.0, 35.0),
+            algorithms=("dlsuma", "ulsuma"),
+            n_runs=1,
+        )
+        monte_carlo(spec)
+        monkeypatch.undo()
+        assert (len(validated), len(at_snr), len(balanced)) == (1, 3, 4)
+        points = validated + at_snr
+        # each point's network is balanced once, for ulsuma and dlsuma alike
+        assert [id(base) for base, _ in balanced] == [id(net) for net in points]
+        for snr, net in zip(spec.snr_db, points):
+            fresh = generate_hetnet(replace(C08_SCENARIO, snr_db=snr, seed=spec.seed_base)).network
+            assert_same_network(net, fresh)
+        for base, net in balanced:
+            p_max = float(np.max(base.budget))
+            gain = base.gain * (base.budget / p_max)[:, None]
+            budget = np.full(base.n_bs, p_max)
+            assert_same_network(net, Network(gain, budget, base.noise_dl, base.noise_ul))
+
     def test_lone_trial_generates_its_own_draw(self, monkeypatch):
         # three arguments: no draw to share, so each call generates one
         calls = []
@@ -240,6 +288,16 @@ class TestRunTrial:
         assert [(c.seed, c.snr_db) for c in calls] == [(17, 10.0), (17, 20.0)]
         net = generate_hetnet(replace(spec.scenario, snr_db=20.0, seed=17)).network
         assert record.cells["maxsnr"].min_sinr == run_algorithm("maxsnr", net).min_sinr
+
+    def test_maxsnr_checks_its_greedy_association(self):
+        # user 0's only link scores 1e-200 * 1e-200, which underflows to the
+        # score of BS 0, where it has no link
+        net = Network(
+            gain=[[0.0, 1.0], [1e-200, 1.0]], budget=[1.0, 1e-200], noise_dl=[1, 1], noise_ul=[1, 1]
+        )
+        assert max_snr_association(net).tolist() == [0, 0]
+        cell = run_algorithm("maxsnr", net)
+        assert cell.note == "error: users [0] are associated across a zero-gain link"
 
     def test_unknown_algorithm_rejected(self):
         net = generate_hetnet(ScenarioConfig(n_macro=1, picos_per_macro=0, n_users=1)).network
@@ -422,10 +480,7 @@ class TestMonteCarlo:
         assert len(seen) == len(points)
         for net, (seed, snr) in zip(seen, points):
             fresh = generate_hetnet(replace(scenario, snr_db=snr, seed=seed)).network
-            for name in ("gain", "budget", "noise_dl", "noise_ul"):
-                got, want = getattr(net, name), getattr(fresh, name)
-                assert (got.dtype, got.shape) == (want.dtype, want.shape), name
-                assert got.tobytes() == want.tobytes(), (seed, snr, name)
+            assert_same_network(net, fresh)
 
     def test_each_seed_is_generated_once_across_the_grid(self, monkeypatch):
         generated, trials = [], []

@@ -73,6 +73,27 @@ class TestValidateOnce:
         with pytest.raises(ValidationError, match="zero-gain"):
             min_power_for_target(net, [0, 0], 1.0)
 
+    @pytest.mark.parametrize(
+        "assoc, message",
+        [
+            (np.array([0.0, 1.0]), "integers"),
+            ([0, 2], "valid BS indices"),
+            ([0, 0], "zero-gain"),
+        ],
+        ids=["float", "out-of-range", "zero-gain"],
+    )
+    @pytest.mark.parametrize(
+        "entry",
+        [solve_power_exact, lambda net, assoc: downlink_sinr(net, assoc, [1.0, 1.0])],
+        ids=["solve_power_exact", "downlink_sinr"],
+    )
+    def test_public_entries_check_the_association(self, entry, assoc, message):
+        # the solvers skip the check on associations they made themselves;
+        # a caller's association is still checked
+        net = Network(gain=[[1.0, 0.0], [1.0, 1.0]], budget=[1, 1], noise_dl=[1, 1], noise_ul=[1, 1])
+        with pytest.raises(ValidationError, match=message):
+            entry(net, assoc)
+
     def test_checks_do_not_grow_with_the_iteration_count(self, monkeypatch):
         calls = []
         for module in (model, power, sumpower, oracle):

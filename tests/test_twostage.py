@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from hetnet_maxmin.model import Network
+from hetnet_maxmin.model import Network, ValidationError
 from hetnet_maxmin.oracle import brute_force_optimum
 from hetnet_maxmin.power import load_norm
 from hetnet_maxmin.scenario import ScenarioConfig, generate_hetnet
@@ -80,6 +80,22 @@ class TestPowerBalance:
         balanced = power_balance_transform(net)
         np.testing.assert_allclose(balanced.gain[1], [1.0, 1.0])
         np.testing.assert_allclose(balanced.budget, [1.0, 1.0])
+
+    def test_balanced_network_is_validated_where_balancing_can_break_it(self):
+        # user 0's only link is at the BS whose budget over the largest one
+        # underflows to 0, so balancing leaves it without a positive gain
+        net = Network(
+            gain=[[1e-20, 1.0], [0.0, 1.0]],
+            budget=[1e-300, 1e300],
+            noise_dl=[1.0, 1.0],
+            noise_ul=[1.0, 1.0],
+        )
+        for solve in (power_balance_transform, ulsuma, dlsuma):
+            with pytest.raises(ValidationError, match=r"users \[0\] have no BS with positive gain"):
+                solve(net)
+        balanced = power_balance_transform(random_network(np.random.default_rng(7), 3, 4))
+        for name in ("gain", "budget", "noise_dl", "noise_ul"):
+            assert not getattr(balanced, name).flags.writeable, name
 
     def test_constrained_optimum_is_invariant(self):
         rng = np.random.default_rng(2)
