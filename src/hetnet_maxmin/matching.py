@@ -115,7 +115,8 @@ class AuctionState:
     assignment map is injective throughout.  ``total_gain`` is within
     k * eps of the optimum on termination.  ``rounds`` counts bidding
     rounds and ``bids`` the bids placed over all of them: one per user
-    unassigned at the start of a round.
+    unassigned at the start of a round.  ``eps_scaled`` is True when the
+    auction hit its round limit and finished by eps-scaling phases.
     """
 
     assignment: np.ndarray
@@ -123,6 +124,11 @@ class AuctionState:
     prices: np.ndarray
     rounds: int
     bids: int
+    eps_scaled: bool
+
+
+# Factor by which eps falls from one eps-scaling phase of the auction to the next.
+_SCALING_FACTOR = 10.0
 
 
 def _eps_floor(finite: np.ndarray) -> float:
@@ -154,10 +160,17 @@ def auction(prob: AssignmentProblem, eps: float) -> AuctionState:
     eps below the float spacing of the compared values raises ValueError:
     such a price step can vanish in ``gain - price``, and tied bids would
     never break.
+
+    Users with near-identical options raise a contested price by only eps
+    per round, so a price war can last about spread / eps rounds.  After
+    1,000 + 64 k rounds the auction keeps its prices, clears the
+    assignment and runs eps-scaling phases (Bertsekas, Annals of OR 14,
+    1988): the same auction at eps = spread / 10, spread / 100, ... and
+    last at eps itself, each phase starting from the prices the one before
+    left.
     """
     gain = prob.gain
     k = prob.k
-    prices = np.zeros(k)
     allowed = gain > FORBIDDEN
     finite_vals = gain[allowed]
     floor = _eps_floor(finite_vals)
@@ -165,13 +178,48 @@ def auction(prob: AssignmentProblem, eps: float) -> AuctionState:
         raise ValueError(
             f"eps must be finite and at least the gains' float spacing {floor!r}, got {eps!r}"
         )
-    # The margin of a user with no allowed alternative (including k = 1).
-    solo_gap = float(finite_vals.max() - finite_vals.min()) + eps
+    spread = float(finite_vals.max() - finite_vals.min())
+    # users with no allowed alternative (including k = 1)
     solo = allowed.sum(axis=0) < 2
+    prices = np.zeros(k)
+    # sweep draws at the default eps took at most 64 rounds at k = 18 and
+    # 521 at k = 100; a longer run is a price war
+    assignment, rounds, bids = _bid(gain, prices, solo, spread, eps, limit=1_000 + 64 * k)
+    eps_scaled = assignment is None
+    if eps_scaled:
+        phase_eps = spread
+        while True:
+            phase_eps = max(phase_eps / _SCALING_FACTOR, eps)
+            assignment, phase_rounds, phase_bids = _bid(gain, prices, solo, spread, phase_eps)
+            rounds, bids = rounds + phase_rounds, bids + phase_bids
+            if phase_eps == eps:
+                break
+    return AuctionState(
+        assignment=assignment,
+        total_gain=float(gain[assignment, np.arange(k)].sum()),
+        prices=prices,
+        rounds=rounds,
+        bids=bids,
+        eps_scaled=eps_scaled,
+    )
+
+
+def _bid(
+    gain: np.ndarray, prices: np.ndarray, solo: np.ndarray, spread: float, eps: float, limit=None
+) -> tuple[np.ndarray | None, int, int]:
+    """Jacobi bidding rounds from an empty assignment, raising ``prices`` in
+    place, until every user holds a BS: the assignment, the rounds and the
+    bids.  A run that reaches ``limit`` rounds first returns None for the
+    assignment."""
+    k = len(prices)
+    # the margin of a user with no allowed alternative
+    solo_gap = spread + eps
     assignment = np.full(k, -1)
     owner = np.full(k, -1)
     rounds = bids = 0
     while (bidders := np.flatnonzero(assignment < 0)).size:
+        if rounds == limit:
+            return None, rounds, bids
         rounds += 1
         bids += bidders.size
         # Bidding phase: each bidder's margin of its best BS over its runner-up,
@@ -194,13 +242,7 @@ def auction(prob: AssignmentProblem, eps: float) -> AuctionState:
             owner[bs] = user
             assignment[user] = bs
             prices[bs] += gamma + eps
-    return AuctionState(
-        assignment=assignment,
-        total_gain=float(gain[assignment, np.arange(k)].sum()),
-        prices=prices,
-        rounds=rounds,
-        bids=bids,
-    )
+    return assignment, rounds, bids
 
 
 @dataclass(frozen=True)

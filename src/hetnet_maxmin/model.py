@@ -117,10 +117,15 @@ def _derived(base: Network, *, gain: np.ndarray | None = None, budget=None) -> N
         budget = base.budget
     else:
         budget = _vector(budget, base.n_bs, "budget", positive=True)
+    return _unchecked(gain, budget, base.noise_dl, base.noise_ul)
+
+
+def _unchecked(gain, budget, noise_dl, noise_ul) -> Network:
+    """A :class:`Network` of float arrays that already pass its checks, taken
+    as they are (no copy, no check) and made read-only."""
     net = object.__new__(Network)
-    for name, value in zip(
-        ("gain", "budget", "noise_dl", "noise_ul"), (gain, budget, base.noise_dl, base.noise_ul)
-    ):
+    arrays = (gain, budget, noise_dl, noise_ul)
+    for name, value in zip(("gain", "budget", "noise_dl", "noise_ul"), arrays):
         value.setflags(write=False)
         object.__setattr__(net, name, value)
     return net

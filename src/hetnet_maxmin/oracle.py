@@ -21,8 +21,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import _MAX_GAIN_SIDE, Network, SolveResult, ValidationError, _check_field_types, _of_type
-from .power import _solve_power_exact, _target_power
+from .model import (
+    _MAX_GAIN_SIDE,
+    Network,
+    SolveResult,
+    ValidationError,
+    _check_field_types,
+    _of_type,
+    _unchecked,
+)
+from .power import _coupling, _solve_power_exact, _target_power
 
 __all__ = [
     "MAX_CANDIDATES",
@@ -168,7 +176,7 @@ def build_3sat_gadget(formula: CnfFormula) -> Network:
     arithmetic close.
 
     A formula whose gadget exceeds ``_MAX_GAIN_SIDE`` BSs raises
-    ValidationError before any gain is allocated.
+    ValidationError before any gain is allocated.  The arrays are read-only.
     """
     m = formula.n_clauses
     t = formula.n_vars
@@ -190,8 +198,10 @@ def build_3sat_gadget(formula: CnfFormula) -> Network:
         gain[pos, pos] = gain[neg, pos] = 2.0
         gain[pos, neg] = gain[neg, neg] = 1.0
 
+    # the gains are sums of positive constants, finite and reaching every
+    # user, so the network needs none of its constructor's checks
     ones = np.ones(size)
-    return Network(gain=gain, budget=ones, noise_dl=ones, noise_ul=ones)
+    return _unchecked(gain, ones, ones, ones)
 
 
 @dataclass(frozen=True)
@@ -223,13 +233,37 @@ def verify_sat_equivalence(formula: CnfFormula, tol: float = 1e-6) -> Equivalenc
     )
 
 
+def _candidate_chunks(linked: np.ndarray):
+    """Every association over the links of ``linked`` (N, K), as (B, K)
+    chunks of ``_BATCH_SIZE`` rows in ``itertools.product`` order over each
+    user's linked BSs, the last user fastest.
+
+    Candidate i is i in mixed radix: user k's digit has the later users'
+    link counts multiplied as its place value and picks among the user's
+    linked BSs in index order.  Raises ValueError, before the first chunk,
+    beyond ``MAX_CANDIDATES`` candidates.
+    """
+    counts = linked.sum(axis=0)
+    count = math.prod(counts.tolist())
+    if count > MAX_CANDIDATES:
+        raise ValueError(f"{count} candidate associations exceed the cap of {MAX_CANDIDATES}")
+    place = count // np.cumprod(counts)
+    # row k: user k's linked BSs first, in index order
+    options = np.argsort(~linked, axis=0, kind="stable").T
+    users = np.arange(linked.shape[1])
+    for start in range(0, count, _BATCH_SIZE):
+        index = np.arange(start, min(start + _BATCH_SIZE, count))
+        yield options[users, index[:, None] // place % counts]
+
+
 def brute_force_optimum(net: Network) -> SolveResult:
     """Global optimum by exhausting associations.
 
     Associations never cross zero-gain links.  Candidates are walked in
-    lexicographic enumeration order, in chunks.  Against the best value g
-    so far, the batched target-power test keeps only the candidates that
-    can reach SINR g (1 + 1e-9); the first survivor is solved exactly with
+    lexicographic enumeration order, in chunks, and each chunk's coupling
+    (B, u) is built once.  Against the best value g so far, the batched
+    target-power test keeps only the candidates that can reach SINR
+    g (1 + 1e-9); the first survivor is solved exactly with
     :func:`hetnet_maxmin.power.solve_power_exact`, replaces the best if it
     beats g by that margin, and the rest are screened again.  Ties thus
     resolve to the first candidate in enumeration order, and the returned
@@ -237,23 +271,20 @@ def brute_force_optimum(net: Network) -> SolveResult:
 
     Refuses instances with more than ``MAX_CANDIDATES`` candidates.
     """
-    choices = [np.flatnonzero(net.gain[:, k] > 0).tolist() for k in range(net.n_users)]
-    count = math.prod(len(c) for c in choices)
-    if count > MAX_CANDIDATES:
-        raise ValueError(
-            f"{count} candidate associations exceed the cap of {MAX_CANDIDATES}"
-        )
     best: SolveResult | None = None
-    candidates = itertools.product(*choices)
-    while chunk := list(itertools.islice(candidates, _BATCH_SIZE)):
-        batch = np.array(chunk, dtype=int)
-        while len(batch):
+    for batch in _candidate_chunks(net.gain > 0):
+        cross, u = _coupling(net, batch)
+        alive = np.arange(len(batch))
+        while len(alive):
             if best is not None:
-                batch = batch[_target_power(net, batch, best.min_sinr * (1.0 + _TIE_RTOL))[1]]
-                if not len(batch):
+                gamma = best.min_sinr * (1.0 + _TIE_RTOL)
+                # the screen overwrites the survivors' copy of the coupling
+                alive = alive[_target_power(net, batch[alive], gamma, (cross[alive], u[alive]))[1]]
+                if not len(alive):
                     break
-            res = _solve_power_exact(net, batch[0])
+            first = alive[0]
+            res = _solve_power_exact(net, batch[first], (cross[first], u[first]))
             if best is None or res.min_sinr > best.min_sinr * (1.0 + _TIE_RTOL):
                 best = res
-            batch = batch[1:]
+            alive = alive[1:]
     return best

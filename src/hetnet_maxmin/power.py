@@ -301,7 +301,8 @@ def perron_pair(matrix, start=None) -> PerronPair:
 
 @functools.lru_cache(maxsize=4)
 def _identity(k: int) -> np.ndarray:
-    """The read-only K x K identity of :func:`perron_pair`'s shifts."""
+    """The read-only K x K identity of :func:`perron_pair`'s shifts and the
+    target-power systems."""
     eye = np.eye(k)
     eye.setflags(write=False)
     return eye
@@ -322,7 +323,9 @@ def _coupling(net: Network, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     k = np.arange(net.n_users)
     direct = net.gain[a, k]
-    cross = np.swapaxes(net.gain[a], -1, -2) / direct[..., :, None]
+    # divided in place, on the gathered rows: one (B, K, K) array, not two
+    cross = np.swapaxes(net.gain[a], -1, -2)
+    cross /= direct[..., :, None]
     cross[..., k, k] = 0.0
     return cross, net.noise_dl / direct
 
@@ -342,18 +345,32 @@ def solve_power_exact(net: Network, assoc) -> SolveResult:
     ``iterations`` counts shifted solves over the climb.  ``residual`` is
     the normalized fixed-point step at the answer, on the scale of
     :func:`solve_power`'s residual; ``residuals`` is None.
+
+    Raises ValueError when the climb's matrices would overflow the float
+    range, as noise over a tiny direct gain times the inverse of a tiny
+    budget can.
     """
     return _solve_power_exact(net, check_association(net, assoc))
 
 
-def _solve_power_exact(net: Network, a: np.ndarray) -> SolveResult:
+def _solve_power_exact(net: Network, a: np.ndarray, coupling=None) -> SolveResult:
     """:func:`solve_power_exact` at an association known to be valid: checked
-    by the caller, or made by a solver from the network's links."""
+    by the caller, or made by a solver from the network's links.  ``coupling``
+    is ``_coupling(net, a)`` when the caller already holds it."""
     k = net.n_users
-    cross, u = _coupling(net, a)
+    cross, u = _coupling(net, a) if coupling is None else coupling
     members = (a[None, :] == np.arange(net.n_bs)[:, None]) / net.budget[:, None]
 
     x = u + cross @ (net.budget[a] / k)
+    # u <= x, so max(1 / P) max(x) bounds every entry of u c_n^T / P_n and
+    # every load of x; sums of K of them must stay finite
+    top = float(np.maximum.reduce(members, axis=None))
+    if not k * top * float(np.maximum.reduce(x)) < math.inf:
+        raise ValueError(
+            "the per-BS Perron matrices of this association overflow the float range: "
+            f"noise over direct gain reaches {float(np.maximum.reduce(u)):.3g} and "
+            f"1 / budget of a serving BS {top:.3g}"
+        )
     n = int((members @ x).argmax())
     visited = set()
     steps = 0
@@ -392,19 +409,23 @@ class TargetPowerResult:
     power: np.ndarray
 
 
-def _target_power(net: Network, batch: np.ndarray, gamma: float) -> tuple[np.ndarray, np.ndarray]:
+def _target_power(
+    net: Network, batch: np.ndarray, gamma: float, coupling=None
+) -> tuple[np.ndarray, np.ndarray]:
     """Least powers for SINR target gamma on a checked (B, K) batch, and which fit.
 
     Row b solves (I - gamma B_b) p = gamma u_b.  The target is feasible iff
     the solve succeeds, p is finite and non-negative, and p fits the per-BS
-    budgets (load norm at most 1 + 1e-12).
+    budgets (load norm at most 1 + 1e-12).  ``coupling`` is
+    ``_coupling(net, batch)`` when the caller already holds it, as arrays
+    the test may overwrite.
     """
-    system, u = _coupling(net, batch)
+    system, u = _coupling(net, batch) if coupling is None else coupling
     # I - gamma B in place: the (B, K, K) stack is the brute force's largest array
     system *= -gamma
-    system += np.eye(net.n_users)
+    system += _identity(net.n_users)
     rhs = gamma * u
-    solved = np.ones(len(batch), dtype=bool)
+    solved = True
     try:
         p = np.linalg.solve(system, rhs[..., None])[..., 0]
     except np.linalg.LinAlgError:
@@ -414,7 +435,8 @@ def _target_power(net: Network, batch: np.ndarray, gamma: float) -> tuple[np.nda
         solved = np.array([info == 0 for _, info in rows])
     loads = np.einsum("bk,bkn->bn", p, batch[:, :, None] == np.arange(net.n_bs)) / net.budget
     # a NaN entry fails p >= 0 and an infinite one the load test
-    feasible = solved & np.all(p >= 0, axis=1) & (loads.max(axis=1) <= 1.0 + 1e-12)
+    fits = np.maximum.reduce(loads, axis=1) <= 1.0 + 1e-12
+    feasible = solved & np.logical_and.reduce(p >= 0, axis=1) & fits
     return p, feasible
 
 

@@ -20,6 +20,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from hetnet_maxmin import power, sumpower
+from hetnet_maxmin.harness import run_algorithm
 from hetnet_maxmin.model import Network, downlink_sinr, max_snr_association, uplink_sinr
 from hetnet_maxmin.oracle import CnfFormula, brute_force_optimum, build_3sat_gadget
 from hetnet_maxmin.scenario import ScenarioConfig, generate_hetnet
@@ -230,6 +231,29 @@ class TestPerBsKernel:
         ref = solve_power(net, assoc, REFERENCE)
         assert res.min_sinr == pytest.approx(ref.min_sinr, rel=1e-7)
         assert load_norm(res.power, assoc, net.budget) <= 1.0 + 1e-9
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_climb_raises_one_clear_error(self):
+        # user 0 hears its only BS at 1e-200 and BS 0 has budget 1e-200: noise
+        # over direct gain and 1 / budget are both 1e200, and their product
+        # in B + u c_n^T / P_n overflowed in a matmul, then in _dense_perron
+        net = Network(
+            gain=[[0.0, 1.0], [1e-200, 1.0]],
+            budget=[1.0, 1e-200],
+            noise_dl=[1.0, 1.0],
+            noise_ul=[1.0, 1.0],
+        )
+        message = (
+            "the per-BS Perron matrices of this association overflow the float range: "
+            "noise over direct gain reaches 1e+200 and 1 / budget of a serving BS 1e+200"
+        )
+        with pytest.raises(ValueError) as overflow:
+            solve_power_exact(net, [1, 0])
+        assert str(overflow.value) == message
+        # dlsum's power stages meet it at the association ulsum returns
+        assert ulsum_exact(net).assoc.tolist() == [1, 0]
+        assert run_algorithm("dlsum", net).note == f"error: {message}"
+        assert run_algorithm("ulsum", net).min_sinr == pytest.approx(1e-200, rel=1e-12)
 
     def test_stall_with_noise_level_entries_falls_back_to_dense_eig(self):
         # the Perron vector is zero on entries 1 and 2; power steps push them

@@ -982,6 +982,29 @@ class TestCli:
         assert res.exit_code == 2, res.output
         assert json.loads(res.output)["status"] == "infeasible"
 
+    @pytest.mark.parametrize("name", ["price_war_equal_rows_3x3", "price_war_equal_columns_3x3"])
+    def test_solve_aufp_on_a_price_war_ends_within_k_eps(self, name):
+        # the files the CI step runs through the installed entry point under
+        # `timeout 10`: at the default eps the plain auction's war would
+        # take about 280,000 (equal rows) or 500,000 (equal columns) rounds
+        src = str(Path(harness.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        docs = {}
+        for alg in ("aufp", "p1prime"):
+            args = ["solve", "--net", str(DATA / f"{name}.json"), "--alg", alg]
+            proc = subprocess.run(
+                [sys.executable, "-m", "hetnet_maxmin.cli", *args],
+                env={**os.environ, "PYTHONPATH": path},
+                capture_output=True,
+                text=True,
+                timeout=10,
+            )
+            assert proc.returncode in (0, 2), proc.stderr
+            docs[alg] = json.loads(proc.stdout)
+        net = frozen_network(name)
+        gap = net.n_users * default_eps(log_gain_matrix(net))
+        assert docs["aufp"]["assignment_total_gain"] >= docs["p1prime"]["assignment_total_gain"] - gap
+
     def test_sweep_over_nan_snr_exits_one_before_creating_its_output(self, tmp_path):
         # the file the CI smoke step runs through the installed entry point
         out = tmp_path / "nan.csv"

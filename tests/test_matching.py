@@ -37,6 +37,11 @@ from hetnet_maxmin.scenario import generate_hetnet, scenario_from_json
 from helpers import DATA, exhaustive_assignment, frozen_network, random_network
 
 
+# Networks whose auction at the default eps is a price war: BSs with equal
+# gain rows, and users with equal gain columns.
+PRICE_WARS = ["price_war_equal_rows_3x3", "price_war_equal_columns_3x3"]
+
+
 def random_problem(rng: np.random.Generator, k: int) -> AssignmentProblem:
     return AssignmentProblem(gain=rng.normal(0.0, 1.0, size=(k, k)))
 
@@ -329,7 +334,37 @@ class TestAuction:
         assert len(cases) == 57
         for name, case in cases.items():
             prob, eps = pinned_auction_input(case)
-            assert auction_state_doc(auction(prob, eps)) == case["state"], name
+            state = auction(prob, eps)
+            assert auction_state_doc(state) == case["state"], name
+            assert not state.eps_scaled, name
+
+    @pytest.mark.parametrize("name", PRICE_WARS)
+    def test_price_war_ends_by_eps_scaling_within_k_eps(self, name):
+        prob = log_gain_matrix(frozen_network(name))
+        eps = default_eps(prob)
+        start = time.process_time()
+        state = auction(prob, eps)
+        assert time.process_time() - start < 2.0
+        # the plain auction used its 1,000 + 64 k rounds; the phases ended it
+        assert state.eps_scaled and state.rounds > 1_000 + 64 * prob.k
+        assert sorted(state.assignment.tolist()) == list(range(prob.k))
+        assert state.total_gain >= hungarian(prob)[1] - prob.k * eps
+        # eps-complementary slackness at the final prices
+        values = prob.gain - state.prices[:, None]
+        own = values[state.assignment, np.arange(prob.k)]
+        assert np.all(own >= values.max(axis=0) - eps - 1e-12)
+
+    @pytest.mark.parametrize("k", [4, 18])
+    def test_identical_columns_end_by_eps_scaling(self, k):
+        # every user ranks the BSs k, k - 1, ..., 1: at the default eps the
+        # 4 x 4 war still ran after 19 s
+        prob = AssignmentProblem(gain=np.tile(np.arange(k, 0, -1.0)[:, None], (1, k)))
+        eps = default_eps(prob)
+        start = time.process_time()
+        state = auction(prob, eps)
+        assert time.process_time() - start < 2.0
+        assert state.eps_scaled
+        assert state.total_gain >= hungarian(prob)[1] - k * eps
 
     def test_default_eps_never_below_float_spacing(self):
         # a spread of 1e-12 around 30 gives 1e-18, below spacing(60) = 7.1e-15

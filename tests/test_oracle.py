@@ -3,6 +3,7 @@ satisfiability equivalence check."""
 
 import itertools
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from hetnet_maxmin.oracle import (
     satisfiable,
     verify_sat_equivalence,
 )
-from hetnet_maxmin import power
+from hetnet_maxmin import oracle, power
 from hetnet_maxmin.power import solve_power, solve_power_exact
 from hetnet_maxmin.twostage import dlsum, dlsuma
 
@@ -80,11 +81,38 @@ class TestBruteForce:
             greedy = solve_power(net, max_snr_association(net)).min_sinr
             assert star >= greedy - 1e-9
 
-    def test_size_cap_refusal(self):
+    def test_size_cap_refusal(self, monkeypatch):
         rng = np.random.default_rng(1)
         net = random_network(rng, 4, 10)  # 4**10 > MAX_CANDIDATES
-        with pytest.raises(ValueError):
+        # refused before the first chunk: no coupling is built
+        monkeypatch.setattr(oracle, "_coupling", None)
+        with pytest.raises(ValueError) as refusal:
             brute_force_optimum(net)
+        assert str(refusal.value) == "1048576 candidate associations exceed the cap of 1000000"
+
+    @pytest.mark.parametrize(
+        "n_bs, counts",
+        [
+            # with zero links: 23 * 89, 2^11, 3 * 683 and 3^8 candidates
+            (89, (23, 89)),
+            (3, (2,) * 11),
+            (683, (3, 683)),
+            (4, (3,) * 8),
+            # every link present
+            (2, (2,) * 11),
+            (3, (3,) * 8),
+        ],
+    )
+    def test_chunks_decode_the_product_of_linked_bss_in_order(self, n_bs, counts):
+        rng = np.random.default_rng(n_bs)
+        linked = np.zeros((n_bs, len(counts)), dtype=bool)
+        for k, count in enumerate(counts):
+            linked[rng.choice(n_bs, size=count, replace=False), k] = True
+        chunks = list(oracle._candidate_chunks(linked))
+        assert [len(c) for c in chunks[:-1]] == [oracle._BATCH_SIZE] * (len(chunks) - 1)
+        assert 0 < len(chunks[-1]) <= oracle._BATCH_SIZE
+        links = [np.flatnonzero(linked[:, k]).tolist() for k in range(len(counts))]
+        assert np.concatenate(chunks).tolist() == [list(c) for c in itertools.product(*links)]
 
     def test_never_runs_a_fixed_point(self, monkeypatch):
         def forbidden(*args, **kwargs):
@@ -173,6 +201,24 @@ class TestGadgetConstruction:
                 noise_ul=[1.0, 1.0],
             )
             assert brute_force_optimum(block).min_sinr == pytest.approx(SAT_GAMMA, abs=1e-6)
+
+    def test_gadget_equals_the_checked_network_of_its_arrays(self):
+        rng = np.random.default_rng(8)
+        for n_vars, n_clauses in itertools.product((1, 2, 3, 4), (1, 2, 3)):
+            net = build_3sat_gadget(CnfFormula(n_vars, random_formula(rng, n_vars, n_clauses)))
+            checked = Network(net.gain, net.budget, net.noise_dl, net.noise_ul)
+            for f in fields(Network):
+                built, expected = getattr(net, f.name), getattr(checked, f.name)
+                assert built.dtype == expected.dtype and built.shape == expected.shape, f.name
+                assert built.tobytes() == expected.tobytes(), f.name
+                assert not built.flags.writeable, f.name
+
+    def test_size_cap_raises_before_allocating(self, monkeypatch):
+        # 1 clause and 1,000 variables make 2,001 BSs, one over the cap
+        formula = CnfFormula(n_vars=1000, clauses=((1, 2, 3),))
+        monkeypatch.setattr(np, "zeros", None)
+        with pytest.raises(ValidationError, match="a gadget of 2001 BSs .* exceeds the cap of 2000"):
+            build_3sat_gadget(formula)
 
     def test_clause_side_arithmetic(self):
         # with every literal power in {1, p_low} and at least one at the low
