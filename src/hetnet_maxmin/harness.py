@@ -111,7 +111,9 @@ class Outcome:
     records.  The remaining fields are what ``hetnet-maxmin solve`` prints;
     each family fills its own extras (``stages``/``selected_stage`` for the
     two-stage solvers, ``status``/``assignment_total_gain`` for the matched
-    ones) and leaves the others None.
+    ones) and leaves the others None.  A ``min_sinr`` or ``upper_bound``
+    that is not finite, the mark of an overflow, raises ValueError: a sweep
+    records it as an error cell and ``solve`` exits 1.
     """
 
     min_sinr: float
@@ -127,6 +129,14 @@ class Outcome:
     selected_stage: int | None = None
     status: str | None = None
     assignment_total_gain: float | None = None
+
+    def __post_init__(self):
+        for name in ("min_sinr", "upper_bound"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(
+                    f"{name} is not finite ({value}): the network overflows the float range"
+                )
 
 
 def _per_bs(res: SolveResult, **extras) -> Outcome:
@@ -263,6 +273,8 @@ class ExperimentSpec:
                 raise ValidationError(f"{key} must be a sequence, got {values!r}")
         if self.n_runs < 1:
             raise ValidationError("n_runs must be at least 1")
+        if self.seed_base < 0:
+            raise ValidationError(f"seed_base must be non-negative, got {self.seed_base}")
         if not all(_of_type(s, "float") for s in self.snr_db):
             raise ValidationError(f"snr_db entries must be numbers, got {list(self.snr_db)}")
         snr_db = tuple(float(s) for s in self.snr_db)
@@ -365,12 +377,12 @@ def monte_carlo(spec: ExperimentSpec, jobs: int = 1) -> MonteCarloResult:
             by_seed = list(pool.map(_task, tasks, chunksize=chunksize))
     else:
         by_seed = list(map(_task, tasks))
-    records = tuple(record for point in zip(*by_seed) for record in point)
+    points = list(zip(*by_seed))  # each SNR point's records, in seed order
+    records = tuple(record for point in points for record in point)
 
     means: dict[tuple[str, float], MeanCell] = {}
     cdf: dict[tuple[str, float], tuple[np.ndarray, np.ndarray]] = {}
-    for snr in spec.snr_db:
-        at_snr = [r for r in records if r.snr_db == snr]
+    for snr, at_snr in zip(spec.snr_db, points):
         for name in spec.algorithms:
             cells = [r.cells[name] for r in at_snr]
             valued = [c for c in cells if c.min_sinr is not None]

@@ -99,24 +99,21 @@ def _check_reachable(gain: np.ndarray) -> None:
         raise ValidationError(f"users {unreachable.tolist()} have no BS with positive gain")
 
 
-def _derived(base: Network, *, gain: np.ndarray | None = None, budget=None) -> Network:
-    """``base`` with a ``gain`` or ``budget`` derived from its own, checked
-    only as far as the derivation can break them.
+def _derived(base: Network, *, budget, gain: np.ndarray | None = None) -> Network:
+    """``base`` with a new ``budget`` and, optionally, a ``gain`` derived from
+    its own, checked only as far as the derivation can break them.
 
     A derived gain is ``base.gain`` scaled by finite non-negative factors: it
     keeps the shape, finiteness and sign, but an underflow can leave a user
-    without a positive gain, which raises as in :class:`Network`.  A derived
-    budget gets :class:`Network`'s full budget check.  The other arrays are
+    without a positive gain, which raises as in :class:`Network`.  The budget
+    gets :class:`Network`'s full budget check.  The other arrays are
     ``base``'s own, and every array is read-only.
     """
     if gain is None:
         gain = base.gain
     else:
         _check_reachable(gain)
-    if budget is None:
-        budget = base.budget
-    else:
-        budget = _vector(budget, base.n_bs, "budget", positive=True)
+    budget = _vector(budget, base.n_bs, "budget", positive=True)
     return _unchecked(gain, budget, base.noise_dl, base.noise_ul)
 
 

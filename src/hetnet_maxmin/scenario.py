@@ -78,6 +78,8 @@ class ScenarioConfig:
         _check_field_types(self)
         if self.n_macro < 1 or self.n_users < 1 or self.picos_per_macro < 0:
             raise ValidationError("counts must be positive (picos_per_macro may be 0)")
+        if self.seed < 0:  # numpy's generators take no negative seed
+            raise ValidationError(f"seed must be non-negative, got {self.seed}")
         for name in ("macro_spacing_m", "pico_min_dist_m", "pathloss_ref_m", "noise"):
             if not getattr(self, name) > 0:
                 raise ValidationError(f"{name} must be positive")
@@ -147,10 +149,21 @@ def _in_hex(points: np.ndarray, center: np.ndarray, spacing: float) -> np.ndarra
     return np.all(np.abs(rel @ _HEX_AXES.T) <= spacing / 2.0 + 1e-9, axis=1)
 
 
-def _nearest(centers: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Index of the nearest centre for each point, the lowest on ties."""
-    dx, dy = (np.subtract.outer(centers[:, i], points[:, i]) for i in (0, 1))
-    return np.argmin(dx * dx + dy * dy, axis=0)
+def _sq_distances(
+    centers: np.ndarray, points: np.ndarray, span: np.ndarray | None = None
+) -> np.ndarray:
+    """Squared distances from each centre to each point, shape
+    (len(centers), len(points)), built one axis at a time.  With ``span``
+    each axis's difference first wraps to its nearest image ``span[axis]``
+    apart.  Its argmin over axis 0 is the nearest centre, the lowest on ties.
+    """
+    squares = []
+    for i in (0, 1):
+        d = np.subtract.outer(centers[:, i], points[:, i])
+        if span is not None:
+            d -= span[i] * np.round(d / span[i])
+        squares.append(np.multiply(d, d, out=d))
+    return np.add(*squares, out=squares[0])
 
 
 def _hex_offsets(
@@ -170,18 +183,6 @@ def _hex_offsets(
         kept.append(block)
         n_kept += len(block)
     return np.concatenate(kept)[:count]
-
-
-def _distances(
-    config: ScenarioConfig, bs_pos: np.ndarray, user_pos: np.ndarray
-) -> np.ndarray:
-    deltas = bs_pos[:, None, :] - user_pos[None, :, :]
-    if config.wrap_around:
-        lo = bs_pos.min(axis=0) - config.macro_spacing_m / _SQRT3
-        hi = bs_pos.max(axis=0) + config.macro_spacing_m / _SQRT3
-        span = np.maximum(hi - lo, 1e-9)
-        deltas = deltas - span * np.round(deltas / span)
-    return np.sqrt((deltas**2).sum(axis=-1))
 
 
 def place_users(
@@ -204,7 +205,8 @@ def place_users(
     if config.user_dist == "congested":
         hot = config.congested_cell
         if hot is None:  # the macro nearest the centroid
-            hot = int(np.argmin(((macro_centers - macro_centers.mean(axis=0)) ** 2).sum(axis=1)))
+            centroid = macro_centers.mean(axis=0, keepdims=True)
+            hot = int(np.argmin(_sq_distances(macro_centers, centroid)))
         n_hot = int(math.floor(math.sqrt(config.n_users)))
         hot_users = macro_centers[hot] + _hex_offsets(rng, n_hot, s)
         cells = rng.integers(len(macro_centers), size=config.n_users - n_hot)
@@ -230,8 +232,9 @@ def place_users(
         )
         drawn, per_user = drawn + m, 2 * per_user
         flat = cand.reshape(-1, 2)
-        home = macro_centers[_nearest(macro_centers, flat)]
-        ok = _nearest(bs_positions, flat) == np.repeat(targets[pending], m)
+        sq = _sq_distances(bs_positions, flat)
+        home = macro_centers[np.argmin(sq[bs_is_macro], axis=0)]
+        ok = np.argmin(sq, axis=0) == np.repeat(targets[pending], m)
         ok = (ok & _in_hex(flat, home, s)).reshape(pending.size, m)
         done = ok.any(axis=1)
         positions[pending[done]] = cand[done, ok[done].argmax(axis=1)]
@@ -249,8 +252,13 @@ def generate_hetnet(config: ScenarioConfig) -> HetnetInstance:
     bs_is_macro = np.arange(len(bs_positions)) < config.n_macro
     user_positions = place_users(config, bs_positions, bs_is_macro, rng)
 
-    # a 1 m floor keeps gains finite
-    dist = np.maximum(_distances(config, bs_positions, user_positions), 1.0)
+    sq = _sq_distances(bs_positions, user_positions)
+    user_cell = np.argmin(sq, axis=0).astype(int)
+    if config.wrap_around:  # each axis wraps over the area plus a macro's corner distance
+        lo = bs_positions.min(axis=0) - config.macro_spacing_m / _SQRT3
+        hi = bs_positions.max(axis=0) + config.macro_spacing_m / _SQRT3
+        sq = _sq_distances(bs_positions, user_positions, np.maximum(hi - lo, 1e-9))
+    dist = np.maximum(np.sqrt(sq, out=sq), 1.0, out=sq)  # a 1 m floor keeps gains finite
     shadow_db = rng.standard_normal(dist.shape) * config.shadow_std_db
     gain = 10.0 ** (shadow_db / 10.0) * (config.pathloss_ref_m / dist) ** config.pathloss_exp
 
@@ -265,7 +273,7 @@ def generate_hetnet(config: ScenarioConfig) -> HetnetInstance:
         bs_is_macro=bs_is_macro,
         bs_parent_macro=np.concatenate([np.arange(config.n_macro), pico_parent]),
         user_positions=user_positions,
-        user_cell=_nearest(bs_positions, user_positions).astype(int),
+        user_cell=user_cell,
     )
     return HetnetInstance(network=network, geometry=geometry)
 

@@ -312,6 +312,32 @@ class TestPerBsKernel:
         assert pair.converged and not pair.dense
         assert pair.rho == pytest.approx(471.0000625312578125, rel=1e-14)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "matrix, rho",
+        [
+            ([[2.0, 1.0], [0.0, 0.0]], 2.0),
+            ([[0.0, 0.0], [1.0, 3.0]], 3.0),
+            ([[1.0, 2.0, 1.0], [3.0, 1.0, 1.0], [0.0, 0.0, 0.0]], 1.0 + np.sqrt(6.0)),
+        ],
+        ids=["zero-last-row", "zero-first-row", "zero-row-3x3"],
+    )
+    def test_zero_row_gets_the_spectral_radius(self, matrix, rho):
+        # a zero row zeroes an entry of every product with the matrix: the
+        # power steps stop at once, each Noda step keeps its solve's vector
+        # and the bracket stays open down to 0, so the dense fallback answers
+        pair = perron_pair(np.array(matrix))
+        assert pair.converged and pair.dense
+        assert pair.rho == pytest.approx(rho, rel=1e-12)
+
+    def test_step_cap_returns_a_nonconverged_pair(self, monkeypatch):
+        monkeypatch.setattr(power, "_NODA_MAX_STEPS", 1)
+        matrix = np.random.default_rng(0).uniform(0.1, 1.0, size=(18, 18))
+        pair = perron_pair(matrix)
+        assert not pair.converged and not pair.dense
+        assert pair.steps == 1
+        assert pair.rho >= np.linalg.eigvals(matrix).real.max() * (1 - 1e-12)
+
     def test_failed_solve_falls_back_to_dense_eig(self, monkeypatch):
         def singular(a, b, overwrite_a=0):
             return a, None, b, 1

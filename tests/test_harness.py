@@ -680,6 +680,92 @@ class TestExports:
         with pytest.raises(ValidationError, match=message):
             small_spec(**{field: tuple(values)})
 
+    def test_spec_rejects_a_negative_seed_base(self):
+        # numpy's generators take no negative seed: the first trial once failed
+        # with "expected non-negative integer"
+        with pytest.raises(ValidationError, match="^seed_base must be non-negative, got -1"):
+            small_spec(seed_base=-1)
+
+
+# A 2 x 2 network whose budgets overflow the sum-power relaxation's float
+# range: ulsum and ulsuma return NaN, and dlsum a NaN upper bound.
+_OVERFLOW_BUDGETS = Network(
+    np.array([[1.0, 0.5], [0.5, 1.0]]), np.full(2, 1e308), np.ones(2), np.ones(2)
+)
+
+
+class TestNonFiniteAnswers:
+    @pytest.mark.parametrize(
+        "field, kwargs",
+        [
+            ("min_sinr", {"min_sinr": math.inf}),
+            ("min_sinr", {"min_sinr": math.nan, "upper_bound": math.nan}),
+            ("upper_bound", {"min_sinr": 1.0, "upper_bound": math.nan}),
+            ("upper_bound", {"min_sinr": 1.0, "upper_bound": -math.inf}),
+        ],
+        ids=["inf", "nan-both", "nan-bound", "minus-inf-bound"],
+    )
+    def test_outcome_rejects_a_non_finite_answer(self, field, kwargs):
+        with pytest.raises(ValueError, match=f"^{field} is not finite"):
+            Outcome(**kwargs)
+
+    @pytest.mark.parametrize(
+        "name, field", [("ulsum", "min_sinr"), ("ulsuma", "min_sinr"), ("dlsum", "upper_bound")]
+    )
+    def test_overflowing_budgets_raise_naming_the_field(self, name, field):
+        # numpy warns of the overflow first; -W error::RuntimeWarning raises it
+        with pytest.warns(RuntimeWarning) as warned:
+            with pytest.raises(ValueError, match=f"^{field} is not finite"):
+                ALGORITHMS[name](_OVERFLOW_BUDGETS)
+        assert "overflow" in str(warned[0].message)
+
+    def test_sweep_counts_non_finite_cells_as_failed(self, tmp_path):
+        # every budget at 1540 dB is finite, but dlsuma's rescale of its
+        # balanced powers overflows; its NaN cells were once counted as ok
+        # and averaged into a mean of nan
+        spec, out = tmp_path / "spec.json", tmp_path / "r.csv"
+        doc = {**_SMALL_SPEC, "snr_db": [1540.0], "algorithms": ["maxsnr", "dlsuma"], "n_runs": 4}
+        doc["scenario"] = scenario_to_json(ScenarioConfig(n_macro=4, picos_per_macro=0, n_users=4))
+        spec.write_text(json.dumps(doc))
+        with pytest.warns(RuntimeWarning) as warned:
+            res = CliRunner().invoke(cli_main, ["sweep", "--spec", str(spec), "--out", str(out)])
+        assert "overflow" in str(warned[0].message)
+        assert res.exit_code == 0, res.output
+        assert res.output.splitlines()[1] == (
+            "dlsuma @ 1540 dB: mean min-SINR nan (0 ok, 0 non-converged, 4 failed)"
+        )
+        notes = [row["note"] for row in load_records_csv(out) if row["algorithm"] == "dlsuma"]
+        assert notes == ["error: min_sinr is not finite (nan): the network overflows the float range"] * 4
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("overflow_sinr_gain_2x2", "inf"), ("overflow_power_budget_2x2", "nan")],
+    )
+    def test_solve_with_a_non_finite_answer_exits_one(self, name, value):
+        # the files the CI step runs through the installed entry point: gains
+        # of 1e300 cancel in the SINR's interference to 0, and budgets of 1e300
+        # overflow the rescaled powers; solve once printed "min_sinr": Infinity
+        # or NaN, which is not JSON, and exited 0
+        proc = _cli_subprocess("solve", "--net", DATA / f"{name}.json", "--alg", "dlsuma")
+        assert proc.returncode == 1, proc.stderr
+        assert f"error: min_sinr is not finite ({value})" in proc.stderr.splitlines()[-1]
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
+
+def _cli_subprocess(*args, timeout=60) -> subprocess.CompletedProcess:
+    """Run the CLI in a fresh interpreter, with this checkout's package first
+    on the path and without the test run's warning filters."""
+    src = str(Path(harness.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "hetnet_maxmin.cli", *map(str, args)],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+    )
+
 
 _ONE_LINK_NETWORK = {
     "n_bs": 1,
@@ -987,18 +1073,9 @@ class TestCli:
         # the files the CI step runs through the installed entry point under
         # `timeout 10`: at the default eps the plain auction's war would
         # take about 280,000 (equal rows) or 500,000 (equal columns) rounds
-        src = str(Path(harness.__file__).parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         docs = {}
         for alg in ("aufp", "p1prime"):
-            args = ["solve", "--net", str(DATA / f"{name}.json"), "--alg", alg]
-            proc = subprocess.run(
-                [sys.executable, "-m", "hetnet_maxmin.cli", *args],
-                env={**os.environ, "PYTHONPATH": path},
-                capture_output=True,
-                text=True,
-                timeout=10,
-            )
+            proc = _cli_subprocess("solve", "--net", DATA / f"{name}.json", "--alg", alg, timeout=10)
             assert proc.returncode in (0, 2), proc.stderr
             docs[alg] = json.loads(proc.stdout)
         net = frozen_network(name)
@@ -1031,6 +1108,28 @@ class TestCli:
         assert isinstance(res.exception, SystemExit), res.exception
         assert res.output == "error: budget must be finite\n"
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("where", ["config", "flag"])
+    def test_gen_with_a_negative_seed_exits_one_naming_it(self, tmp_path, where):
+        # numpy's "expected non-negative integer" once named no field
+        config, out = tmp_path / "scenario.json", tmp_path / "net.json"
+        doc = scenario_to_json(ScenarioConfig(n_macro=4, picos_per_macro=0, n_users=4))
+        config.write_text(json.dumps({**doc, "seed": -4} if where == "config" else doc))
+        flag = ["--seed", "-4"] if where == "flag" else []
+        res = CliRunner().invoke(cli_main, ["gen", "--config", str(config), "--out", str(out), *flag])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit), res.exception
+        assert res.output == "error: seed must be non-negative, got -4\n"
+        assert not out.exists()
+
+    def test_sweep_with_a_negative_seed_base_exits_one_naming_it(self, tmp_path):
+        spec, out = tmp_path / "spec.json", tmp_path / "r.csv"
+        spec.write_text(json.dumps({**_SMALL_SPEC, "seed_base": -1}))
+        res = CliRunner().invoke(cli_main, ["sweep", "--spec", str(spec), "--out", str(out)])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit), res.exception
+        assert res.output == "error: seed_base must be non-negative, got -1\n"
+        assert list(tmp_path.iterdir()) == [spec]
 
     @pytest.mark.parametrize("existing", [False, True], ids=["new-out", "existing-out"])
     def test_failed_sweep_removes_the_outputs_it_created(self, tmp_path, existing):

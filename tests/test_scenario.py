@@ -4,12 +4,17 @@ uniformity, and config serialization."""
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import ks_2samp
 
+import hetnet_maxmin
 from hetnet_maxmin.model import ValidationError
 from hetnet_maxmin.scenario import (
     ScenarioConfig,
@@ -144,6 +149,36 @@ class TestChannel:
         g1 = generate_hetnet(wrapped).network.gain
         assert np.all(g1 >= g0 - 1e-15)
         assert np.any(g1 > g0)
+
+
+_PEAK_SCRIPT = """
+import resource
+import sys
+from hetnet_maxmin.scenario import ScenarioConfig, generate_hetnet
+
+generate_hetnet(ScenarioConfig(n_macro=2000, picos_per_macro=0, n_users=2000))
+peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # kB, bytes on macOS
+print(peak / (2**20 if sys.platform == "darwin" else 2**10))
+"""
+
+
+class TestMemory:
+    def test_largest_scenario_peaks_below_240_mb(self):
+        # a fresh interpreter at the 2,000 x 2,000 cap (a 32 MB gain matrix):
+        # distances built one axis at a time peak near 190 MB, an (N, K, 2)
+        # array of differences and its square near 280 MB
+        pytest.importorskip("resource")
+        src = str(Path(hetnet_maxmin.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", _PEAK_SCRIPT],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert float(proc.stdout) < 240.0
 
 
 class TestUserLayouts:
@@ -307,6 +342,8 @@ class TestConfigSerialization:
             ScenarioConfig(shadow_std_db=-1.0)
         with pytest.raises(ValidationError, match="congested_cell"):
             ScenarioConfig(n_macro=4, congested_cell=4)
+        with pytest.raises(ValidationError, match="^seed must be non-negative, got -4"):
+            ScenarioConfig(seed=-4)
 
     @pytest.mark.parametrize("field", ["snr_db", "macro_spacing_m", "shadow_std_db"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
