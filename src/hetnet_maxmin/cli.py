@@ -79,11 +79,13 @@ def _outputs(*paths):
 
 class _Cli(click.Group):
     def invoke(self, ctx):
-        # ValueError covers ValidationError and json.JSONDecodeError, and
-        # OverflowError a finite geometry too large for float arithmetic
+        # ValueError covers ValidationError and json.JSONDecodeError,
+        # ArithmeticError a finite geometry too large for float arithmetic and
+        # a division by an underflowed sum, and Warning a numpy warning that
+        # the warning filters raise as an error
         try:
             return super().invoke(ctx)
-        except (ValueError, OverflowError, OSError, InfeasibleMatchingError) as exc:
+        except (ValueError, ArithmeticError, Warning, OSError, InfeasibleMatchingError) as exc:
             _fail(str(exc))
 
 

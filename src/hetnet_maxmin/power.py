@@ -207,6 +207,28 @@ _STALL_RTOL = 1e-9
 # Power-iteration steps that smooth the start vector before the first solve:
 # a matrix-vector product is far cheaper than a solve and saves one or two.
 _POWER_STEPS = 4
+# Longest vector whose min and max :func:`_span` takes with the builtins.  At
+# 32 entries ``tolist`` plus ``min`` and ``max`` cost what the two numpy
+# reductions cost, 2.4 us (numpy 2.4.6, Python 3.11, 2-core shared VM).
+_SHORT_SPAN = 32
+
+
+def _span(v: np.ndarray) -> tuple[float, float]:
+    """``(np.minimum.reduce(v), np.maximum.reduce(v))`` of a 1-D float array.
+
+    A short vector goes through ``tolist`` and the builtin ``min`` and
+    ``max``, which skip the reductions' per-call cost.  The builtins select
+    wrongly around NaN, so a NaN, seen in the sum (where inf - inf shows up
+    too), sends the vector to numpy.  Min and max select an entry, so the
+    values are exact either way; only the sign of a zero result may differ.
+    It is for min and max only: the builtin ``sum`` adds in another order
+    than numpy's pairwise ``np.add.reduce`` and would change the bits.
+    """
+    if len(v) <= _SHORT_SPAN:
+        values = v.tolist()
+        if not math.isnan(sum(values)):
+            return min(values), max(values)
+    return float(np.minimum.reduce(v)), float(np.maximum.reduce(v))
 
 
 class PerronPair(NamedTuple):
@@ -235,8 +257,10 @@ def perron_pair(matrix, start=None) -> PerronPair:
     """Perron root and vector of a non-negative matrix by Noda iteration.
 
     Built for the kernels' matrices B + u c^T (u > 0, c >= 0 and not zero),
-    whose Perron root is positive.  A matrix with rho = 0 converges only
-    linearly and may stop with rho overestimated.
+    whose Perron root is positive; the kernels never build one with rho = 0.
+    The zero matrix returns rho = 0, converged.  On any other matrix with
+    rho = 0, such as a nilpotent one, lam falls only linearly and the pair
+    stops at ``_NODA_MAX_STEPS`` with ``converged=False``.
 
     Each step solves (s I - A) y = x just above the upper Collatz-Wielandt
     bound lam = max(Ax / x) >= rho, at s = lam (1 + ``_SHIFT_MARGIN``), and
@@ -245,8 +269,8 @@ def perron_pair(matrix, start=None) -> PerronPair:
     sum of positive terms: a solve's error is small only next to max(y),
     and entries 1e-10 below it would otherwise hold the bracket open.  The
     iteration stops when the bracket [min(Ax / x), lam] is narrower than
-    ``_PERRON_RTOL`` relative, or when lam is below ``_PERRON_RTOL`` times
-    the largest entry (rho = 0 to working precision).
+    ``_PERRON_RTOL`` relative.  Every min and max of a vector is taken by
+    :func:`_span`, with the builtins on short vectors.
 
     A solve that fails or comes back non-positive or non-finite, or a lam
     that stops falling, means the shift is within rounding of rho.  Then
@@ -265,29 +289,31 @@ def perron_pair(matrix, start=None) -> PerronPair:
     threads it costs 1.4-2.9x the CPU time at K = 57-100.
     """
     a = np.asarray(matrix, dtype=float)
-    x = np.ones(len(a)) if start is None else start / np.maximum.reduce(start)
+    x = np.ones(len(a)) if start is None else start / _span(start)[1]
     for _ in range(_POWER_STEPS):
         y = a @ x
-        if not np.minimum.reduce(y) > 0:
+        y_lo, y_hi = _span(y)
+        if not y_lo > 0:
             break
-        x = y / np.maximum.reduce(y)
-    # the bracket [lo, lam] of each ratio vector, reduced once
-    ratios = (a @ x) / x
-    lam, lo = float(np.maximum.reduce(ratios)), float(np.minimum.reduce(ratios))
-    floor = _PERRON_RTOL * float(np.maximum.reduce(a, axis=None, initial=0.0))
+        x = y / y_hi
+    lo, lam = _span((a @ x) / x)
     eye = _identity(len(a))
+    # s I - a^T, rewritten for every shift from a contiguous a^T: its
+    # transpose s I - a is Fortran-ordered, so dgesv factors it in place
+    shifted = np.empty(a.shape)
+    at = a.T.copy()
     for steps in range(_NODA_MAX_STEPS):
-        if lam - lo <= _PERRON_RTOL * lam or lam <= floor:
+        if lam - lo <= _PERRON_RTOL * lam:
             return PerronPair(lam, x, steps, True)
-        y, info = dgesv(lam * (1.0 + _SHIFT_MARGIN) * eye - a, x, overwrite_a=1)[2:]
-        if info == 0 and np.minimum.reduce(y) > 0 and math.isfinite(np.maximum.reduce(y)):
+        np.multiply(eye, lam * (1.0 + _SHIFT_MARGIN), shifted)
+        np.subtract(shifted, at, shifted)
+        y, info = dgesv(shifted.T, x, overwrite_a=1)[2:]
+        y_lo, y_hi = _span(y) if info == 0 else (0.0, 0.0)
+        if y_lo > 0 and math.isfinite(y_hi):
             ay = a @ y
-            if np.minimum.reduce(ay) > 0:
-                x_new = ay / np.maximum.reduce(ay)
-            else:
-                x_new = y / np.maximum.reduce(y)
-            ratios = (a @ x_new) / x_new
-            lam_new, lo_new = float(np.maximum.reduce(ratios)), float(np.minimum.reduce(ratios))
+            ay_lo, ay_hi = _span(ay)
+            x_new = ay / ay_hi if ay_lo > 0 else y / y_hi
+            lo_new, lam_new = _span((a @ x_new) / x_new)
             if lam_new < lam * (1.0 - _PERRON_RTOL):
                 x, lam, lo = x_new, lam_new, lo_new
                 continue
@@ -299,10 +325,11 @@ def perron_pair(matrix, start=None) -> PerronPair:
     return PerronPair(lam, x, _NODA_MAX_STEPS, False)
 
 
-@functools.lru_cache(maxsize=4)
+@functools.lru_cache(maxsize=16)
 def _identity(k: int) -> np.ndarray:
     """The read-only K x K identity of :func:`perron_pair`'s shifts and the
-    target-power systems."""
+    target-power systems.  SAT checks of 1-3 variables and 1-3 clauses cycle
+    through 7 gadget sizes, K = 3 to 9, which 4 entries could not hold."""
     eye = np.eye(k)
     eye.setflags(write=False)
     return eye
@@ -365,7 +392,7 @@ def _solve_power_exact(net: Network, a: np.ndarray, coupling=None) -> SolveResul
     # u <= x, so max(1 / P) max(x) bounds every entry of u c_n^T / P_n and
     # every load of x; sums of K of them must stay finite
     top = float(np.maximum.reduce(members, axis=None))
-    if not k * top * float(np.maximum.reduce(x)) < math.inf:
+    if not k * top * _span(x)[1] < math.inf:
         raise ValueError(
             "the per-BS Perron matrices of this association overflow the float range: "
             f"noise over direct gain reaches {float(np.maximum.reduce(u)):.3g} and "
@@ -386,18 +413,19 @@ def _solve_power_exact(net: Network, a: np.ndarray, coupling=None) -> SolveResul
             break
         n = m
         x = np.maximum(pair.vector, np.finfo(float).tiny)
-    p = pair.vector / float(np.maximum.reduce(loads))
+    # loads[m] is the largest load, NaN included
+    p = pair.vector / float(loads[m])
     unit = u + cross @ p
-    image = unit / float(np.maximum.reduce(members @ unit))
+    image = unit / _span(members @ unit)[1]
     sinr = p / unit
     return SolveResult(
         association=a,
         power=p,
         sinr=sinr,
-        min_sinr=float(np.minimum.reduce(sinr)),
+        min_sinr=_span(sinr)[0],
         iterations=steps,
         converged=converged,
-        residual=float(np.maximum.reduce(np.abs(image - p))) / float(np.maximum.reduce(net.budget)),
+        residual=_span(np.abs(image - p))[1] / _span(net.budget)[1],
     )
 
 
@@ -416,7 +444,8 @@ def _target_power(
 
     Row b solves (I - gamma B_b) p = gamma u_b.  The target is feasible iff
     the solve succeeds, p is finite and non-negative, and p fits the per-BS
-    budgets (load norm at most 1 + 1e-12).  ``coupling`` is
+    budgets (load norm at most 1 + 1e-12).  The loads come from
+    :func:`_bs_loads`, one ``bincount``.  ``coupling`` is
     ``_coupling(net, batch)`` when the caller already holds it, as arrays
     the test may overwrite.
     """
@@ -433,11 +462,23 @@ def _target_power(
         rows = [dgesv(m, r)[2:] for m, r in zip(system, rhs)]
         p = np.array([x for x, _ in rows])
         solved = np.array([info == 0 for _, info in rows])
-    loads = np.einsum("bk,bkn->bn", p, batch[:, :, None] == np.arange(net.n_bs)) / net.budget
+    loads = _bs_loads(batch, p, net.n_bs) / net.budget
     # a NaN entry fails p >= 0 and an infinite one the load test
     fits = np.maximum.reduce(loads, axis=1) <= 1.0 + 1e-12
     feasible = solved & np.logical_and.reduce(p >= 0, axis=1) & fits
     return p, feasible
+
+
+def _bs_loads(batch: np.ndarray, p: np.ndarray, n_bs: int) -> np.ndarray:
+    """Power each BS serves in every row of a (B, K) batch, shape (B, N).
+
+    One ``bincount`` over the flat index row * N + BS, which adds each
+    load's terms in user order.  A non-finite entry of p makes its own BS's
+    load non-finite and no other.
+    """
+    rows = len(batch)
+    index = (np.arange(rows)[:, None] * n_bs + batch).ravel()
+    return np.bincount(index, weights=p.ravel(), minlength=rows * n_bs).reshape(rows, n_bs)
 
 
 def min_power_for_target(net: Network, assoc, gamma: float) -> TargetPowerResult:

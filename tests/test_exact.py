@@ -19,7 +19,7 @@ import scipy.linalg.lapack
 from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from hetnet_maxmin import power, sumpower
+from hetnet_maxmin import oracle, power, sumpower
 from hetnet_maxmin.harness import run_algorithm
 from hetnet_maxmin.model import Network, downlink_sinr, max_snr_association, uplink_sinr
 from hetnet_maxmin.oracle import CnfFormula, brute_force_optimum, build_3sat_gadget
@@ -330,6 +330,35 @@ class TestPerBsKernel:
         assert pair.converged and pair.dense
         assert pair.rho == pytest.approx(rho, rel=1e-12)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "matrix, rho",
+        [
+            ([[0.0, 1e20], [1e-20, 0.0]], 1.0),
+            ([[0.0, 1e20, 0.0], [0.0, 0.0, 1.0], [1e-25, 0.0, 0.0]], 1e-5 ** (1.0 / 3.0)),
+        ],
+        ids=["2-cycle", "3-cycle"],
+    )
+    def test_wide_entry_range_gets_the_true_root(self, matrix, rho):
+        # lam = 9.09e7 once fell below 1e-12 times the largest entry and was
+        # returned as rho = 0 to working precision, converged
+        pair = perron_pair(np.array(matrix))
+        assert pair.converged and not pair.dense
+        assert pair.rho == pytest.approx(rho, rel=1e-12)
+
+    def test_zero_matrix_has_root_zero(self):
+        pair = perron_pair(np.zeros((3, 3)))
+        assert pair.converged and not pair.dense
+        assert (pair.rho, pair.steps) == (0.0, 0)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_nilpotent_matrix_stops_at_the_step_cap(self):
+        # rho = 0, but lam falls only linearly towards it
+        pair = perron_pair(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        assert not pair.converged and not pair.dense
+        assert pair.steps == power._NODA_MAX_STEPS
+        assert 0.0 < pair.rho < 1e-12
+
     def test_step_cap_returns_a_nonconverged_pair(self, monkeypatch):
         monkeypatch.setattr(power, "_NODA_MAX_STEPS", 1)
         matrix = np.random.default_rng(0).uniform(0.1, 1.0, size=(18, 18))
@@ -347,6 +376,78 @@ class TestPerBsKernel:
         pair = perron_pair(matrix)
         assert pair.dense and pair.converged
         assert pair.rho == pytest.approx(1.0 + np.sqrt(6.0), rel=1e-12)
+
+
+@st.composite
+def span_vectors(draw):
+    """1-D float arrays up to 10 entries longer than ``_SHORT_SPAN``, with NaN,
+    both infinities, subnormals and signed zeros at any position."""
+    special = st.sampled_from([np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324, 1e-310])
+    entries = st.one_of(st.floats(), special)
+    k = draw(st.integers(1, power._SHORT_SPAN + 10))
+    return draw(arrays(float, k, elements=entries))
+
+
+@PROPERTY
+@given(span_vectors())
+@example(np.array([1.0, np.nan, -1.0]))
+@example(np.array([np.inf, 2.0, -np.inf]))
+@example(np.array([np.inf, np.nan]))
+def test_span_equals_the_numpy_reductions(v):
+    # NaN matches NaN.  The sign of a zero may differ where +0 and -0 both
+    # appear (the builtins keep the first); no caller sees it, because each
+    # compares the result with a number, divides by a maximum it checked to
+    # be positive, or reports the min of SINRs or absolute values, which
+    # hold no -0
+    lo, hi = power._span(v)
+    assert type(lo) is float and type(hi) is float
+    np.testing.assert_array_equal([lo, hi], [np.minimum.reduce(v), np.maximum.reduce(v)])
+
+
+def einsum_loads(batch: np.ndarray, p: np.ndarray, n_bs: int) -> np.ndarray:
+    """The one-hot ``einsum`` that ``_bs_loads`` replaced, as the reference."""
+    with np.errstate(invalid="ignore"):  # inf times the zero of another BS
+        return np.einsum("bk,bkn->bn", p, batch[:, :, None] == np.arange(n_bs))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "net",
+    [
+        build_3sat_gadget(CnfFormula(n_vars=2, clauses=((1, -2, 2), (-1, -1, 2)))),
+        generate_hetnet(
+            ScenarioConfig(n_macro=1, picos_per_macro=2, n_users=6, snr_db=25.0, seed=4)
+        ).network,
+    ],
+    ids=["gadget", "1-macro-2-pico"],
+)
+def test_bincount_loads_equal_the_einsum_reference(monkeypatch, net):
+    batch = next(oracle._candidate_chunks(net.gain > 0))
+    best = brute_force_optimum(net).min_sinr
+    cross, u = power._coupling(net, batch)
+    # inf and NaN entries of u put NaN, and sometimes inf, in those rows of p
+    broken = u.copy()
+    broken[1, 0], broken[2, -1], broken[3] = np.inf, np.nan, np.inf
+    cases = [(g * best, u) for g in (0.5, 1.0, 2.0)] + [(0.5 * best, broken)]
+    for gamma, u_case in cases:
+        p, feasible = power._target_power(net, batch, gamma, (cross.copy(), u_case))
+        with monkeypatch.context() as patch:
+            patch.setattr(power, "_bs_loads", einsum_loads)
+            p_ref, feasible_ref = power._target_power(net, batch, gamma, (cross.copy(), u_case))
+        assert p.tobytes() == p_ref.tobytes()
+        assert feasible.tolist() == feasible_ref.tolist()
+        if gamma < best:  # some candidates reach it and some do not
+            assert 0 < feasible.sum() < len(batch)
+        finite = np.isfinite(p).all(axis=1)
+        assert (u_case is u) == finite.all()
+        assert not feasible[~finite].any()
+        # a non-finite entry of p spoils every load of its row in the
+        # reference, and only its own BS's load here
+        p[4, 0], p[5, 1] = np.inf, np.nan
+        finite[4:6] = False
+        loads = power._bs_loads(batch, p, net.n_bs)
+        assert loads[finite].tobytes() == einsum_loads(batch, p, net.n_bs)[finite].tobytes()
+        assert not np.isfinite(loads[~finite]).all(axis=1).any()
 
 
 def recorded_calls(monkeypatch, name, run):
