@@ -1,4 +1,4 @@
-"""Network data model and SINR evaluation for downlink and uplink.
+"""Network data model and downlink SINR evaluation.
 
 Gains, powers and noise are stored linear (not dB); dB shows up only at the
 CLI/scenario boundary. A zero channel gain encodes "no link": associating a
@@ -24,7 +24,6 @@ __all__ = [
     "check_association",
     "check_power",
     "downlink_sinr",
-    "uplink_sinr",
     "max_snr_association",
     "network_to_json",
     "network_from_json",
@@ -247,21 +246,6 @@ def _downlink_sinr(net: Network, a: np.ndarray, p: np.ndarray) -> np.ndarray:
     total = received.sum(axis=0)
     own = np.diagonal(received)
     return own / (net.noise_dl + total - own)
-
-
-def uplink_sinr(net: Network, assoc, power) -> np.ndarray:
-    """Per-user uplink SINR at the serving BS.
-
-    User k transmits with power[k] to BS a_k; all other users j != k
-    interfere through gain[a_k, j]; noise is the serving BS's noise_ul.
-    """
-    a = check_association(net, assoc)
-    p = check_power(net, power)
-    rows = net.gain[a, :]                        # [k, j] = gain of k's serving BS at user j
-    received = rows * p[None, :]
-    total = received.sum(axis=1)
-    own = np.diagonal(received)
-    return own / (net.noise_ul[a] + total - own)
 
 
 def max_snr_association(net: Network) -> np.ndarray:

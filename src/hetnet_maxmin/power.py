@@ -12,9 +12,9 @@ the inverse Perron root of a K x K matrix per BS budget.
 the pipelines use it, and the fixed point stays as the reference.
 
 The dual question "is SINR target gamma feasible, and at what minimal
-power" is one linear solve, :func:`min_power_for_target`, an independent
-oracle for the solvers in tests; its batched form screens the brute
-force's candidates.
+power" is one linear solve per association; :func:`_target_power` answers
+it for a stack of associations at once and screens the brute force's
+candidates.
 """
 
 from __future__ import annotations
@@ -39,8 +39,6 @@ __all__ = [
     "PerronPair",
     "perron_pair",
     "solve_power_exact",
-    "min_power_for_target",
-    "TargetPowerResult",
 ]
 
 
@@ -373,9 +371,9 @@ def solve_power_exact(net: Network, assoc) -> SolveResult:
     the normalized fixed-point step at the answer, on the scale of
     :func:`solve_power`'s residual; ``residuals`` is None.
 
-    Raises ValueError when the climb's matrices would overflow the float
-    range, as noise over a tiny direct gain times the inverse of a tiny
-    budget can.
+    Raises ValueError when noise over direct gain underflows to 0 for some
+    user, or when the climb's matrices would overflow the float range, as
+    noise over a tiny direct gain times the inverse of a tiny budget can.
     """
     return _solve_power_exact(net, check_association(net, assoc))
 
@@ -386,6 +384,12 @@ def _solve_power_exact(net: Network, a: np.ndarray, coupling=None) -> SolveResul
     is ``_coupling(net, a)`` when the caller already holds it."""
     k = net.n_users
     cross, u = _coupling(net, a) if coupling is None else coupling
+    # the kernels' matrices need u > 0, and a tiny noise over a large gain rounds to 0
+    if not _span(u)[0] > 0:
+        raise ValueError(
+            "noise_dl over direct gain underflows to 0 for users "
+            f"{np.flatnonzero(~(u > 0)).tolist()} of this association"
+        )
     members = (a[None, :] == np.arange(net.n_bs)[:, None]) / net.budget[:, None]
 
     x = u + cross @ (net.budget[a] / k)
@@ -429,27 +433,25 @@ def _solve_power_exact(net: Network, a: np.ndarray, coupling=None) -> SolveResul
     )
 
 
-@dataclass(frozen=True)
-class TargetPowerResult:
-    """Feasibility verdict for a fixed SINR target, with the minimal power."""
-
-    feasible: bool
-    power: np.ndarray
-
-
 def _target_power(
-    net: Network, batch: np.ndarray, gamma: float, coupling=None
+    net: Network, batch: np.ndarray, gamma: float, coupling: tuple[np.ndarray, np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Least powers for SINR target gamma on a checked (B, K) batch, and which fit.
 
-    Row b solves (I - gamma B_b) p = gamma u_b.  The target is feasible iff
-    the solve succeeds, p is finite and non-negative, and p fits the per-BS
-    budgets (load norm at most 1 + 1e-12).  The loads come from
-    :func:`_bs_loads`, one ``bincount``.  ``coupling`` is
-    ``_coupling(net, batch)`` when the caller already holds it, as arrays
-    the test may overwrite.
+    SINR = gamma for every user of row b means (I - gamma B_b) p = gamma u_b,
+    with B and u as in :func:`solve_power_exact`: one linear solve.
+    I - gamma B is a Z-matrix, and a Z-matrix A is a nonsingular M-matrix
+    exactly when A x > 0 for some x >= 0 (Berman & Plemmons, 1979).  With
+    u > 0, a solution p >= 0 therefore exists iff rho(gamma B) < 1, and
+    then it is the least power vector that meets the target.  The target is
+    feasible iff the solve succeeds, p is finite and non-negative, and p
+    fits the per-BS budgets (load norm at most 1 + 1e-12).  The loads come
+    from :func:`_bs_loads`, one ``bincount``.
+
+    ``coupling`` is ``_coupling(net, batch)``, arrays this function
+    overwrites.
     """
-    system, u = _coupling(net, batch) if coupling is None else coupling
+    system, u = coupling
     # I - gamma B in place: the (B, K, K) stack is the brute force's largest array
     system *= -gamma
     system += _identity(net.n_users)
@@ -479,21 +481,3 @@ def _bs_loads(batch: np.ndarray, p: np.ndarray, n_bs: int) -> np.ndarray:
     rows = len(batch)
     index = (np.arange(rows)[:, None] * n_bs + batch).ravel()
     return np.bincount(index, weights=p.ravel(), minlength=rows * n_bs).reshape(rows, n_bs)
-
-
-def min_power_for_target(net: Network, assoc, gamma: float) -> TargetPowerResult:
-    """Minimal power meeting SINR >= gamma for every user, if one exists.
-
-    SINR = gamma for every user means (I - gamma B) p = gamma u, with B and
-    u as in :func:`solve_power_exact`; this is one linear solve.
-    I - gamma B is a Z-matrix, and a Z-matrix A is a nonsingular M-matrix
-    exactly when A x > 0 for some x >= 0 (Berman & Plemmons, 1979).  With
-    u > 0, a solution p >= 0 therefore exists iff rho(gamma B) < 1, and
-    then it is the least power vector that meets the target.  The target is
-    feasible iff p also fits the per-BS budgets.
-    """
-    if not gamma > 0:
-        raise ValueError("gamma must be positive")
-    a = check_association(net, assoc)
-    p, feasible = _target_power(net, a[None, :], gamma)
-    return TargetPowerResult(bool(feasible[0]), p[0])

@@ -17,7 +17,6 @@ use it, and the fixed point :func:`ulsum` stays as the reference.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -31,8 +30,6 @@ from .power import (
 )
 
 __all__ = [
-    "UplinkUnitPower",
-    "uplink_unit_sinr_power",
     "UlsumResult",
     "ulsum",
     "ulsum_exact",
@@ -41,44 +38,37 @@ __all__ = [
 ]
 
 
-class UplinkUnitPower(NamedTuple):
-    """Per-user uplink powers needed for SINR 1, for every candidate BS.
-
-    ``per_bs[n, k]`` is the power user k needs if served by BS n (+inf when
-    there is no link), ``best[k]`` the minimum over BSs and ``best_bs[k]``
-    the argmin, ties broken to the lowest BS index.
-    """
-
-    per_bs: np.ndarray
-    best: np.ndarray
-    best_bs: np.ndarray
-
-
-def uplink_unit_sinr_power(net: Network, power) -> UplinkUnitPower:
-    """Evaluate the uplink unit-SINR power map at the given user powers.
-
-    It checks nothing: pass powers that
-    :func:`~hetnet_maxmin.model.check_power` accepts.
-    """
-    return _unit_power_map(net)(np.asarray(power, dtype=float))
-
-
 def _unit_power_map(net: Network):
-    """:func:`uplink_unit_sinr_power` on ``net`` as a function of the powers.
+    """The uplink unit-SINR power map of ``net`` as a function of the powers.
+
+    At user powers p it returns ``(per_bs, best, best_bs)``: ``per_bs[n, k]``
+    is the power user k needs for SINR 1 if served by BS n (+inf when there
+    is no link), ``best[k]`` the minimum over BSs and ``best_bs[k]`` the
+    argmin, ties broken to the lowest BS index.  It checks nothing of p:
+    pass powers that :func:`~hetnet_maxmin.model.check_power` accepts.
 
     The link mask and the safe divisors depend on the network alone, so a
-    solver that evaluates the map once per step builds it once.
+    solver that evaluates the map once per step builds it once.  Raises
+    ValueError when some user's cheapest zero-interference power, noise_ul
+    over gain on its linked BSs, underflows to 0: the map's best powers
+    could then sum to 0, which the solvers divide by.
     """
     gain, noise = net.gain, net.noise_ul[:, None]
     linked = gain > 0
     safe_gain = np.where(linked, gain, 1.0)
+    # an unlinked entry is noise / 1 > 0, so only a linked one can fail
+    positive = np.logical_and.reduce(noise / safe_gain > 0, axis=0)
+    if not positive.all():
+        raise ValueError(
+            f"noise_ul over gain underflows to 0 for users {np.flatnonzero(~positive).tolist()}"
+        )
     users = np.arange(net.n_users)
 
-    def unit_power(p: np.ndarray) -> UplinkUnitPower:
+    def unit_power(p: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         interference = (gain @ p)[:, None] - gain * p
         per_bs = np.where(linked, (noise + interference) / safe_gain, np.inf)
         best_bs = per_bs.argmin(axis=0)
-        return UplinkUnitPower(per_bs=per_bs, best=per_bs[best_bs, users], best_bs=best_bs)
+        return per_bs, per_bs[best_bs, users], best_bs
 
     return unit_power
 
@@ -124,16 +114,16 @@ def ulsum(
     unit_power = _unit_power_map(net)
 
     def step(p):
-        best = unit_power(p).best
+        best = unit_power(p)[1]
         return best * (budget / float(best.sum()))
 
     run = _run_fixed_point(step, opts or FixedPointOptions(), np.full(net.n_users, budget), budget)
-    final = unit_power(run.power)
+    _, best, best_bs = unit_power(run.power)
     return UlsumResult(
         network=net,
         power_ul=run.power,
-        assoc=final.best_bs,
-        gamma_sum=budget / float(final.best.sum()),
+        assoc=best_bs,
+        gamma_sum=budget / float(best.sum()),
         iterations=run.iterations,
         converged=run.converged,
         residual=run.residual,
@@ -174,7 +164,7 @@ def ulsum_exact(net: Network, sum_budget: float | None = None) -> UlsumResult:
     k = net.n_users
     users = np.arange(k)
     unit_power = _unit_power_map(net)
-    assoc = unit_power(np.full(k, budget / k)).best_bs
+    assoc = unit_power(np.full(k, budget / k))[2]
     x = None
     converged = False
     for iterations in range(1, _POLICY_MAX_STEPS + 1):
@@ -185,15 +175,15 @@ def ulsum_exact(net: Network, sum_budget: float | None = None) -> UlsumResult:
         coupling += (net.noise_ul[solved] / direct)[:, None] / budget
         pair = perron_pair(coupling, x)
         q = pair.vector * (budget / float(np.add.reduce(pair.vector)))
-        maps = unit_power(q)
-        current = maps.per_bs[solved, users]
-        moved = maps.best < current * (1.0 - _MOVE_RTOL)
+        per_bs, best, best_bs = unit_power(q)
+        current = per_bs[solved, users]
+        moved = best < current * (1.0 - _MOVE_RTOL)
         if not moved.any():
             converged = pair.converged
             break
-        assoc = np.where(moved, maps.best_bs, solved)
+        assoc = np.where(moved, best_bs, solved)
         x = pair.vector
-    image = maps.best * (budget / float(maps.best.sum()))
+    image = best * (budget / float(best.sum()))
     return UlsumResult(
         network=net,
         power_ul=q,

@@ -2,7 +2,9 @@
 
 Everything here re-derives results from first principles (plain loops,
 bisection, exhaustive enumeration) so that library fast paths are checked
-against arithmetic that shares no code with them.
+against arithmetic that shares no code with them.  The one exception,
+:func:`target_power`, runs the brute force's target-power screen on one
+association.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import numpy as np
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from hetnet_maxmin import power
 from hetnet_maxmin.model import Network, network_from_json
 
 DATA = Path(__file__).parent / "data"
@@ -97,6 +100,15 @@ def loop_uplink_sinr(net: Network, assoc, power) -> np.ndarray:
                 interference += net.gain[a[k], j] * power[j]
         out[k] = net.gain[a[k], k] * power[k] / (net.noise_ul[a[k]] + interference)
     return out
+
+
+def target_power(net: Network, assoc, gamma: float) -> tuple[np.ndarray, bool]:
+    """The least power meeting downlink SINR target ``gamma`` at one valid
+    association, and whether it fits the budgets: ``power._target_power``
+    on a one-row batch."""
+    batch = np.array([assoc])
+    p, feasible = power._target_power(net, batch, gamma, power._coupling(net, batch))
+    return p[0], bool(feasible[0])
 
 
 def _dl_target_feasible(net: Network, assoc, gamma: float, iters: int = 4000) -> bool:

@@ -4,7 +4,7 @@
 normalized fixed points ``solve_power`` and ``ulsum`` converge to (run here
 at tol 1e-12), on random small networks with idle BSs, zero links and a
 single user, and on the reducible 3-SAT gadget networks.  The exact
-target-power test ``min_power_for_target`` must put that optimum on the
+target-power test ``power._target_power`` must put that optimum on the
 boundary between feasible and infeasible targets, and the brute force that
 screens with it must find the best fixed-point value over all associations.
 """
@@ -21,21 +21,20 @@ from hypothesis.extra.numpy import arrays
 
 from hetnet_maxmin import oracle, power, sumpower
 from hetnet_maxmin.harness import run_algorithm
-from hetnet_maxmin.model import Network, downlink_sinr, max_snr_association, uplink_sinr
+from hetnet_maxmin.model import Network, downlink_sinr, max_snr_association
 from hetnet_maxmin.oracle import CnfFormula, brute_force_optimum, build_3sat_gadget
 from hetnet_maxmin.scenario import ScenarioConfig, generate_hetnet
 from hetnet_maxmin.power import (
     FixedPointOptions,
     load_norm,
-    min_power_for_target,
     perron_pair,
     solve_power,
     solve_power_exact,
 )
-from hetnet_maxmin.sumpower import ulsum, ulsum_exact, uplink_unit_sinr_power
+from hetnet_maxmin.sumpower import ulsum, ulsum_exact
 from hetnet_maxmin.twostage import dlsuma
 
-from helpers import frozen_network, networks
+from helpers import frozen_network, loop_uplink_sinr, networks, target_power
 
 REFERENCE = FixedPointOptions(tol=1e-12, max_iter=20_000)
 PROPERTY = settings(max_examples=150, deadline=None)
@@ -92,11 +91,11 @@ def test_target_power_test_brackets_the_optimum(case):
     net, assoc = case
     t_star = solve_power_exact(net, assoc).min_sinr
     gamma = t_star * (1.0 - 1e-9)
-    below = min_power_for_target(net, assoc, gamma)
-    assert below.feasible
-    assert downlink_sinr(net, assoc, below.power).min() >= gamma * (1.0 - 1e-9)
-    assert load_norm(below.power, assoc, net.budget) <= 1.0 + 1e-9
-    assert not min_power_for_target(net, assoc, t_star * (1.0 + 1e-6)).feasible
+    below, feasible = target_power(net, assoc, gamma)
+    assert feasible
+    assert downlink_sinr(net, assoc, below).min() >= gamma * (1.0 - 1e-9)
+    assert load_norm(below, assoc, net.budget) <= 1.0 + 1e-9
+    assert not target_power(net, assoc, t_star * (1.0 + 1e-6))[1]
 
 
 @PROPERTY
@@ -109,9 +108,8 @@ def test_brute_force_screen_matches_fixed_point_on_every_candidate(net):
     for cand in itertools.product(*links):
         ref = solve_power(net, list(cand), REFERENCE)
         assume(ref.converged)
-        batch = np.array([cand])
-        assert power._target_power(net, batch, ref.min_sinr * (1.0 - 1e-6))[1][0]
-        assert not power._target_power(net, batch, ref.min_sinr * (1.0 + 1e-6))[1][0]
+        assert target_power(net, cand, ref.min_sinr * (1.0 - 1e-6))[1]
+        assert not target_power(net, cand, ref.min_sinr * (1.0 + 1e-6))[1]
         values.append(ref.min_sinr)
     assert brute_force_optimum(net).min_sinr == pytest.approx(max(values), rel=1e-8)
 
@@ -124,7 +122,7 @@ def test_target_at_unit_spectral_radius_is_infeasible():
 
     net = Network(gain=[[1.0, 0.5], [0.5, 1.0]], budget=[1e12, 1e12], noise_dl=[1.0, 1.0], noise_ul=[1.0, 1.0])
     start = time.perf_counter()
-    assert not min_power_for_target(net, [0, 1], 2.0).feasible
+    assert not target_power(net, [0, 1], 2.0)[1]
     assert time.perf_counter() - start < 1.0
 
 
@@ -135,11 +133,11 @@ def check_sum_power(net: Network, pool: float) -> None:
     assert res.converged
     assert res.gamma_sum == pytest.approx(ref.gamma_sum, rel=1e-7)
     assert float(res.power_ul.sum()) == pytest.approx(pool, rel=1e-12)
-    sinr = uplink_sinr(net, res.assoc, res.power_ul)
+    sinr = loop_uplink_sinr(net, res.assoc, res.power_ul)
     assert sinr.max() - sinr.min() <= 1e-7 * sinr.min()
     assert sinr.min() == pytest.approx(res.gamma_sum, rel=1e-9)
     # the association is unique when every user's cheapest BS wins clearly
-    costs = np.sort(uplink_unit_sinr_power(net, res.power_ul).per_bs, axis=0)
+    costs = np.sort(sumpower._unit_power_map(net)(res.power_ul)[0], axis=0)
     if net.n_bs == 1 or np.all(costs[1] > costs[0] * (1 + 1e-6)):
         assert res.assoc.tolist() == ref.assoc.tolist()
 
@@ -539,7 +537,7 @@ class TestSumPowerKernel:
         assert not capped.converged and capped.iterations == 1
         assert capped.gamma_sum < full.gamma_sum
         # the capped result is the solve it reports, not the move after it
-        sinr = uplink_sinr(net, capped.assoc, capped.power_ul)
+        sinr = loop_uplink_sinr(net, capped.assoc, capped.power_ul)
         assert sinr.min() == pytest.approx(capped.gamma_sum, rel=1e-12)
 
     def test_single_bs_is_closed_form(self):

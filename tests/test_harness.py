@@ -757,21 +757,25 @@ class TestNonFiniteAnswers:
     @pytest.mark.parametrize(
         "name, alg, reason",
         [
-            ("underflow_noise_1x1", "ulsum", "division by zero"),
-            ("underflow_noise_1x1", "dlsuma", "division by zero"),
+            ("underflow_noise_1x1", "ulsum", "noise_ul over gain underflows to 0"),
+            ("underflow_noise_1x1", "dlsuma", "noise_ul over gain underflows to 0"),
+            ("underflow_noise_1x1", "maxsnr", "noise_dl over direct gain underflows to 0"),
+            ("underflow_noise_1x1", "brute", "noise_dl over direct gain underflows to 0"),
             ("overflow_sinr_gain_2x2", "dlsuma", "divide by zero"),
         ],
     )
     def test_arithmetic_errors_exit_one(self, name, alg, reason):
         # the files the CI step runs: noises of 1e-320 against a gain of 1e10
-        # leave the relaxation's unit powers a zero sum to divide by
-        # (ZeroDivisionError), and gains of 1e300 an interference that
-        # cancels to 0 (a RuntimeWarning raised as an error); both once left
-        # the CLI as tracebacks
+        # underflow to 0 over the gain, which once left the relaxation's unit
+        # powers a zero sum to divide by and the per-BS kernel an infinite
+        # SINR, and gains of 1e300 leave an interference that cancels to 0 (a
+        # RuntimeWarning raised as an error); both once left the CLI as
+        # tracebacks
         res = CliRunner().invoke(cli_main, ["solve", "--net", str(DATA / f"{name}.json"), "--alg", alg])
         assert res.exit_code == 1
         assert isinstance(res.exception, SystemExit), res.exception
         assert res.stderr.startswith("error: ") and reason in res.stderr
+        assert len(res.stderr.splitlines()) == 1
         assert "Traceback" not in res.output
 
 

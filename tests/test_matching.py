@@ -31,10 +31,9 @@ from hetnet_maxmin.matching import (
 )
 from hetnet_maxmin.model import Network, ValidationError
 from hetnet_maxmin.oracle import brute_force_optimum
-from hetnet_maxmin.power import min_power_for_target
 from hetnet_maxmin.scenario import generate_hetnet, scenario_from_json
 
-from helpers import DATA, exhaustive_assignment, frozen_network, random_network
+from helpers import DATA, exhaustive_assignment, frozen_network, random_network, target_power
 
 
 # Networks whose auction at the default eps is a price war: BSs with equal
@@ -444,7 +443,7 @@ class TestMatchedSolvers:
             import itertools
 
             for perm in itertools.permutations(range(3)):
-                if min_power_for_target(net, list(perm), 1.0).feasible:
+                if target_power(net, perm, 1.0)[1]:
                     feasible.append(list(perm))
             if feasible:
                 assert len(feasible) == 1

@@ -147,7 +147,8 @@ class TestBruteForce:
             noise_dl=[1.0, 1.0],
             noise_ul=[1.0, 1.0, 1.0],
         )
-        p, feasible = power._target_power(net, np.array([[0, 1], [2, 1]]), 2.0)
+        batch = np.array([[0, 1], [2, 1]])
+        p, feasible = power._target_power(net, batch, 2.0, power._coupling(net, batch))
         assert feasible.tolist() == [False, True]
         np.testing.assert_allclose(p[1], [4.0, 2.0], rtol=1e-14)
 

@@ -12,7 +12,6 @@ from hetnet_maxmin.model import Network, ValidationError, downlink_sinr, max_snr
 from hetnet_maxmin.power import (
     FixedPointOptions,
     load_norm,
-    min_power_for_target,
     solve_power,
     solve_power_exact,
     unit_sinr_power,
@@ -20,7 +19,7 @@ from hetnet_maxmin.power import (
 from hetnet_maxmin.oracle import brute_force_optimum
 from hetnet_maxmin.sumpower import dl_sumpower_power, ulsum, ulsum_exact
 
-from helpers import bisect_maxmin, frozen_network, random_network
+from helpers import bisect_maxmin, frozen_network, random_network, target_power
 
 GAMMA_PAIR = (math.sqrt(7.0) - 1.0) / 3.0
 P_LOW = (math.sqrt(7.0) - 1.0) / 2.0
@@ -70,8 +69,6 @@ class TestValidateOnce:
         for solve in (solve_power, solve_power_exact, dl_sumpower_power):
             with pytest.raises(ValidationError, match="zero-gain"):
                 solve(net, [0, 0])
-        with pytest.raises(ValidationError, match="zero-gain"):
-            min_power_for_target(net, [0, 0], 1.0)
 
     @pytest.mark.parametrize(
         "assoc, message",
@@ -223,7 +220,7 @@ class TestSolvePower:
             assoc = np.array([int(np.argmax(net.gain[:, j])) for j in range(k)])
             res = solve_power(net, assoc)
             oracle = bisect_maxmin(
-                lambda gmm: min_power_for_target(net, assoc, gmm).feasible, tol=1e-9
+                lambda gmm: target_power(net, assoc, gmm)[1], tol=1e-9
             )
             assert res.min_sinr == pytest.approx(oracle, rel=1e-6)
 
@@ -293,26 +290,23 @@ class TestSolvePower:
 
 
 class TestMinPowerForTarget:
+    """The least power for an SINR target, from the brute force's screen on one row."""
+
     def test_single_user(self):
         net = Network(gain=[[2.0]], budget=[1.0], noise_dl=[1.0], noise_ul=[1.0])
-        res = min_power_for_target(net, [0], 1.0)
-        assert res.feasible
-        assert res.power == pytest.approx([0.5])
+        p, feasible = target_power(net, [0], 1.0)
+        assert feasible
+        assert p == pytest.approx([0.5])
 
     def test_pair_block_boundary_and_beyond(self):
         net = pair_block_network()
-        at_opt = min_power_for_target(net, [0, 1], GAMMA_PAIR - 1e-9)
-        assert at_opt.feasible
-        np.testing.assert_allclose(at_opt.power, [P_LOW, 1.0], atol=1e-5)
-        beyond = min_power_for_target(net, [0, 1], 0.6)
-        assert not beyond.feasible
+        at_opt, feasible = target_power(net, [0, 1], GAMMA_PAIR - 1e-9)
+        assert feasible
+        np.testing.assert_allclose(at_opt, [P_LOW, 1.0], atol=1e-5)
+        assert not target_power(net, [0, 1], 0.6)[1]
 
     def test_vanishing_target_needs_vanishing_power(self):
         net = pair_block_network()
-        res = min_power_for_target(net, [0, 1], 1e-9)
-        assert res.feasible
-        assert np.max(res.power) < 1e-8
-
-    def test_rejects_nonpositive_target(self):
-        with pytest.raises(ValueError):
-            min_power_for_target(pair_block_network(), [0, 1], 0.0)
+        p, feasible = target_power(net, [0, 1], 1e-9)
+        assert feasible
+        assert np.max(p) < 1e-8

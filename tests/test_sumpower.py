@@ -5,7 +5,8 @@ the relaxation bound, and the contraction-rate diagnostic."""
 import numpy as np
 import pytest
 
-from hetnet_maxmin.model import Network, uplink_sinr
+from hetnet_maxmin import sumpower
+from hetnet_maxmin.model import Network
 from hetnet_maxmin.oracle import brute_force_optimum
 from hetnet_maxmin.power import FixedPointOptions
 from hetnet_maxmin.sumpower import (
@@ -13,10 +14,11 @@ from hetnet_maxmin.sumpower import (
     dl_sumpower_power,
     ulsum,
     ulsum_exact,
-    uplink_unit_sinr_power,
 )
 
 from helpers import (
+    frozen_network,
+    loop_uplink_sinr,
     oracle_dl_sum_maxmin,
     oracle_ulsum_value,
     random_network,
@@ -32,38 +34,50 @@ def symmetric_net() -> Network:
     )
 
 
+def unit_power(net: Network, p) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(per_bs, best, best_bs)`` of the uplink unit-power map at powers p."""
+    return sumpower._unit_power_map(net)(np.asarray(p, dtype=float))
+
+
 class TestUplinkUnitPower:
     def test_zero_power_two_bs(self):
         net = Network(gain=[[1.0], [2.0]], budget=[1, 1], noise_dl=[1.0], noise_ul=[1.0, 1.0])
-        maps = uplink_unit_sinr_power(net, [0.0])
-        np.testing.assert_allclose(maps.per_bs[:, 0], [1.0, 0.5])
-        assert maps.best[0] == pytest.approx(0.5)
-        assert maps.best_bs[0] == 1
+        per_bs, best, best_bs = unit_power(net, [0.0])
+        np.testing.assert_allclose(per_bs[:, 0], [1.0, 0.5])
+        assert best[0] == pytest.approx(0.5)
+        assert best_bs[0] == 1
 
     def test_zero_power_reduces_to_noise_over_gain(self):
         rng = np.random.default_rng(0)
         net = random_network(rng, 3, 4)
-        maps = uplink_unit_sinr_power(net, np.zeros(4))
-        np.testing.assert_allclose(maps.per_bs, net.noise_ul[:, None] / net.gain)
+        per_bs = unit_power(net, np.zeros(4))[0]
+        np.testing.assert_allclose(per_bs, net.noise_ul[:, None] / net.gain)
 
     def test_matches_direct_loop(self):
         rng = np.random.default_rng(1)
         net = random_network(rng, 3, 3)
         p = rng.uniform(0.0, 2.0, size=3)
-        maps = uplink_unit_sinr_power(net, p)
+        per_bs = unit_power(net, p)[0]
         for n in range(3):
             for k in range(3):
                 interference = sum(net.gain[n, j] * p[j] for j in range(3) if j != k)
                 expected = (net.noise_ul[n] + interference) / net.gain[n, k]
-                assert maps.per_bs[n, k] == pytest.approx(expected, rel=1e-12)
+                assert per_bs[n, k] == pytest.approx(expected, rel=1e-12)
 
     def test_no_link_entries_are_infinite(self):
         net = Network(
             gain=[[1.0, 1.0], [0.0, 2.0]], budget=[1, 1], noise_dl=[1, 1], noise_ul=[1, 1]
         )
-        maps = uplink_unit_sinr_power(net, [0.5, 0.5])
-        assert np.isinf(maps.per_bs[1, 0])
-        assert maps.best_bs[0] == 0
+        per_bs, _, best_bs = unit_power(net, [0.5, 0.5])
+        assert np.isinf(per_bs[1, 0])
+        assert best_bs[0] == 0
+
+    @pytest.mark.parametrize("solve", [ulsum, ulsum_exact])
+    def test_underflowed_noise_is_a_value_error(self, solve):
+        # noise 1e-320 over a gain of 1e10 rounds to 0; both solvers once
+        # divided by the zero sum of the unit powers
+        with pytest.raises(ValueError, match=r"noise_ul over gain underflows to 0 for users \[0\]"):
+            solve(frozen_network("underflow_noise_1x1"))
 
 
 class TestUlsum:
@@ -106,10 +120,10 @@ class TestUlsum:
             net = random_network(rng, int(rng.integers(2, 5)), int(rng.integers(2, 6)))
             pool = float(net.budget.sum())
             res = ulsum(net, pool)
-            maps = uplink_unit_sinr_power(net, res.power_ul)
-            image = maps.best * pool / maps.best.sum()
+            best = unit_power(net, res.power_ul)[1]
+            image = best * pool / best.sum()
             assert np.max(np.abs(res.power_ul - image)) <= 1e-10 * pool
-            sinr = uplink_sinr(net, res.assoc, res.power_ul)
+            sinr = loop_uplink_sinr(net, res.assoc, res.power_ul)
             assert sinr.max() - sinr.min() <= 1e-6 * sinr.min()
             np.testing.assert_allclose(sinr, res.gamma_sum, rtol=1e-8)
 
@@ -133,11 +147,8 @@ class TestUlsum:
             p = rng.uniform(0.0, 2.0, size=4)
             q = rng.uniform(0.0, 2.0, size=4)
             lam = float(rng.random())
-            mix = uplink_unit_sinr_power(net, lam * p + (1 - lam) * q).best
-            parts = (
-                lam * uplink_unit_sinr_power(net, p).best
-                + (1 - lam) * uplink_unit_sinr_power(net, q).best
-            )
+            mix = unit_power(net, lam * p + (1 - lam) * q)[1]
+            parts = lam * unit_power(net, p)[1] + (1 - lam) * unit_power(net, q)[1]
             assert np.all(mix >= parts - 1e-12)
 
     def test_rejects_bad_budget(self):
