@@ -80,9 +80,8 @@ def _outputs(*paths):
 class _Cli(click.Group):
     def invoke(self, ctx):
         # ValueError covers ValidationError and json.JSONDecodeError,
-        # ArithmeticError a finite geometry too large for float arithmetic and
-        # a division by an underflowed sum, and Warning a numpy warning that
-        # the warning filters raise as an error
+        # ArithmeticError a finite geometry too large for float arithmetic,
+        # and Warning a numpy warning that the warning filters raise as an error
         try:
             return super().invoke(ctx)
         except (ValueError, ArithmeticError, Warning, OSError, InfeasibleMatchingError) as exc:

@@ -204,7 +204,7 @@ def _ulsuma(net: Network) -> UlsumResult:
 # algorithm, the brute-force oracle included, solves its power problems
 # exactly.  A network an algorithm cannot take (p1prime and aufp need as many
 # BSs as users) raises.  ulsum and ulsuma are the stage 1 of dlsum and dlsuma.
-# maxsnr's association is checked: where gain * budget underflows to 0 the
+# maxsnr's association is checked: where gain * budget rounds to 0 the
 # greedy rule can pick a BS without a link.
 ALGORITHMS = {
     "maxsnr": lambda net: _per_bs(solve_power_exact(net, max_snr_association(net))),

@@ -59,6 +59,8 @@ class Network:
     noise_dl[k] the receive noise power at user k, and noise_ul[n] the
     receive noise power at BS n.  Downlink and uplink noise are kept
     separate so that duality experiments can set them equal explicitly.
+    Every user has a link, and no noise over a linked gain, used or not,
+    rounds to 0: the exact kernels rely on u = noise / gain > 0.
     """
 
     gain: np.ndarray
@@ -75,11 +77,11 @@ class Network:
             raise ValidationError("network needs at least one BS and one user")
         if not np.all(np.isfinite(g)) or np.any(g < 0):
             raise ValidationError("gains must be finite and non-negative")
-        _check_reachable(g)
         object.__setattr__(self, "gain", g)
         object.__setattr__(self, "budget", _vector(self.budget, n, "budget", positive=True))
         object.__setattr__(self, "noise_dl", _vector(self.noise_dl, k, "noise_dl", positive=True))
         object.__setattr__(self, "noise_ul", _vector(self.noise_ul, n, "noise_ul", positive=True))
+        _check_links(g, self.noise_dl, self.noise_ul)
         for name in ("gain", "budget", "noise_dl", "noise_ul"):
             getattr(self, name).setflags(write=False)
 
@@ -92,10 +94,21 @@ class Network:
         return self.gain.shape[1]
 
 
-def _check_reachable(gain: np.ndarray) -> None:
-    unreachable = np.flatnonzero(gain.max(axis=0) <= 0)
+def _check_links(gain: np.ndarray, noise_dl: np.ndarray, noise_ul: np.ndarray) -> None:
+    """:class:`Network`'s link rules.  Division rounds monotonically, so a noise
+    over the largest gain it meets is its smallest quotient: the maxima decide
+    (an overflow is no underflow, nor is a BS without a link: noise / 0 = inf)."""
+    user_max = gain.max(axis=0)
+    unreachable = np.flatnonzero(user_max <= 0)
     if unreachable.size:
         raise ValidationError(f"users {unreachable.tolist()} have no BS with positive gain")
+    with np.errstate(over="ignore", divide="ignore"):
+        users = np.flatnonzero(noise_dl / user_max == 0).tolist()
+        bss = np.flatnonzero(noise_ul / gain.max(axis=1) == 0).tolist()
+    if users or bss:
+        raise ValidationError(
+            f"noise over gain underflows to 0: noise_dl of users {users}, noise_ul of BSs {bss}"
+        )
 
 
 def _derived(base: Network, *, budget, gain: np.ndarray | None = None) -> Network:
@@ -103,15 +116,15 @@ def _derived(base: Network, *, budget, gain: np.ndarray | None = None) -> Networ
     its own, checked only as far as the derivation can break them.
 
     A derived gain is ``base.gain`` scaled by finite non-negative factors: it
-    keeps the shape, finiteness and sign, but an underflow can leave a user
-    without a positive gain, which raises as in :class:`Network`.  The budget
-    gets :class:`Network`'s full budget check.  The other arrays are
-    ``base``'s own, and every array is read-only.
+    keeps the shape, finiteness and sign, but can break the link rules,
+    which raise as in :class:`Network`.  The budget gets :class:`Network`'s
+    full budget check.  The other arrays are ``base``'s own, and every array
+    is read-only.
     """
     if gain is None:
         gain = base.gain
     else:
-        _check_reachable(gain)
+        _check_links(gain, base.noise_dl, base.noise_ul)
     budget = _vector(budget, base.n_bs, "budget", positive=True)
     return _unchecked(gain, budget, base.noise_dl, base.noise_ul)
 

@@ -254,8 +254,9 @@ def _dense_perron(matrix: np.ndarray, steps: int) -> PerronPair:
 def perron_pair(matrix, start=None) -> PerronPair:
     """Perron root and vector of a non-negative matrix by Noda iteration.
 
-    Built for the kernels' matrices B + u c^T (u > 0, c >= 0 and not zero),
-    whose Perron root is positive; the kernels never build one with rho = 0.
+    Built for the kernels' matrices B + u c^T (c >= 0 and not zero, u > 0 by
+    an invariant of :class:`~hetnet_maxmin.model.Network`), whose Perron
+    root is positive.
     The zero matrix returns rho = 0, converged.  On any other matrix with
     rho = 0, such as a nilpotent one, lam falls only linearly and the pair
     stops at ``_NODA_MAX_STEPS`` with ``converged=False``.
@@ -371,9 +372,8 @@ def solve_power_exact(net: Network, assoc) -> SolveResult:
     the normalized fixed-point step at the answer, on the scale of
     :func:`solve_power`'s residual; ``residuals`` is None.
 
-    Raises ValueError when noise over direct gain underflows to 0 for some
-    user, or when the climb's matrices would overflow the float range, as
-    noise over a tiny direct gain times the inverse of a tiny budget can.
+    Raises ValueError when the climb's matrices would overflow the float
+    range, as noise over a tiny direct gain, over a tiny budget, can.
     """
     return _solve_power_exact(net, check_association(net, assoc))
 
@@ -384,12 +384,6 @@ def _solve_power_exact(net: Network, a: np.ndarray, coupling=None) -> SolveResul
     is ``_coupling(net, a)`` when the caller already holds it."""
     k = net.n_users
     cross, u = _coupling(net, a) if coupling is None else coupling
-    # the kernels' matrices need u > 0, and a tiny noise over a large gain rounds to 0
-    if not _span(u)[0] > 0:
-        raise ValueError(
-            "noise_dl over direct gain underflows to 0 for users "
-            f"{np.flatnonzero(~(u > 0)).tolist()} of this association"
-        )
     members = (a[None, :] == np.arange(net.n_bs)[:, None]) / net.budget[:, None]
 
     x = u + cross @ (net.budget[a] / k)
@@ -441,8 +435,8 @@ def _target_power(
     SINR = gamma for every user of row b means (I - gamma B_b) p = gamma u_b,
     with B and u as in :func:`solve_power_exact`: one linear solve.
     I - gamma B is a Z-matrix, and a Z-matrix A is a nonsingular M-matrix
-    exactly when A x > 0 for some x >= 0 (Berman & Plemmons, 1979).  With
-    u > 0, a solution p >= 0 therefore exists iff rho(gamma B) < 1, and
+    exactly when A x > 0 for some x >= 0 (Berman & Plemmons, 1979).  As
+    u > 0 (a ``Network`` invariant), p >= 0 exists iff rho(gamma B) < 1, and
     then it is the least power vector that meets the target.  The target is
     feasible iff the solve succeeds, p is finite and non-negative, and p
     fits the per-BS budgets (load norm at most 1 + 1e-12).  The loads come

@@ -48,20 +48,13 @@ def _unit_power_map(net: Network):
     pass powers that :func:`~hetnet_maxmin.model.check_power` accepts.
 
     The link mask and the safe divisors depend on the network alone, so a
-    solver that evaluates the map once per step builds it once.  Raises
-    ValueError when some user's cheapest zero-interference power, noise_ul
-    over gain on its linked BSs, underflows to 0: the map's best powers
-    could then sum to 0, which the solvers divide by.
+    solver that evaluates the map once per step builds it once.  A linked
+    entry is at least noise_ul / gain > 0 (a ``Network`` invariant), so the
+    best powers, which the solvers divide by, never sum to 0.
     """
     gain, noise = net.gain, net.noise_ul[:, None]
     linked = gain > 0
     safe_gain = np.where(linked, gain, 1.0)
-    # an unlinked entry is noise / 1 > 0, so only a linked one can fail
-    positive = np.logical_and.reduce(noise / safe_gain > 0, axis=0)
-    if not positive.all():
-        raise ValueError(
-            f"noise_ul over gain underflows to 0 for users {np.flatnonzero(~positive).tolist()}"
-        )
     users = np.arange(net.n_users)
 
     def unit_power(p: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

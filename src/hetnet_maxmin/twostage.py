@@ -71,7 +71,7 @@ def power_balance_transform(net: Network) -> Network:
     Gains become gain * budget / max_budget and every budget becomes
     max_budget.  Any solution maps between the two problems with identical
     SINRs, so the per-BS-constrained optimal value is unchanged.  A gain
-    that underflows to 0 can leave a user without a link, which raises
+    that rounds to 0 can leave a user without a link, which raises
     :class:`~hetnet_maxmin.model.ValidationError`.
     """
     p_max = float(np.max(net.budget))

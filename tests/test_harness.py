@@ -35,6 +35,7 @@ from hetnet_maxmin.harness import (
 )
 from hetnet_maxmin.matching import InfeasibleMatchingError, default_eps, log_gain_matrix
 from hetnet_maxmin.model import Network, ValidationError, max_snr_association
+from hetnet_maxmin.oracle import _TIE_RTOL
 from hetnet_maxmin.scenario import Geometry, ScenarioConfig, generate_hetnet, scenario_to_json
 
 from helpers import DATA, frozen_network, load_records_csv, networks
@@ -358,6 +359,23 @@ class TestRunTrial:
         gap = 2 * net.n_users * eps
         base, other = ALGORITHMS["aufp"](net), ALGORITHMS["aufp"](relabeled)
         assert abs(other.assignment_total_gain - base.assignment_total_gain) <= gap
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.booleans()
+        .flatmap(lambda sq: networks(3, 5, square=sq))
+        .flatmap(lambda net: st.tuples(st.just(net), st.permutations(range(net.n_bs))))
+    )
+    def test_global_optima_ignore_a_relabeling_of_bss(self, case):
+        # permuting the BSs (gain rows with their budgets and uplink noise)
+        # leaves each global optimum's value where it was, ties included; the
+        # brute force's tie rule may keep another tied association, each within
+        # _TIE_RTOL of the optimum
+        net, order = case
+        relabeled = Network(net.gain[order], net.budget[order], net.noise_dl, net.noise_ul[order])
+        for name, rtol in (("ulsum", RELABEL_RTOL), ("ulsuma", RELABEL_RTOL), ("brute", 2 * _TIE_RTOL)):
+            base, other = ALGORITHMS[name](net), ALGORITHMS[name](relabeled)
+            assert other.min_sinr == pytest.approx(base.min_sinr, rel=rtol), name
 
 
 class TestMonteCarlo:
@@ -756,21 +774,16 @@ class TestNonFiniteAnswers:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize(
         "name, alg, reason",
-        [
-            ("underflow_noise_1x1", "ulsum", "noise_ul over gain underflows to 0"),
-            ("underflow_noise_1x1", "dlsuma", "noise_ul over gain underflows to 0"),
-            ("underflow_noise_1x1", "maxsnr", "noise_dl over direct gain underflows to 0"),
-            ("underflow_noise_1x1", "brute", "noise_dl over direct gain underflows to 0"),
-            ("overflow_sinr_gain_2x2", "dlsuma", "divide by zero"),
-        ],
+        [("underflow_noise_1x1", alg, "noise over gain underflows to 0") for alg in ALGORITHMS]
+        + [("overflow_sinr_gain_2x2", "dlsuma", "divide by zero")],
     )
     def test_arithmetic_errors_exit_one(self, name, alg, reason):
         # the files the CI step runs: noises of 1e-320 against a gain of 1e10
         # underflow to 0 over the gain, which once left the relaxation's unit
         # powers a zero sum to divide by and the per-BS kernel an infinite
-        # SINR, and gains of 1e300 leave an interference that cancels to 0 (a
-        # RuntimeWarning raised as an error); both once left the CLI as
-        # tracebacks
+        # SINR, and now fail the network's construction; gains of 1e300 leave
+        # an interference that cancels to 0 (a RuntimeWarning raised as an
+        # error); both once left the CLI as tracebacks
         res = CliRunner().invoke(cli_main, ["solve", "--net", str(DATA / f"{name}.json"), "--alg", alg])
         assert res.exit_code == 1
         assert isinstance(res.exception, SystemExit), res.exception
@@ -1146,6 +1159,20 @@ class TestCli:
         assert res.exit_code == 1
         assert isinstance(res.exception, SystemExit), res.exception
         assert res.output == "error: seed must be non-negative, got -4\n"
+        assert not out.exists()
+
+    def test_gen_with_an_underflowing_noise_exits_one_naming_it(self, tmp_path):
+        # path-loss gains of at least 1e10 take a noise of 1e-320 to 0
+        config, out = tmp_path / "scenario.json", tmp_path / "net.json"
+        scenario = ScenarioConfig(
+            n_macro=4, picos_per_macro=0, n_users=4, noise=1e-320, pathloss_ref_m=1e6
+        )
+        config.write_text(json.dumps(scenario_to_json(scenario)))
+        res = CliRunner().invoke(cli_main, ["gen", "--config", str(config), "--out", str(out)])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit), res.exception
+        assert res.output.startswith("error: noise over gain underflows to 0: ")
+        assert len(res.output.splitlines()) == 1
         assert not out.exists()
 
     def test_sweep_with_a_negative_seed_base_exits_one_naming_it(self, tmp_path):

@@ -3,13 +3,19 @@ scale consistency, the load bound, and JSON round trips."""
 
 import json
 import math
+import sys
+import time
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from hetnet_maxmin.model import (
     Network,
     ValidationError,
+    _derived,
     check_association,
     downlink_sinr,
     max_snr_association,
@@ -17,7 +23,16 @@ from hetnet_maxmin.model import (
     network_to_json,
 )
 
-from helpers import loop_downlink_sinr, loop_uplink_sinr, random_network
+from helpers import DATA, loop_downlink_sinr, loop_uplink_sinr, random_network
+
+# Floats m * 10^e over the whole range, e in [-324, 308]: a decimal below half
+# the smallest subnormal parses to 0, and the top decade is clipped to the
+# largest finite float.  The sampled values pin the edges of the range.
+WIDE_FLOATS = st.builds(
+    lambda m, e: min(float(f"{m!r}e{e}"), sys.float_info.max),
+    st.floats(1.0, 10.0, exclude_max=True),
+    st.integers(-324, 308),
+) | st.sampled_from([0.0, 5e-324, 2.2250738585072014e-308, 1.0, sys.float_info.max])
 
 GAMMA_PAIR = (math.sqrt(7.0) - 1.0) / 3.0
 P_LOW = (math.sqrt(7.0) - 1.0) / 2.0
@@ -183,6 +198,77 @@ class TestValidation:
         net = pair_block_network()
         with pytest.raises(ValueError):
             net.gain[0, 0] = 5.0
+
+
+def _every_quotient_positive(gain, noise_dl, noise_ul) -> bool:
+    """The N x K form of the noise-over-gain rule: every user has a link, and
+    each noise over each linked gain, in both directions, is > 0."""
+    linked = gain > 0
+    safe = np.where(linked, gain, 1.0)
+    with np.errstate(over="ignore"):
+        positive = (noise_dl[None, :] / safe > 0) & (noise_ul[:, None] / safe > 0)
+    return bool(linked.any(axis=0).all() and (positive | ~linked).all())
+
+
+class TestNoiseOverGain:
+    def test_underflow_fixture_is_rejected_when_read(self):
+        # noise 1e-320 over a gain of 1e10 rounds to 0.  Once read, the network
+        # made dl_sumpower_power divide by zero, solve_power blame the power
+        # and convergence_rate_bound return 1.0; none of them can now get it
+        doc = json.loads((DATA / "underflow_noise_1x1.json").read_text())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError) as info:
+                network_from_json(doc)
+        assert str(info.value) == "noise over gain underflows to 0: noise_dl of users [0], noise_ul of BSs [0]"
+
+    def test_unused_strong_link_is_rejected(self):
+        # the rule covers every link: noise_dl 1e-30 over the unused gain 1e300
+        # rounds to 0, though maxsnr serves the user across gain 1 and the
+        # uplink relaxations never read noise_dl; all three once solved it
+        with pytest.raises(ValidationError, match=r"noise_dl of users \[0\], noise_ul of BSs \[\]"):
+            Network(gain=[[1.0], [1e300]], budget=[1.0, 1e-301], noise_dl=[1e-30], noise_ul=[1.0, 1.0])
+
+    def test_a_bs_without_a_link_divides_nothing(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            net = Network(gain=[[1.0], [0.0]], budget=[1.0, 1.0], noise_dl=[5e-324], noise_ul=[5e-324, 1.0])
+        assert net.n_bs == 2
+
+    def test_a_derived_gain_is_checked(self):
+        net = Network(gain=[[1.0]], budget=[1.0], noise_dl=[1e-30], noise_ul=[1.0])
+        with pytest.raises(ValidationError, match=r"noise_dl of users \[0\], noise_ul of BSs \[\]"):
+            _derived(net, budget=[1.0], gain=net.gain * 1e300)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.tuples(st.integers(1, 3), st.integers(1, 4)).flatmap(
+            lambda shape: st.tuples(
+                arrays(float, shape, elements=WIDE_FLOATS),
+                arrays(float, shape[1], elements=WIDE_FLOATS.filter(lambda v: v > 0)),
+                arrays(float, shape[0], elements=WIDE_FLOATS.filter(lambda v: v > 0)),
+            )
+        )
+    )
+    def _rule_matches_every_quotient(self, case):
+        gain, noise_dl, noise_ul = case
+        try:
+            Network(gain=gain, budget=np.ones(len(gain)), noise_dl=noise_dl, noise_ul=noise_ul)
+        except ValidationError as exc:
+            assert "underflows to 0" in str(exc) or "no BS with positive gain" in str(exc)
+            accepted = False
+        else:
+            accepted = True
+        assert accepted == _every_quotient_positive(gain, noise_dl, noise_ul)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_maxima_decide_the_rule_exactly(self):
+        # correctly rounded division is monotone, so noise over the largest
+        # linked gain is the smallest quotient: the O(N + K) rule on the maxima
+        # accepts exactly the networks that the full N x K test accepts
+        start = time.process_time()
+        self._rule_matches_every_quotient()
+        assert time.process_time() - start < 10.0
 
 
 class TestNetworkJson:
