@@ -33,6 +33,10 @@ __all__ = [
 # Largest gain matrix built from a short input (a scenario config or a 3-SAT
 # formula), per side: 2,000 x 2,000 floats, 32 MB.
 _MAX_GAIN_SIDE = 2_000
+# Caps one block of a chunked computation, in entries: a scenario rejection
+# round's rows or candidate-by-BS distances, a brute-force chunk's coupling.
+# Scenario draws depend on the value.
+_BLOCK_ENTRIES = 1 << 16
 
 
 class ValidationError(ValueError):
@@ -60,7 +64,8 @@ class Network:
     receive noise power at BS n.  Downlink and uplink noise are kept
     separate so that duality experiments can set them equal explicitly.
     Every user has a link, and no noise over a linked gain, used or not,
-    rounds to 0: the exact kernels rely on u = noise / gain > 0.
+    rounds to 0 or to inf: the exact kernels rely on u = noise / gain being
+    positive and finite.
     """
 
     gain: np.ndarray
@@ -95,20 +100,38 @@ class Network:
 
 
 def _check_links(gain: np.ndarray, noise_dl: np.ndarray, noise_ul: np.ndarray) -> None:
-    """:class:`Network`'s link rules.  Division rounds monotonically, so a noise
-    over the largest gain it meets is its smallest quotient: the maxima decide
-    (an overflow is no underflow, nor is a BS without a link: noise / 0 = inf)."""
-    user_max = gain.max(axis=0)
-    unreachable = np.flatnonzero(user_max <= 0)
-    if unreachable.size:
-        raise ValidationError(f"users {unreachable.tolist()} have no BS with positive gain")
+    """:class:`Network`'s link rules: every user has a link, and every noise
+    over every linked gain, in both directions, is positive and finite.
+
+    Division rounds monotonically, so every quotient lies between the least
+    noise over the largest gain and the largest noise over the least linked
+    gain: when those two are in range, so is every quotient.  Otherwise each
+    noise is taken over the largest and the least linked gain it meets, its
+    extreme quotients, to name those out of range; a BS without a link gets
+    noise / 0 = inf and noise / inf = 0, which pass.
+    """
+    low, high = float(gain.min()), float(gain.max())
+    least = gain
+    if low == 0:
+        least = np.where(gain > 0, gain, np.inf)
+        user_least = least.min(axis=0)
+        if np.isinf(user_least).any():
+            unreachable = np.flatnonzero(np.isinf(user_least)).tolist()
+            raise ValidationError(f"users {unreachable} have no BS with positive gain")
+        low = float(user_least.min())
+    noise = np.concatenate((noise_dl, noise_ul))
+    if float(noise.min()) / high > 0 and float(noise.max()) / low < math.inf:
+        return
     with np.errstate(over="ignore", divide="ignore"):
-        users = np.flatnonzero(noise_dl / user_max == 0).tolist()
-        bss = np.flatnonzero(noise_ul / gain.max(axis=1) == 0).tolist()
-    if users or bss:
-        raise ValidationError(
-            f"noise over gain underflows to 0: noise_dl of users {users}, noise_ul of BSs {bss}"
-        )
+        for rounds, bound, dl, ul in (
+            ("underflows to 0", 0.0, noise_dl / gain.max(axis=0), noise_ul / gain.max(axis=1)),
+            ("overflows to inf", np.inf, noise_dl / least.min(axis=0), noise_ul / least.min(axis=1)),
+        ):
+            users, bss = np.flatnonzero(dl == bound).tolist(), np.flatnonzero(ul == bound).tolist()
+            if users or bss:
+                raise ValidationError(
+                    f"noise over gain {rounds}: noise_dl of users {users}, noise_ul of BSs {bss}"
+                )
 
 
 def _derived(base: Network, *, budget, gain: np.ndarray | None = None) -> Network:

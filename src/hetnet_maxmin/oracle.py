@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (
+    _BLOCK_ENTRIES,
     _MAX_GAIN_SIDE,
     Network,
     SolveResult,
@@ -51,8 +52,6 @@ SAT_GAMMA = (math.sqrt(7.0) - 1.0) / 3.0
 CLAUSE_GAIN = (2.0 * math.sqrt(7.0) + 1.0) / 3.0
 # Largest number of candidate associations the brute force will enumerate.
 MAX_CANDIDATES = 1_000_000
-# Associations the brute force screens per batched target-power test.
-_BATCH_SIZE = 2048
 # Relative margin by which a candidate must beat the best value so far;
 # it keeps the first of exactly tied candidates despite rounding.
 _TIE_RTOL = 1e-9
@@ -235,13 +234,16 @@ def verify_sat_equivalence(formula: CnfFormula, tol: float = 1e-6) -> Equivalenc
 
 def _candidate_chunks(linked: np.ndarray):
     """Every association over the links of ``linked`` (N, K), as (B, K)
-    chunks of ``_BATCH_SIZE`` rows in ``itertools.product`` order over each
-    user's linked BSs, the last user fastest.
+    chunks in ``itertools.product`` order over each user's linked BSs, the
+    last user fastest.
 
-    Candidate i is i in mixed radix: user k's digit has the later users'
-    link counts multiplied as its place value and picks among the user's
-    linked BSs in index order.  Raises ValueError, before the first chunk,
-    beyond ``MAX_CANDIDATES`` candidates.
+    Each chunk but the last holds B = max(1, ``_BLOCK_ENTRIES`` // K²)
+    associations, so its (B, K, K) coupling and each screen's copies of it
+    hold at most ``_BLOCK_ENTRIES`` floats (0.5 MB) whatever K is, unless
+    K² alone exceeds that.  Candidate i is i in mixed radix: user k's digit
+    has the later users' link counts multiplied as its place value and
+    picks among the user's linked BSs in index order.  Raises ValueError,
+    before the first chunk, beyond ``MAX_CANDIDATES`` candidates.
     """
     counts = linked.sum(axis=0)
     count = math.prod(counts.tolist())
@@ -251,8 +253,9 @@ def _candidate_chunks(linked: np.ndarray):
     # row k: user k's linked BSs first, in index order
     options = np.argsort(~linked, axis=0, kind="stable").T
     users = np.arange(linked.shape[1])
-    for start in range(0, count, _BATCH_SIZE):
-        index = np.arange(start, min(start + _BATCH_SIZE, count))
+    rows = max(1, _BLOCK_ENTRIES // len(users) ** 2)
+    for start in range(0, count, rows):
+        index = np.arange(start, min(start + rows, count))
         yield options[users, index[:, None] // place % counts]
 
 
@@ -263,11 +266,12 @@ def brute_force_optimum(net: Network) -> SolveResult:
     lexicographic enumeration order, in chunks, and each chunk's coupling
     (B, u) is built once.  Against the best value g so far, the batched
     target-power test keeps only the candidates that can reach SINR
-    g (1 + 1e-9); the first survivor is solved exactly with
-    :func:`hetnet_maxmin.power.solve_power_exact`, replaces the best if it
-    beats g by that margin, and the rest are screened again.  Ties thus
-    resolve to the first candidate in enumeration order, and the returned
-    result is the exact solve at the winning association.
+    g (1 + 1e-9); the first survivor is solved exactly from the chunk's
+    coupling, with no association check (:func:`power._solve_power_exact`),
+    replaces the best if it beats g by that margin, and the rest are
+    screened again.  Ties thus resolve to the first candidate in
+    enumeration order, and the returned result is the exact solve at the
+    winning association.
 
     Refuses instances with more than ``MAX_CANDIDATES`` candidates.
     """

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import _MAX_GAIN_SIDE, Network, ValidationError, _check_document, _check_field_types, _to_json
+from .model import _BLOCK_ENTRIES, _MAX_GAIN_SIDE, Network, ValidationError, _check_document, _check_field_types, _to_json
 
 __all__ = [
     "ScenarioConfig",
@@ -44,8 +44,6 @@ _HEX_AXES = np.array(
 )
 # Rejection sampling gives up after this many candidates per point.
 _MAX_CANDIDATES = 200_000
-# Caps one rejection round's memory: block rows, or candidate-by-BS entries.
-_BLOCK_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,7 @@ from hetnet_maxmin.harness import (
     run_trial,
 )
 from hetnet_maxmin.matching import InfeasibleMatchingError, default_eps, log_gain_matrix
-from hetnet_maxmin.model import Network, ValidationError, max_snr_association
+from hetnet_maxmin.model import Network, ValidationError, downlink_sinr, max_snr_association
 from hetnet_maxmin.oracle import _TIE_RTOL
 from hetnet_maxmin.scenario import Geometry, ScenarioConfig, generate_hetnet, scenario_to_json
 
@@ -46,6 +46,9 @@ SCALE_RTOL = 1e-9
 # Relative tolerance of the relabeling property; the largest change seen over
 # 1,500 random 1-3 BS x 1-5 user networks was 1.1e-13 (ulsum).
 RELABEL_RTOL = 1e-9
+# Relative tolerance of the self-consistency property, on the BS loads and on
+# min_sinr recomputed by downlink_sinr.
+SELF_RTOL = 1e-9
 
 
 # Criterion-08 draws: 4 macros with 2 picos each and 18 users.
@@ -376,6 +379,23 @@ class TestRunTrial:
         for name, rtol in (("ulsum", RELABEL_RTOL), ("ulsuma", RELABEL_RTOL), ("brute", 2 * _TIE_RTOL)):
             base, other = ALGORITHMS[name](net), ALGORITHMS[name](relabeled)
             assert other.min_sinr == pytest.approx(base.min_sinr, rel=rtol), name
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.booleans().flatmap(lambda sq: st.tuples(st.just(sq), networks(3, 5, square=sq))))
+    def test_per_bs_answers_are_self_consistent(self, case):
+        # each per-BS entry's power is non-negative, loads no BS beyond its
+        # budget, and gives back the entry's min_sinr through downlink_sinr;
+        # p1prime and aufp run on the square draws, which always have a
+        # perfect matching
+        square, net = case
+        names = ["maxsnr", "dlsum", "dlsuma", "brute"] + ["p1prime", "aufp"] * square
+        for name in names:
+            out = ALGORITHMS[name](net)
+            assert (out.power >= 0).all(), name
+            loads = np.bincount(out.association, weights=out.power, minlength=net.n_bs)
+            assert (loads <= net.budget * (1.0 + SELF_RTOL)).all(), name
+            sinr = downlink_sinr(net, out.association, out.power)
+            assert out.min_sinr == pytest.approx(sinr.min(), rel=SELF_RTOL), name
 
 
 class TestMonteCarlo:
@@ -775,13 +795,16 @@ class TestNonFiniteAnswers:
     @pytest.mark.parametrize(
         "name, alg, reason",
         [("underflow_noise_1x1", alg, "noise over gain underflows to 0") for alg in ALGORITHMS]
+        + [("overflow_noise_1x1", alg, "noise over gain overflows to inf") for alg in ALGORITHMS]
         + [("overflow_sinr_gain_2x2", "dlsuma", "divide by zero")],
     )
     def test_arithmetic_errors_exit_one(self, name, alg, reason):
         # the files the CI step runs: noises of 1e-320 against a gain of 1e10
         # underflow to 0 over the gain, which once left the relaxation's unit
         # powers a zero sum to divide by and the per-BS kernel an infinite
-        # SINR, and now fail the network's construction; gains of 1e300 leave
+        # SINR, and noises of 1e300 against a gain of 1e-20 overflow to inf,
+        # which once ended in numpy's "Array must not contain infs or NaNs";
+        # both now fail the network's construction; gains of 1e300 leave
         # an interference that cancels to 0 (a RuntimeWarning raised as an
         # error); both once left the CLI as tracebacks
         res = CliRunner().invoke(cli_main, ["solve", "--net", str(DATA / f"{name}.json"), "--alg", alg])

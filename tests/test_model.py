@@ -200,14 +200,16 @@ class TestValidation:
             net.gain[0, 0] = 5.0
 
 
-def _every_quotient_positive(gain, noise_dl, noise_ul) -> bool:
+def _every_quotient_in_range(gain, noise_dl, noise_ul) -> bool:
     """The N x K form of the noise-over-gain rule: every user has a link, and
-    each noise over each linked gain, in both directions, is > 0."""
+    each noise over each linked gain, in both directions, is positive and
+    finite."""
     linked = gain > 0
     safe = np.where(linked, gain, 1.0)
     with np.errstate(over="ignore"):
-        positive = (noise_dl[None, :] / safe > 0) & (noise_ul[:, None] / safe > 0)
-    return bool(linked.any(axis=0).all() and (positive | ~linked).all())
+        dl, ul = noise_dl[None, :] / safe, noise_ul[:, None] / safe
+    in_range = (0 < dl) & (dl < np.inf) & (0 < ul) & (ul < np.inf)
+    return bool(linked.any(axis=0).all() and (in_range | ~linked).all())
 
 
 class TestNoiseOverGain:
@@ -222,6 +224,17 @@ class TestNoiseOverGain:
                 network_from_json(doc)
         assert str(info.value) == "noise over gain underflows to 0: noise_dl of users [0], noise_ul of BSs [0]"
 
+    def test_overflow_fixture_is_rejected_when_read(self):
+        # noise 1e300 over a gain of 1e-20 rounds to inf.  Once read, the
+        # network made ulsum and dlsuma warn three times and fail inside numpy,
+        # and maxsnr and brute warn in the coupling before their overflow error
+        doc = json.loads((DATA / "overflow_noise_1x1.json").read_text())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError) as info:
+                network_from_json(doc)
+        assert str(info.value) == "noise over gain overflows to inf: noise_dl of users [0], noise_ul of BSs [0]"
+
     def test_unused_strong_link_is_rejected(self):
         # the rule covers every link: noise_dl 1e-30 over the unused gain 1e300
         # rounds to 0, though maxsnr serves the user across gain 1 and the
@@ -230,10 +243,12 @@ class TestNoiseOverGain:
             Network(gain=[[1.0], [1e300]], budget=[1.0, 1e-301], noise_dl=[1e-30], noise_ul=[1.0, 1.0])
 
     def test_a_bs_without_a_link_divides_nothing(self):
+        # BS 1 has no link, so neither its tiny nor its huge noise has a quotient
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            net = Network(gain=[[1.0], [0.0]], budget=[1.0, 1.0], noise_dl=[5e-324], noise_ul=[5e-324, 1.0])
-        assert net.n_bs == 2
+            for noise in (5e-324, 1e308):
+                net = Network(gain=[[1e-10], [0.0]], budget=[1.0, 1.0], noise_dl=[1.0], noise_ul=[1.0, noise])
+                assert net.n_bs == 2
 
     def test_a_derived_gain_is_checked(self):
         net = Network(gain=[[1.0]], budget=[1.0], noise_dl=[1e-30], noise_ul=[1.0])
@@ -255,17 +270,21 @@ class TestNoiseOverGain:
         try:
             Network(gain=gain, budget=np.ones(len(gain)), noise_dl=noise_dl, noise_ul=noise_ul)
         except ValidationError as exc:
-            assert "underflows to 0" in str(exc) or "no BS with positive gain" in str(exc)
+            assert any(
+                reason in str(exc)
+                for reason in ("underflows to 0", "overflows to inf", "no BS with positive gain")
+            )
             accepted = False
         else:
             accepted = True
-        assert accepted == _every_quotient_positive(gain, noise_dl, noise_ul)
+        assert accepted == _every_quotient_in_range(gain, noise_dl, noise_ul)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_maxima_decide_the_rule_exactly(self):
+    def test_extremes_decide_the_rule_exactly(self):
         # correctly rounded division is monotone, so noise over the largest
-        # linked gain is the smallest quotient: the O(N + K) rule on the maxima
-        # accepts exactly the networks that the full N x K test accepts
+        # linked gain is the smallest quotient and over the least the largest:
+        # the rule on the extremes accepts exactly the networks whose every
+        # linked quotient is positive and finite
         start = time.process_time()
         self._rule_matches_every_quotient()
         assert time.process_time() - start < 10.0

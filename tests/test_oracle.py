@@ -2,13 +2,21 @@
 satisfiability equivalence check."""
 
 import itertools
+import json
 import math
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from hetnet_maxmin.model import Network, ValidationError, downlink_sinr, max_snr_association
+from hetnet_maxmin.model import (
+    _BLOCK_ENTRIES,
+    Network,
+    ValidationError,
+    downlink_sinr,
+    max_snr_association,
+)
 from hetnet_maxmin.oracle import (
     CLAUSE_GAIN,
     SAT_GAMMA,
@@ -93,14 +101,20 @@ class TestBruteForce:
     @pytest.mark.parametrize(
         "n_bs, counts",
         [
-            # with zero links: 23 * 89, 2^11, 3 * 683 and 3^8 candidates
+            # with zero links, in chunks of 2^16 // K^2 rows: 23 * 89 candidates
+            # in one chunk of 16,384; 2^11 over chunks of 541; 2 * 11 * 331 =
+            # 7,282, one row past a chunk of 7,281; 3^8 over chunks of 1,024
             (89, (23, 89)),
             (3, (2,) * 11),
-            (683, (3, 683)),
+            (683, (2, 11, 331)),
             (4, (3,) * 8),
             # every link present
             (2, (2,) * 11),
             (3, (3,) * 8),
+            # 8^3 * 16 = 8,192: two full chunks of 4,096
+            (16, (8, 8, 8, 16)),
+            # K^2 = 66,049 exceeds 2^16: one association a chunk
+            (2, (1,) * 255 + (2, 2)),
         ],
     )
     def test_chunks_decode_the_product_of_linked_bss_in_order(self, n_bs, counts):
@@ -109,10 +123,29 @@ class TestBruteForce:
         for k, count in enumerate(counts):
             linked[rng.choice(n_bs, size=count, replace=False), k] = True
         chunks = list(oracle._candidate_chunks(linked))
-        assert [len(c) for c in chunks[:-1]] == [oracle._BATCH_SIZE] * (len(chunks) - 1)
-        assert 0 < len(chunks[-1]) <= oracle._BATCH_SIZE
+        rows = max(1, _BLOCK_ENTRIES // len(counts) ** 2)
+        full, rest = divmod(math.prod(counts), rows)
+        assert [len(c) for c in chunks] == [rows] * full + [rest] * (rest > 0)
         links = [np.flatnonzero(linked[:, k]).tolist() for k in range(len(counts))]
         assert np.concatenate(chunks).tolist() == [list(c) for c in itertools.product(*links)]
+
+    def test_sat_gadget_runs_in_bounded_memory(self):
+        # K = 11 and 16,384 candidates in 31 chunks of at most 541 rows: each
+        # chunk's coupling and its screen copies hold about 2^16 floats.
+        # Fixed chunks of 2,048 rows peak at 5.7 MB
+        formula = cnf_from_dimacs((DATA / "sat_4var_3clause.cnf").read_text())
+        net = build_3sat_gadget(formula)
+        tracemalloc.start()
+        try:
+            res = brute_force_optimum(net)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5e6
+        pins = json.loads((DATA / "brute_force_pins.json").read_text())
+        (pin,) = [f["gadget_optimum"] for f in pins["formulas"] if f["n_vars"] == 4]
+        assert res.association.tolist() == pin["association"]
+        assert res.min_sinr.hex() == pin["min_sinr"]
 
     def test_never_runs_a_fixed_point(self, monkeypatch):
         def forbidden(*args, **kwargs):

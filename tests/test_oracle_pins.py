@@ -8,10 +8,15 @@ every float as ``float.hex``:
   literals included; the third has one-sign clauses, which makes
   unsatisfiable formulas common), the formula of ``data/unsat_1var.cnf``,
   and the 4-variable, 3-clause formula of ``data/sat_4var_3clause.cnf``
-  (16,384 candidates, eight full chunks);
-- six 1-macro + 2-pico HetNet draws at 25 dB with 6 users (729 candidates)
-  and six with 8 users (6,561 candidates, a partial last chunk);
-- two networks with zero-gain links, one of them over two chunks.
+  (16,384 candidates at K = 11, thirty full chunks of 541 and a partial
+  last chunk);
+- six 1-macro + 2-pico HetNet draws at 25 dB with 6 users (729 candidates,
+  one chunk) and six with 8 users (6,561 candidates, six full chunks of
+  1,024 and a partial last chunk);
+- two networks with zero-gain links, one of them (2,187 candidates at
+  K = 7) over two chunks, of 1,337 and 850.
+
+A chunk holds max(1, 2^16 // K^2) candidates.
 
 The file was written by the enumerate-everything brute force that decoded
 ``itertools.product`` tuples; regenerate it only for an intended change of
@@ -29,6 +34,7 @@ import pytest
 from hetnet_maxmin.model import Network, network_from_json, network_to_json
 from hetnet_maxmin.oracle import (
     CnfFormula,
+    _candidate_chunks,
     brute_force_optimum,
     build_3sat_gadget,
     cnf_from_dimacs,
@@ -147,6 +153,13 @@ def test_pins_cover_the_chunk_boundaries(pins):
         for case in pins["networks"].values()
     ]
     assert counts.count(729) == 6 and counts.count(6561) == 6 and 2187 in counts
+    chunks = [
+        len(list(_candidate_chunks(np.array(case["network"]["gain"]) > 0)))
+        for case in pins["networks"].values()
+    ]
+    assert chunks.count(7) == 6 and 2 in chunks
+    sat4 = build_3sat_gadget(cnf_from_dimacs((DATA / "sat_4var_3clause.cnf").read_text()))
+    assert len(list(_candidate_chunks(sat4.gain > 0))) == 31
 
 
 def test_sat_reports_and_gadget_optima_match_the_pins(pins):
