@@ -256,10 +256,13 @@ def perron_pair(matrix, start=None) -> PerronPair:
 
     Built for the kernels' matrices B + u c^T (c >= 0 and not zero, u > 0 by
     an invariant of :class:`~hetnet_maxmin.model.Network`), whose Perron
-    root is positive.
-    The zero matrix returns rho = 0, converged.  On any other matrix with
-    rho = 0, such as a nilpotent one, lam falls only linearly and the pair
-    stops at ``_NODA_MAX_STEPS`` with ``converged=False``.
+    root is positive.  A matrix with rho = 0, the zero matrix or a nilpotent
+    one such as [[0, 1], [0, 0]], is one whose support graph (an edge
+    i -> j for every positive entry) has no cycle.  It has a zero row, so
+    the lower Collatz-Wielandt bound is 0 after the power steps; only then
+    is the graph tested, by :func:`_acyclic`, and without a cycle the pair
+    is rho = 0 and the unit vector of a zero column, converged after 0
+    steps.  The kernels' matrices never reach the test.
 
     Each step solves (s I - A) y = x just above the upper Collatz-Wielandt
     bound lam = max(Ax / x) >= rho, at s = lam (1 + ``_SHIFT_MARGIN``), and
@@ -286,33 +289,43 @@ def perron_pair(matrix, start=None) -> PerronPair:
     shifted systems (with numpy 2.4.6 and scipy 1.17.1 it matched on 947 of
     1,141 of them at K = 18 and on none of 768 at K = 100), and with two BLAS
     threads it costs 1.4-2.9x the CPU time at K = 57-100.
+
+    The shifted matrix is built once, as -A in Fortran order with every
+    off-diagonal entry 0.0 - A[i, j]; ``dgesv`` factors a copy of it, so a
+    step rewrites only the diagonal, s - A[i, i].  Every matrix-vector
+    product goes through ``ndarray.dot``, which calls the same
+    ``cblas_dgemv`` as the ``@`` operator, with the same bits, at about half
+    its per-call cost.
     """
     a = np.asarray(matrix, dtype=float)
+    dot = a.dot
     x = np.ones(len(a)) if start is None else start / _span(start)[1]
     for _ in range(_POWER_STEPS):
-        y = a @ x
+        y = dot(x)
         y_lo, y_hi = _span(y)
         if not y_lo > 0:
             break
         x = y / y_hi
-    lo, lam = _span((a @ x) / x)
-    eye = _identity(len(a))
-    # s I - a^T, rewritten for every shift from a contiguous a^T: its
-    # transpose s I - a is Fortran-ordered, so dgesv factors it in place
-    shifted = np.empty(a.shape)
-    at = a.T.copy()
+    lo, lam = _span(dot(x) / x)
+    if lo == 0 and _acyclic(a):
+        # a cycle-free support has a zero column j, and A e_j = 0
+        vector = np.zeros(len(a))
+        vector[np.argmin((a > 0).any(axis=0))] = 1.0
+        return PerronPair(0.0, vector, 0, True)
+    shifted = np.subtract(0.0, a.T, order="C").T
+    diagonal = shifted.T.reshape(-1)[:: len(a) + 1]
+    a_diagonal = a.diagonal()
     for steps in range(_NODA_MAX_STEPS):
         if lam - lo <= _PERRON_RTOL * lam:
             return PerronPair(lam, x, steps, True)
-        np.multiply(eye, lam * (1.0 + _SHIFT_MARGIN), shifted)
-        np.subtract(shifted, at, shifted)
-        y, info = dgesv(shifted.T, x, overwrite_a=1)[2:]
+        np.subtract(lam * (1.0 + _SHIFT_MARGIN), a_diagonal, out=diagonal)
+        y, info = dgesv(shifted, x)[2:]
         y_lo, y_hi = _span(y) if info == 0 else (0.0, 0.0)
         if y_lo > 0 and math.isfinite(y_hi):
-            ay = a @ y
+            ay = dot(y)
             ay_lo, ay_hi = _span(ay)
             x_new = ay / ay_hi if ay_lo > 0 else y / y_hi
-            lo_new, lam_new = _span((a @ x_new) / x_new)
+            lo_new, lam_new = _span(dot(x_new) / x_new)
             if lam_new < lam * (1.0 - _PERRON_RTOL):
                 x, lam, lo = x_new, lam_new, lo_new
                 continue
@@ -324,11 +337,29 @@ def perron_pair(matrix, start=None) -> PerronPair:
     return PerronPair(lam, x, _NODA_MAX_STEPS, False)
 
 
+def _acyclic(a: np.ndarray) -> bool:
+    """Whether the support graph of ``a``, an edge i -> j for every
+    a[i, j] > 0, has no cycle: a non-negative matrix has rho = 0 exactly then.
+
+    Nodes without an incoming edge from a remaining node are peeled off
+    until none remain (no cycle) or every remaining node has one (a cycle).
+    """
+    support = a > 0
+    remaining = np.ones(len(a), dtype=bool)
+    while remaining.any():
+        entered = support[remaining].any(axis=0)
+        if not (remaining & ~entered).any():
+            return False
+        remaining &= entered
+    return True
+
+
 @functools.lru_cache(maxsize=16)
 def _identity(k: int) -> np.ndarray:
-    """The read-only K x K identity of :func:`perron_pair`'s shifts and the
-    target-power systems.  SAT checks of 1-3 variables and 1-3 clauses cycle
-    through 7 gadget sizes, K = 3 to 9, which 4 entries could not hold."""
+    """The read-only K x K identity of the target-power systems of
+    :func:`_target_power`, the brute force's screen.  SAT checks of 1-3
+    variables and 1-3 clauses cycle through 7 gadget sizes, K = 3 to 9,
+    which 4 entries could not hold."""
     eye = np.eye(k)
     eye.setflags(write=False)
     return eye
@@ -386,7 +417,7 @@ def _solve_power_exact(net: Network, a: np.ndarray, coupling=None) -> SolveResul
     cross, u = _coupling(net, a) if coupling is None else coupling
     members = (a[None, :] == np.arange(net.n_bs)[:, None]) / net.budget[:, None]
 
-    x = u + cross @ (net.budget[a] / k)
+    x = u + cross.dot(net.budget[a] / k)
     # u <= x, so max(1 / P) max(x) bounds every entry of u c_n^T / P_n and
     # every load of x; sums of K of them must stay finite
     top = float(np.maximum.reduce(members, axis=None))
@@ -396,7 +427,7 @@ def _solve_power_exact(net: Network, a: np.ndarray, coupling=None) -> SolveResul
             f"noise over direct gain reaches {float(np.maximum.reduce(u)):.3g} and "
             f"1 / budget of a serving BS {top:.3g}"
         )
-    n = int((members @ x).argmax())
+    n = int(members.dot(x).argmax())
     visited = set()
     steps = 0
     converged = False
@@ -404,7 +435,7 @@ def _solve_power_exact(net: Network, a: np.ndarray, coupling=None) -> SolveResul
         visited.add(n)
         pair = perron_pair(cross + u[:, None] * members[n], x)
         steps += pair.steps
-        loads = members @ pair.vector
+        loads = members.dot(pair.vector)
         m = int(loads.argmax())
         if loads[m] <= loads[n] * (1.0 + _SWITCH_RTOL):
             converged = pair.converged
@@ -413,8 +444,8 @@ def _solve_power_exact(net: Network, a: np.ndarray, coupling=None) -> SolveResul
         x = np.maximum(pair.vector, np.finfo(float).tiny)
     # loads[m] is the largest load, NaN included
     p = pair.vector / float(loads[m])
-    unit = u + cross @ p
-    image = unit / _span(members @ unit)[1]
+    unit = u + cross.dot(p)
+    image = unit / _span(members.dot(unit))[1]
     sinr = p / unit
     return SolveResult(
         association=a,

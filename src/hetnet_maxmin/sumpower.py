@@ -56,9 +56,10 @@ def _unit_power_map(net: Network):
     linked = gain > 0
     safe_gain = np.where(linked, gain, 1.0)
     users = np.arange(net.n_users)
+    dot = gain.dot
 
     def unit_power(p: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        interference = (gain @ p)[:, None] - gain * p
+        interference = dot(p)[:, None] - gain * p
         per_bs = np.where(linked, (noise + interference) / safe_gain, np.inf)
         best_bs = per_bs.argmin(axis=0)
         return per_bs, per_bs[best_bs, users], best_bs

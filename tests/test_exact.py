@@ -185,6 +185,33 @@ def test_perron_pair_matches_dense_eigenvalues(matrix):
     assert pair.rho == pytest.approx(np.linalg.eigvals(matrix).real.max(), rel=1e-6)
 
 
+@st.composite
+def relabeled_triangular(draw, max_k=8):
+    """A strictly upper-triangular non-negative matrix with zero entries,
+    rows and columns permuted alike: its support graph has no cycle."""
+    k = draw(st.integers(1, max_k))
+    entries = st.one_of(st.just(0.0), st.floats(1e-3, 1e3))
+    order = np.array(draw(st.permutations(range(k))))
+    return np.triu(draw(arrays(float, (k, k), elements=entries)), 1)[np.ix_(order, order)]
+
+
+@PROPERTY
+@given(relabeled_triangular(), st.floats(1e-3, 1e3), st.data())
+def test_perron_pair_of_a_cycle_free_support_is_zero(matrix, weight, data):
+    # no cycle: rho = 0 and the unit vector of a zero column, at once
+    pair = perron_pair(matrix)
+    assert (pair.rho, pair.steps, pair.converged, pair.dense) == (0.0, 0, True, False)
+    assert sorted(pair.vector.tolist()) == [0.0] * (len(matrix) - 1) + [1.0]
+    assert not (matrix @ pair.vector).any()
+    # a self-loop closes a cycle; a triangular matrix's root is its largest
+    # diagonal entry
+    i = data.draw(st.integers(0, len(matrix) - 1))
+    matrix[i, i] = weight
+    pair = perron_pair(matrix)
+    assert pair.converged
+    assert pair.rho == pytest.approx(weight, rel=1e-9)
+
+
 class TestPerBsKernel:
     def test_pair_block_closed_form(self):
         net = Network(
@@ -350,12 +377,14 @@ class TestPerBsKernel:
         assert (pair.rho, pair.steps) == (0.0, 0)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_nilpotent_matrix_stops_at_the_step_cap(self):
-        # rho = 0, but lam falls only linearly towards it
+    def test_nilpotent_matrix_has_root_zero(self):
+        # rho = 0, towards which a Noda step's lam would fall only linearly:
+        # the support graph 0 -> 1 has no cycle, so the pair is the unit
+        # vector of the zero column 0, after no step
         pair = perron_pair(np.array([[0.0, 1.0], [0.0, 0.0]]))
-        assert not pair.converged and not pair.dense
-        assert pair.steps == power._NODA_MAX_STEPS
-        assert 0.0 < pair.rho < 1e-12
+        assert pair.converged and not pair.dense
+        assert (pair.rho, pair.steps) == (0.0, 0)
+        assert pair.vector.tolist() == [1.0, 0.0]
 
     def test_step_cap_returns_a_nonconverged_pair(self, monkeypatch):
         monkeypatch.setattr(power, "_NODA_MAX_STEPS", 1)

@@ -49,6 +49,9 @@ RELABEL_RTOL = 1e-9
 # Relative tolerance of the self-consistency property, on the BS loads and on
 # min_sinr recomputed by downlink_sinr.
 SELF_RTOL = 1e-9
+# Relative tolerance of the ordering properties around the brute force's
+# optimum; both held on 1,500 random 1-3 BS x 1-5 user networks.
+ORDER_RTOL = 1e-9
 
 
 # Criterion-08 draws: 4 macros with 2 picos each and 18 users.
@@ -396,6 +399,34 @@ class TestRunTrial:
             assert (loads <= net.budget * (1.0 + SELF_RTOL)).all(), name
             sinr = downlink_sinr(net, out.association, out.power)
             assert out.min_sinr == pytest.approx(sinr.min(), rel=SELF_RTOL), name
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.booleans().flatmap(lambda sq: st.tuples(st.just(sq), networks(3, 5, square=sq))))
+    def test_per_bs_answers_stay_below_the_brute_force(self, case):
+        # the brute force's value is the per-BS optimum over every
+        # association, so no per-BS answer beats it
+        square, net = case
+        best = ALGORITHMS["brute"](net).min_sinr
+        for name in ["maxsnr", "dlsum", "dlsuma"] + ["p1prime", "aufp"] * square:
+            assert ALGORITHMS[name](net).min_sinr <= best * (1.0 + ORDER_RTOL), name
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.booleans().flatmap(lambda sq: st.tuples(networks(3, 5, square=sq), st.floats(-1.0, 1.0)))
+    )
+    def test_relaxation_bounds_stay_above_the_brute_force(self, case):
+        # with one noise on both links the sum-power relaxations bound the
+        # per-BS optimum from above, balanced or not
+        drawn, log_noise = case
+        noise = 10.0**log_noise
+        net = Network(
+            drawn.gain, drawn.budget, np.full(drawn.n_users, noise), np.full(drawn.n_bs, noise)
+        )
+        best = ALGORITHMS["brute"](net).min_sinr
+        bounds = {name: ALGORITHMS[name](net).min_sinr for name in ("ulsum", "ulsuma")}
+        bounds.update({name: ALGORITHMS[name](net).upper_bound for name in ("dlsum", "dlsuma")})
+        for name, bound in bounds.items():
+            assert best <= bound * (1.0 + ORDER_RTOL), name
 
 
 class TestMonteCarlo:
