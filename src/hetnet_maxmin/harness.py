@@ -497,17 +497,8 @@ def experiment_to_json(spec: ExperimentSpec) -> dict:
 def experiment_from_json(doc: dict) -> ExperimentSpec:
     """Inverse of :func:`experiment_to_json`; a malformed document raises ValidationError."""
     _check_document(doc, ExperimentSpec, "experiment")
-    # ExperimentSpec checks the entries' types
     for key in ("snr_db", "algorithms"):
         if key not in doc:
             raise ValidationError(f"experiment document is missing field {key!r}")
-        if not isinstance(doc[key], list):
-            raise ValidationError(f"experiment field {key!r} must be a JSON list")
-    return ExperimentSpec(
-        **{
-            **doc,
-            "scenario": scenario_from_json(doc.get("scenario", {})),
-            "snr_db": tuple(doc["snr_db"]),
-            "algorithms": tuple(doc["algorithms"]),
-        }
-    )
+    # ExperimentSpec checks that both are sequences, and their entries' types
+    return ExperimentSpec(**{**doc, "scenario": scenario_from_json(doc.get("scenario", {}))})

@@ -277,11 +277,16 @@ def downlink_sinr(net: Network, assoc, power) -> np.ndarray:
 
 def _downlink_sinr(net: Network, a: np.ndarray, p: np.ndarray) -> np.ndarray:
     """:func:`downlink_sinr` at an association and power already known valid."""
-    gains_at_users = net.gain[a, :]              # [i, k] = gain of i's serving BS at user k
-    received = p[:, None] * gains_at_users
-    total = received.sum(axis=0)
+    own, noisy = _downlink_terms(net, a, p)
+    return own / noisy
+
+
+def _downlink_terms(net: Network, a: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-user received signal and noise plus interference, unchecked: the
+    numerator and the denominator of the downlink SINR."""
+    received = p[:, None] * net.gain[a, :]  # [i, k] = power of user i received at user k
     own = np.diagonal(received)
-    return own / (net.noise_dl + total - own)
+    return own, net.noise_dl + received.sum(axis=0) - own
 
 
 def max_snr_association(net: Network) -> np.ndarray:

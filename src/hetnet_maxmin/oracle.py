@@ -97,7 +97,7 @@ def cnf_from_dimacs(text: str) -> CnfFormula:
     The one ``p cnf`` header must declare as many clauses as the text holds.
     """
     n_vars = n_clauses = None
-    clauses: list[tuple[int, int, int]] = []
+    clauses: list[tuple[int, ...]] = []
     pending: list[int] = []
     for raw in text.splitlines():
         line = raw.strip()
@@ -120,11 +120,8 @@ def cnf_from_dimacs(text: str) -> CnfFormula:
             continue
         for lit in numbers:
             if lit == 0:
-                if len(pending) != 3:
-                    raise ValidationError(
-                        f"clause {pending} has {len(pending)} literals; exactly 3 required"
-                    )
-                clauses.append((pending[0], pending[1], pending[2]))
+                # CnfFormula checks the clause's length
+                clauses.append(tuple(pending))
                 pending = []
             else:
                 pending.append(lit)

@@ -19,7 +19,6 @@ candidates.
 
 from __future__ import annotations
 
-import functools
 import importlib.machinery
 import importlib.util
 import math
@@ -29,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import Network, SolveResult, check_association, downlink_sinr
+from .model import Network, SolveResult, _downlink_sinr, _downlink_terms, check_association
 
 __all__ = [
     "FixedPointOptions",
@@ -103,13 +102,8 @@ def unit_sinr_power(net: Network, assoc, power) -> np.ndarray:
     that the ``check_*`` functions of :mod:`hetnet_maxmin.model` accept.
     """
     a = np.asarray(assoc)
-    p = np.asarray(power, dtype=float)
-    gains_at_users = net.gain[a, :]
-    received = p[:, None] * gains_at_users
-    own = np.diagonal(received)
-    interference = received.sum(axis=0) - own
-    direct = net.gain[a, np.arange(net.n_users)]
-    return (net.noise_dl + interference) / direct
+    noisy = _downlink_terms(net, a, np.asarray(power, dtype=float))[1]
+    return noisy / net.gain[a, np.arange(net.n_users)]
 
 
 def load_norm(power, assoc, budget) -> float:
@@ -155,7 +149,8 @@ def _run_fixed_point(step, opts: FixedPointOptions, level: np.ndarray, scale: fl
 
 
 def _downlink_result(net: Network, assoc: np.ndarray, run: FixedPointRun) -> SolveResult:
-    sinr = downlink_sinr(net, assoc, run.power)
+    # the association was checked at entry and the power is the run's own
+    sinr = _downlink_sinr(net, assoc, run.power)
     return SolveResult(
         association=assoc,
         power=run.power,
@@ -354,17 +349,6 @@ def _acyclic(a: np.ndarray) -> bool:
     return True
 
 
-@functools.lru_cache(maxsize=16)
-def _identity(k: int) -> np.ndarray:
-    """The read-only K x K identity of the target-power systems of
-    :func:`_target_power`, the brute force's screen.  SAT checks of 1-3
-    variables and 1-3 clauses cycle through 7 gadget sizes, K = 3 to 9,
-    which 4 entries could not hold."""
-    eye = np.eye(k)
-    eye.setflags(write=False)
-    return eye
-
-
 # Relative overload of another BS below which the per-BS climb stops.  Loads
 # within a factor 1 + d of each other bound the two Perron roots within the
 # same factor, so stopping costs at most d of the value and rounding in the
@@ -461,25 +445,32 @@ def _solve_power_exact(net: Network, a: np.ndarray, coupling=None) -> SolveResul
 def _target_power(
     net: Network, batch: np.ndarray, gamma: float, coupling: tuple[np.ndarray, np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Least powers for SINR target gamma on a checked (B, K) batch, and which fit.
+    """Least powers for SINR target gamma on a checked (B, K) batch, and which
+    rows the screen keeps.
 
     SINR = gamma for every user of row b means (I - gamma B_b) p = gamma u_b,
     with B and u as in :func:`solve_power_exact`: one linear solve.
     I - gamma B is a Z-matrix, and a Z-matrix A is a nonsingular M-matrix
     exactly when A x > 0 for some x >= 0 (Berman & Plemmons, 1979).  As
     u > 0 (a ``Network`` invariant), p >= 0 exists iff rho(gamma B) < 1, and
-    then it is the least power vector that meets the target.  The target is
-    feasible iff the solve succeeds, p is finite and non-negative, and p
-    fits the per-BS budgets (load norm at most 1 + 1e-12).  The loads come
-    from :func:`_bs_loads`, one ``bincount``.
+    then it is the least power vector that meets the target.
+
+    The screen is one-sided: it drops a row only when shown infeasible, and
+    the caller's exact solve decides the rest.  The LU solve's error is
+    relative to the row's largest entry, so each entry is taken as known to
+    within 1e-9 of it: a row is dropped when its solve fails, when p plus
+    that slack has a negative entry, or when p minus it overloads a BS by
+    more than 1e-12 relative.  The loads come from :func:`_bs_loads`.
 
     ``coupling`` is ``_coupling(net, batch)``, arrays this function
-    overwrites.
+    overwrites: I - gamma B is built in place.
     """
     system, u = coupling
-    # I - gamma B in place: the (B, K, K) stack is the brute force's largest array
+    # in place: the (B, K, K) stack is the brute force's largest array, and
+    # B's diagonal is 0, so 1 - gamma 0 is written as 1
+    k = np.arange(net.n_users)
     system *= -gamma
-    system += _identity(net.n_users)
+    system[:, k, k] = 1.0
     rhs = gamma * u
     solved = True
     try:
@@ -489,10 +480,16 @@ def _target_power(
         rows = [dgesv(m, r)[2:] for m, r in zip(system, rhs)]
         p = np.array([x for x, _ in rows])
         solved = np.array([info == 0 for _, info in rows])
-    loads = _bs_loads(batch, p, net.n_bs) / net.budget
-    # a NaN entry fails p >= 0 and an infinite one the load test
+    # users first: a reduction over users is then one vector step per user
+    by_user = np.ascontiguousarray(p.T)
+    slack = 1e-9 * np.maximum.reduce(by_user)
+    with np.errstate(invalid="ignore"):  # inf - inf in a row with +inf
+        low = p - slack[:, None]
+    loads = _bs_loads(batch, low, net.n_bs) / net.budget
     fits = np.maximum.reduce(loads, axis=1) <= 1.0 + 1e-12
-    feasible = solved & np.logical_and.reduce(p >= 0, axis=1) & fits
+    # a NaN fails the sign test, as does -inf below a larger entry, and +inf
+    # the load test, as the NaN of inf - inf
+    feasible = solved & (np.minimum.reduce(by_user) >= -slack) & fits
     return p, feasible
 
 

@@ -2,9 +2,10 @@
 
 Everything here re-derives results from first principles (plain loops,
 bisection, exhaustive enumeration) so that library fast paths are checked
-against arithmetic that shares no code with them.  The one exception,
-:func:`target_power`, runs the brute force's target-power screen on one
-association.
+against arithmetic that shares no code with them.  Two exceptions:
+:func:`target_power` runs the brute force's target-power screen on one
+association, and :func:`exhaustive_exact_optimum` checks the brute force's
+enumeration and screen against the Perron-root solve of every association.
 """
 
 from __future__ import annotations
@@ -74,6 +75,24 @@ def networks(draw, max_bs=4, max_users=6, square=False):
     )
 
 
+@st.composite
+def wide_range_networks(draw):
+    """1-3 BSs and 1-4 users; gains, budgets and one common noise
+    log-uniform in 10^(+-15), and about 20 % zero links besides each user's
+    serving one."""
+    n, k = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    exponent = st.floats(-15.0, 15.0)
+    cut = draw(arrays(float, (n, k), elements=st.floats(0.0, 1.0))) < 0.2
+    cut[draw(arrays(int, k, elements=st.integers(0, n - 1))), np.arange(k)] = False
+    noise = 10.0 ** draw(exponent)
+    return Network(
+        gain=np.where(cut, 0.0, 10.0 ** draw(arrays(float, (n, k), elements=exponent))),
+        budget=10.0 ** draw(arrays(float, n, elements=exponent)),
+        noise_dl=np.full(k, noise),
+        noise_ul=np.full(n, noise),
+    )
+
+
 def loop_downlink_sinr(net: Network, assoc, power) -> np.ndarray:
     """Definition-level downlink SINR with explicit python loops."""
     a = list(assoc)
@@ -109,6 +128,13 @@ def target_power(net: Network, assoc, gamma: float) -> tuple[np.ndarray, bool]:
     batch = np.array([assoc])
     p, feasible = power._target_power(net, batch, gamma, power._coupling(net, batch))
     return p[0], bool(feasible[0])
+
+
+def exhaustive_exact_optimum(net: Network) -> float:
+    """The largest ``solve_power_exact`` min-SINR over every association that
+    avoids zero links: the brute force's answer without its screen."""
+    links = [np.flatnonzero(net.gain[:, k] > 0).tolist() for k in range(net.n_users)]
+    return max(power.solve_power_exact(net, list(c)).min_sinr for c in itertools.product(*links))
 
 
 def _dl_target_feasible(net: Network, assoc, gamma: float, iters: int = 4000) -> bool:

@@ -5,6 +5,7 @@ import concurrent.futures
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -722,14 +723,29 @@ class TestExports:
             ("algorithms", None),
             ("algorithms", "maxsnr"),
             ("algorithms", 3),
+            ("snr_db", {"10": 10.0}),
+            ("algorithms", {"maxsnr": 1}),
         ],
-        ids=["float-snr", "null-snr", "string-snr", "null-algorithms", "string-algorithms", "int-algorithms"],
+        ids=[
+            "float-snr",
+            "null-snr",
+            "string-snr",
+            "null-algorithms",
+            "string-algorithms",
+            "int-algorithms",
+            "object-snr",
+            "object-algorithms",
+        ],
     )
     def test_spec_fields_must_be_sequences(self, field, value):
         # a bare string is not a sequence of names: "maxsnr" once became
-        # unknown algorithms ['m', 'a', 'x', ...]; 10.0 and None once raised TypeError
-        with pytest.raises(ValidationError, match=f"^{field} must be a sequence"):
+        # unknown algorithms ['m', 'a', 'x', ...]; 10.0 and None once raised
+        # TypeError.  An experiment document's field meets the same one rule
+        message = f"^{field} must be a sequence, got {re.escape(repr(value))}$"
+        with pytest.raises(ValidationError, match=message):
             small_spec(**{field: value})
+        with pytest.raises(ValidationError, match=message):
+            experiment_from_json({**_SMALL_SPEC, field: value})
 
     @pytest.mark.parametrize(
         "field, values, message",

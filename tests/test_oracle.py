@@ -4,11 +4,13 @@ satisfiability equivalence check."""
 import itertools
 import json
 import math
+import re
 import tracemalloc
 from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from hetnet_maxmin.model import (
     _BLOCK_ENTRIES,
@@ -31,7 +33,16 @@ from hetnet_maxmin import oracle, power
 from hetnet_maxmin.power import solve_power, solve_power_exact
 from hetnet_maxmin.twostage import dlsum, dlsuma
 
-from helpers import DATA, frozen_network, random_formula, random_network, truth_table_sat
+from helpers import (
+    DATA,
+    exhaustive_exact_optimum,
+    frozen_network,
+    random_formula,
+    random_network,
+    target_power,
+    truth_table_sat,
+    wide_range_networks,
+)
 
 P_LOW = (math.sqrt(7.0) - 1.0) / 2.0
 
@@ -146,6 +157,36 @@ class TestBruteForce:
         (pin,) = [f["gadget_optimum"] for f in pins["formulas"] if f["n_vars"] == 4]
         assert res.association.tolist() == pin["association"]
         assert res.min_sinr.hex() == pin["min_sinr"]
+
+    @pytest.mark.parametrize(
+        "name, gamma",
+        [("brute_screen_rounding_3x4", 0.03), ("brute_screen_load_rounding_3x4", 5.5e-7)],
+        ids=["sign", "load"],
+    )
+    def test_screen_keeps_the_optimum_of_a_wide_range_network(self, name, gamma):
+        # sign: at gamma = 0.03 the LU solve puts -5.3e-27 in the least power
+        # of the optimum (2, 0, 1, 1), beside entries of 1e-7 to 1.5e-5, and
+        # a sign test returned 0.0303 at (2, 0, 0, 2) instead of 1 - 2.3e-14.
+        # load: at gamma = 5.5e-7 it puts 1.3e-11 on user 1 of (1, 0, 1, 1),
+        # alone on a BS with a budget of 7.7e-12, beside entries up to 2.3e7,
+        # and the load test returned 5.5e-7 at (0, 0, 1, 1) instead of 1.0e-5
+        net = frozen_network(name)
+        optimum = max_snr_association(net).tolist()
+        assert target_power(net, optimum, gamma)[1]
+        best = brute_force_optimum(net)
+        assert best.association.tolist() == optimum
+        assert best.min_sinr == pytest.approx(exhaustive_exact_optimum(net), rel=1e-9, abs=0.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(wide_range_networks())
+    def test_equals_the_exhaustive_exact_optimum_on_wide_range_draws(self, net):
+        try:
+            expected = exhaustive_exact_optimum(net)
+        except ValueError:
+            with pytest.raises(ValueError):
+                brute_force_optimum(net)
+            return
+        assert brute_force_optimum(net).min_sinr == pytest.approx(expected, rel=1e-9, abs=0.0)
 
     def test_never_runs_a_fixed_point(self, monkeypatch):
         def forbidden(*args, **kwargs):
@@ -348,6 +389,16 @@ class TestCnfParsing:
         # int() once truncated 1.5 to 1 and parsed "1"
         with pytest.raises(ValidationError, match="integer|type int"):
             CnfFormula(n_vars=n_vars, clauses=(clause,))
+
+    @pytest.mark.parametrize(
+        "body, clause",
+        [("0\n", "()"), ("1 -2 0\n", "(1, -2)"), ("1 -2 3 -1 0\n", "(1, -2, 3, -1)")],
+        ids=["0-literals", "2-literals", "4-literals"],
+    )
+    def test_dimacs_clause_length_is_the_formula_rule(self, body, clause):
+        # the parser leaves the length to CnfFormula, which names the clause
+        with pytest.raises(ValidationError, match=f"^clause {re.escape(clause)} must have exactly 3 literals$"):
+            cnf_from_dimacs("p cnf 3 1\n" + body)
 
     def test_dimacs_round_trip(self):
         text = """c an example

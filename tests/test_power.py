@@ -126,6 +126,24 @@ class TestValidateOnce:
             run()
             assert len(calls) <= 1
 
+    @pytest.mark.parametrize("solver", [solve_power, dl_sumpower_power], ids=["solve_power", "dl_sumpower_power"])
+    def test_fixed_points_check_only_the_association_at_entry(self, monkeypatch, solver):
+        # the power a fixed point returns is its own iterate, so its SINR
+        # comes from the unchecked core and no check_power call runs
+        calls = {"check_association": 0, "check_power": 0}
+        for module in (model, power, sumpower):
+            for name in calls:
+                if hasattr(module, name):
+
+                    def counted(*args, _check=getattr(module, name), _name=name):
+                        calls[_name] += 1
+                        return _check(*args)
+
+                    monkeypatch.setattr(module, name, counted)
+        net = frozen_network("uni_4x2_k18_35db_seed7000015")
+        assert solver(net, max_snr_association(net)).converged
+        assert calls == {"check_association": 1, "check_power": 0}
+
 
 class TestLoadNorm:
     def test_shared_bs(self):
