@@ -277,16 +277,14 @@ def downlink_sinr(net: Network, assoc, power) -> np.ndarray:
 
 def _downlink_sinr(net: Network, a: np.ndarray, p: np.ndarray) -> np.ndarray:
     """:func:`downlink_sinr` at an association and power already known valid."""
-    own, noisy = _downlink_terms(net, a, p)
-    return own / noisy
+    own, total = _downlink_received(net, a, p)
+    return own / (net.noise_dl + total - own)
 
 
-def _downlink_terms(net: Network, a: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-user received signal and noise plus interference, unchecked: the
-    numerator and the denominator of the downlink SINR."""
+def _downlink_received(net: Network, a: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-user own received signal and total received power, unchecked."""
     received = p[:, None] * net.gain[a, :]  # [i, k] = power of user i received at user k
-    own = np.diagonal(received)
-    return own, net.noise_dl + received.sum(axis=0) - own
+    return np.diagonal(received), received.sum(axis=0)
 
 
 def max_snr_association(net: Network) -> np.ndarray:

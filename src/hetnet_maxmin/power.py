@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import Network, SolveResult, _downlink_sinr, _downlink_terms, check_association
+from .model import Network, SolveResult, _downlink_received, _downlink_sinr, check_association
 
 __all__ = [
     "FixedPointOptions",
@@ -102,8 +102,9 @@ def unit_sinr_power(net: Network, assoc, power) -> np.ndarray:
     that the ``check_*`` functions of :mod:`hetnet_maxmin.model` accept.
     """
     a = np.asarray(assoc)
-    noisy = _downlink_terms(net, a, np.asarray(power, dtype=float))[1]
-    return noisy / net.gain[a, np.arange(net.n_users)]
+    own, total = _downlink_received(net, a, np.asarray(power, dtype=float))
+    # noise + (total - own): a user without interference gets exactly the noise
+    return (net.noise_dl + (total - own)) / net.gain[a, np.arange(net.n_users)]
 
 
 def load_norm(power, assoc, budget) -> float:
@@ -319,13 +320,17 @@ def perron_pair(matrix, start=None) -> PerronPair:
         if y_lo > 0 and math.isfinite(y_hi):
             ay = dot(y)
             ay_lo, ay_hi = _span(ay)
-            x_new = ay / ay_hi if ay_lo > 0 else y / y_hi
-            lo_new, lam_new = _span(dot(x_new) / x_new)
-            if lam_new < lam * (1.0 - _PERRON_RTOL):
-                x, lam, lo = x_new, lam_new, lo_new
-                continue
-            if lo_new / lam_new > lo / lam:
-                x, lam, lo = x_new, lam_new, lo_new
+            v, v_lo, v_hi = (ay, ay_lo, ay_hi) if ay_lo > 0 else (y, y_lo, y_hi)
+            # x_new's least entry is v_lo / v_hi: when it rounds to 0, or Ay
+            # overflows, x_new is rejected as a failed solve is, not divided
+            if v_lo / v_hi > 0:
+                x_new = v / v_hi
+                lo_new, lam_new = _span(dot(x_new) / x_new)
+                if lam_new < lam * (1.0 - _PERRON_RTOL):
+                    x, lam, lo = x_new, lam_new, lo_new
+                    continue
+                if lo_new / lam_new > lo / lam:
+                    x, lam, lo = x_new, lam_new, lo_new
         if lam - lo <= _STALL_RTOL * lam:
             return PerronPair(lam, x, steps + 1, True)
         return _dense_perron(a, steps + 1)

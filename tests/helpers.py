@@ -107,6 +107,21 @@ def loop_downlink_sinr(net: Network, assoc, power) -> np.ndarray:
     return out
 
 
+def loop_unit_sinr_power(net: Network, assoc, power) -> np.ndarray:
+    """Definition-level power for downlink SINR 1 at fixed interference,
+    (noise + interference) / direct gain, with explicit python loops."""
+    a = list(assoc)
+    k_total = net.n_users
+    out = np.zeros(k_total)
+    for k in range(k_total):
+        interference = 0.0
+        for i in range(k_total):
+            if i != k:
+                interference += power[i] * net.gain[a[i], k]
+        out[k] = (net.noise_dl[k] + interference) / net.gain[a[k], k]
+    return out
+
+
 def loop_uplink_sinr(net: Network, assoc, power) -> np.ndarray:
     """Definition-level uplink SINR with explicit python loops."""
     a = list(assoc)

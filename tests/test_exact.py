@@ -34,7 +34,7 @@ from hetnet_maxmin.power import (
 from hetnet_maxmin.sumpower import ulsum, ulsum_exact
 from hetnet_maxmin.twostage import dlsuma
 
-from helpers import frozen_network, loop_uplink_sinr, networks, target_power
+from helpers import exhaustive_exact_optimum, frozen_network, loop_uplink_sinr, networks, target_power
 
 REFERENCE = FixedPointOptions(tol=1e-12, max_iter=20_000)
 PROPERTY = settings(max_examples=150, deadline=None)
@@ -370,6 +370,15 @@ class TestPerBsKernel:
         pair = perron_pair(np.array(matrix))
         assert pair.converged and not pair.dense
         assert pair.rho == pytest.approx(rho, rel=1e-12)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_underflowing_iterate_is_rejected_without_a_warning(self):
+        # at (1, 2, 0, 2) a Noda step's solve y has a least entry of 1.5e-323
+        # beside 26, so y / max(y) has a 0 entry and Ax / x divided 0 by 0;
+        # the step is now rejected before the division, with the same pair
+        net = frozen_network("perron_iterate_underflow_3x4")
+        assert solve_power_exact(net, [1, 2, 0, 2]).min_sinr == pytest.approx(0.9999997394048, rel=1e-12)
+        assert brute_force_optimum(net).min_sinr == pytest.approx(exhaustive_exact_optimum(net), rel=1e-9)
 
     def test_zero_matrix_has_root_zero(self):
         pair = perron_pair(np.zeros((3, 3)))

@@ -19,7 +19,7 @@ from hetnet_maxmin.power import (
 from hetnet_maxmin.oracle import brute_force_optimum
 from hetnet_maxmin.sumpower import dl_sumpower_power, ulsum, ulsum_exact
 
-from helpers import bisect_maxmin, frozen_network, random_network, target_power
+from helpers import bisect_maxmin, frozen_network, loop_unit_sinr_power, random_network, target_power
 
 GAMMA_PAIR = (math.sqrt(7.0) - 1.0) / 3.0
 P_LOW = (math.sqrt(7.0) - 1.0) / 2.0
@@ -59,6 +59,22 @@ class TestUnitSinrPower:
             p = rng.uniform(0.05, 2.0, size=5)
             m = unit_sinr_power(net, assoc, p)
             np.testing.assert_allclose(p / m, downlink_sinr(net, assoc, p), rtol=1e-12)
+
+    def test_matches_the_loop_definition(self):
+        rng = np.random.default_rng(2)
+        for _ in range(20):
+            net = random_network(rng, 3, 5)
+            assoc = rng.integers(0, 3, size=5)
+            p = rng.uniform(0.05, 2.0, size=5)
+            np.testing.assert_allclose(
+                unit_sinr_power(net, assoc, p), loop_unit_sinr_power(net, assoc, p), rtol=1e-12
+            )
+
+    def test_user_without_interference_gets_the_exact_noise(self):
+        # SNR 1e20: (noise + total) - own would round the noise away to 0
+        net = Network(gain=[[1.0, 0.0], [0.0, 4.0]], budget=[1, 1], noise_dl=[1e-20, 1e-20], noise_ul=[1, 1])
+        m = unit_sinr_power(net, [0, 1], [1.0, 1.0])
+        assert m.tolist() == loop_unit_sinr_power(net, [0, 1], [1.0, 1.0]).tolist() == [1e-20, 2.5e-21]
 
 
 class TestValidateOnce:
@@ -179,6 +195,21 @@ class TestSolvePower:
         res = solve_power(net, [0])
         assert res.power == pytest.approx([1.5])
         assert res.min_sinr == pytest.approx(1.5 * 2.0 / 0.5)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "solver, expected",
+        [(solve_power, [1.0, 0.75]), (dl_sumpower_power, [8.0 / 7.0, 6.0 / 7.0])],
+        ids=["solve_power", "dl_sumpower_power"],
+    )
+    def test_interference_free_users_at_snr_1e15(self, solver, expected):
+        # each user's step is its noise over its gain, 1e-15 and 7.5e-16,
+        # scaled to the budget; (noise + total) - own rounds each noise to a
+        # multiple of its received power's ulp and put the power 4-7 % off
+        net = Network(gain=[[1.0, 0.0], [0.0, 4.0]], budget=[1, 1], noise_dl=[1e-15, 3e-15], noise_ul=[1, 1])
+        res = solver(net, [0, 1])
+        assert res.converged
+        assert res.power == pytest.approx(expected, rel=1e-12)
 
     def test_matches_grid_search_oracle(self):
         # Independent oracle: exhaustive grid over the two tight-budget faces
