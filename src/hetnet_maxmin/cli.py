@@ -27,7 +27,6 @@ from .harness import (
     export_json,
     monte_carlo,
 )
-from .matching import InfeasibleMatchingError
 from .model import _to_json, network_from_json, network_to_json
 from .oracle import build_3sat_gadget, cnf_from_dimacs, verify_sat_equivalence
 from .scenario import generate_hetnet, geometry_to_json, scenario_from_json
@@ -35,11 +34,6 @@ from .scenario import generate_hetnet, geometry_to_json, scenario_from_json
 # Usage errors must exit with 1 (click defaults to 2, which is reserved here
 # for infeasible / not-converged outcomes).
 click.UsageError.exit_code = 1
-
-
-def _fail(message: str):
-    click.echo(f"error: {message}", err=True)
-    sys.exit(1)
 
 
 def _load_json(path):
@@ -79,13 +73,15 @@ def _outputs(*paths):
 
 class _Cli(click.Group):
     def invoke(self, ctx):
-        # ValueError covers ValidationError and json.JSONDecodeError,
-        # ArithmeticError a finite geometry too large for float arithmetic,
-        # and Warning a numpy warning that the warning filters raise as an error
+        # ValueError covers ValidationError (InfeasibleMatchingError too) and
+        # json.JSONDecodeError, ArithmeticError a finite geometry too large for
+        # float arithmetic, and Warning a numpy warning that the warning
+        # filters raise as an error
         try:
             return super().invoke(ctx)
-        except (ValueError, ArithmeticError, Warning, OSError, InfeasibleMatchingError) as exc:
-            _fail(str(exc))
+        except (ValueError, ArithmeticError, Warning, OSError) as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(1)
 
 
 @click.group(cls=_Cli)

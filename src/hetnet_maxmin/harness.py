@@ -43,7 +43,6 @@ from .model import (
     ValidationError,
     _check_document,
     _check_field_types,
-    _derived,
     _of_type,
     _to_json,
     max_snr_association,
@@ -304,16 +303,16 @@ def run_trial(
     """Run every selected algorithm on the trial's network at ``snr_db``.
 
     ``draws`` maps a seed to its generated instance.  A trial whose seed is
-    there derives its network from that draw's: the draw's gains and noises at
-    this point's budgets, equal bit for bit to a fresh draw, with only the
-    budgets checked.  Any other trial generates one and stores it.
+    there builds its network from that draw's: the draw's gains and noises at
+    this point's budgets, equal bit for bit to a fresh draw.  Any other trial
+    generates one and stores it.
     """
     seed = spec.seed_base + trial_index
     config = replace(spec.scenario, snr_db=float(snr_db), seed=seed)
     draws = {} if draws is None else draws
     if seed in draws:
         drawn = draws[seed]
-        net = _derived(drawn.network, budget=_budget(config, drawn.geometry.bs_is_macro))
+        net = replace(drawn.network, budget=_budget(config, drawn.geometry.bs_is_macro))
     else:
         draws[seed] = generate_hetnet(config)
         net = draws[seed].network

@@ -41,7 +41,7 @@ __all__ = [
 FORBIDDEN = -np.inf
 
 
-class InfeasibleMatchingError(RuntimeError):
+class InfeasibleMatchingError(ValidationError):
     """No perfect matching avoids forbidden entries."""
 
 

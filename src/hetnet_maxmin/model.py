@@ -43,13 +43,13 @@ class ValidationError(ValueError):
     """An input violates a structural contract (shape, sign, or link)."""
 
 
-def _vector(x, n: int, name: str, positive: bool = False) -> np.ndarray:
+def _vector(x, n: int, name: str) -> np.ndarray:
     v = np.array(x, dtype=float)
     if v.shape != (n,):
         raise ValidationError(f"{name} must have shape ({n},), got {v.shape}")
     if not np.all(np.isfinite(v)):
         raise ValidationError(f"{name} must be finite")
-    if positive and not np.all(v > 0):
+    if not np.all(v > 0):
         raise ValidationError(f"{name} must be strictly positive")
     return v
 
@@ -83,9 +83,9 @@ class Network:
         if not np.all(np.isfinite(g)) or np.any(g < 0):
             raise ValidationError("gains must be finite and non-negative")
         object.__setattr__(self, "gain", g)
-        object.__setattr__(self, "budget", _vector(self.budget, n, "budget", positive=True))
-        object.__setattr__(self, "noise_dl", _vector(self.noise_dl, k, "noise_dl", positive=True))
-        object.__setattr__(self, "noise_ul", _vector(self.noise_ul, n, "noise_ul", positive=True))
+        object.__setattr__(self, "budget", _vector(self.budget, n, "budget"))
+        object.__setattr__(self, "noise_dl", _vector(self.noise_dl, k, "noise_dl"))
+        object.__setattr__(self, "noise_ul", _vector(self.noise_ul, n, "noise_ul"))
         _check_links(g, self.noise_dl, self.noise_ul)
         for name in ("gain", "budget", "noise_dl", "noise_ul"):
             getattr(self, name).setflags(write=False)
@@ -132,24 +132,6 @@ def _check_links(gain: np.ndarray, noise_dl: np.ndarray, noise_ul: np.ndarray) -
                 raise ValidationError(
                     f"noise over gain {rounds}: noise_dl of users {users}, noise_ul of BSs {bss}"
                 )
-
-
-def _derived(base: Network, *, budget, gain: np.ndarray | None = None) -> Network:
-    """``base`` with a new ``budget`` and, optionally, a ``gain`` derived from
-    its own, checked only as far as the derivation can break them.
-
-    A derived gain is ``base.gain`` scaled by finite non-negative factors: it
-    keeps the shape, finiteness and sign, but can break the link rules,
-    which raise as in :class:`Network`.  The budget gets :class:`Network`'s
-    full budget check.  The other arrays are ``base``'s own, and every array
-    is read-only.
-    """
-    if gain is None:
-        gain = base.gain
-    else:
-        _check_links(gain, base.noise_dl, base.noise_ul)
-    budget = _vector(budget, base.n_bs, "budget", positive=True)
-    return _unchecked(gain, budget, base.noise_dl, base.noise_ul)
 
 
 def _unchecked(gain, budget, noise_dl, noise_ul) -> Network:

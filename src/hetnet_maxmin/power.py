@@ -54,17 +54,15 @@ def _load_dgesv():
     scipy = importlib.util.find_spec("scipy")
     if scipy is not None and scipy.submodule_search_locations:
         linalg = os.path.join(scipy.submodule_search_locations[0], "linalg")
-        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-            path = os.path.join(linalg, "_flapack" + suffix)
-            if os.path.isfile(path):
-                loader = importlib.machinery.ExtensionFileLoader("scipy.linalg._flapack", path)
-                spec = importlib.util.spec_from_loader(loader.name, loader)
-                try:
-                    module = loader.create_module(spec)
-                    loader.exec_module(module)
-                except (ImportError, OSError):
-                    break
+        extensions = (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES)
+        spec = importlib.machinery.FileFinder(linalg, extensions).find_spec("scipy.linalg._flapack")
+        if spec is not None:
+            try:
+                module = importlib.util.module_from_spec(spec)
+                spec.loader.exec_module(module)
                 return module.dgesv
+            except (ImportError, OSError):
+                pass
     from scipy.linalg.lapack import dgesv
 
     return dgesv

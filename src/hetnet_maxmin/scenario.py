@@ -103,7 +103,10 @@ class ScenarioConfig:
 
     @property
     def pico_power(self) -> float:
-        return 10.0 ** (self.snr_db / 10.0)
+        try:
+            return 10.0 ** (self.snr_db / 10.0)
+        except OverflowError:  # float ** raises where float * returns inf
+            return math.inf
 
     @property
     def macro_power(self) -> float:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import Network, SolveResult, _derived, _downlink_sinr
+from .model import Network, SolveResult, _downlink_sinr
 from .power import _solve_power_exact
 from .sumpower import UlsumResult, ulsum_exact
 
@@ -75,7 +75,7 @@ def power_balance_transform(net: Network) -> Network:
     :class:`~hetnet_maxmin.model.ValidationError`.
     """
     p_max = float(np.max(net.budget))
-    return _derived(
+    return replace(
         net, gain=net.gain * (net.budget / p_max)[:, None], budget=np.full(net.n_bs, p_max)
     )
 
@@ -116,9 +116,9 @@ def dlsum(net: Network, *, stage1: UlsumResult | None = None) -> TwoStageResult:
     return TwoStageResult(result=stage2, stage1=stage1, stages=stages)
 
 
-def _to_original_domain(net: Network, scaled_budget_max: float, res: SolveResult) -> SolveResult:
+def _to_original_domain(net: Network, res: SolveResult) -> SolveResult:
     """Map a solution of the balanced problem back to the original network."""
-    p = res.power * net.budget[res.association] / scaled_budget_max
+    p = res.power * net.budget[res.association] / float(np.max(net.budget))
     sinr = _downlink_sinr(net, res.association, p)
     return replace(res, power=p, sinr=sinr, min_sinr=float(np.min(sinr)))
 
@@ -160,7 +160,7 @@ def dlsuma(net: Network, *, stage1: UlsumResult | None = None) -> TwoStageResult
             best, selected = stage4, 3
 
     return TwoStageResult(
-        result=_to_original_domain(net, float(bnet.budget[0]), best),
+        result=_to_original_domain(net, best),
         stage1=stage1,
         stages=tuple(stages),
         selected_stage=selected,

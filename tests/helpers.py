@@ -14,16 +14,45 @@ import csv
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import hetnet_maxmin
 from hetnet_maxmin import power
 from hetnet_maxmin.model import Network, network_from_json
 
 DATA = Path(__file__).parent / "data"
+
+
+def fresh_python(*args, timeout: float, preexec_fn=None) -> subprocess.CompletedProcess:
+    """Run ``python *args`` in a fresh interpreter, with this checkout's
+    package first on the path and without the test run's warning filters."""
+    src = str(Path(hetnet_maxmin.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *map(str, args)],
+        env={**os.environ, "PYTHONPATH": path},
+        preexec_fn=preexec_fn,
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+    )
+
+
+def pair_block_network() -> Network:
+    """Two BSs, two users; the first user hears 2 from both BSs, the second 1."""
+    return Network(
+        gain=[[2.0, 1.0], [2.0, 1.0]],
+        budget=[1.0, 1.0],
+        noise_dl=[1.0, 1.0],
+        noise_ul=[1.0, 1.0],
+    )
 
 
 def frozen_network(name: str) -> Network:

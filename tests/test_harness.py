@@ -4,13 +4,10 @@ CSV/JSON exports with byte-level determinism, and the CLI surface."""
 import concurrent.futures
 import json
 import math
-import os
 import re
 import subprocess
-import sys
 import time
 from dataclasses import fields, replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,7 +36,7 @@ from hetnet_maxmin.model import Network, ValidationError, downlink_sinr, max_snr
 from hetnet_maxmin.oracle import _TIE_RTOL
 from hetnet_maxmin.scenario import Geometry, ScenarioConfig, generate_hetnet, scenario_to_json
 
-from helpers import DATA, frozen_network, load_records_csv, networks
+from helpers import DATA, fresh_python, frozen_network, load_records_csv, networks
 
 # Relative tolerance of the scale-invariance property; the largest change seen
 # over 1,500 random 1-3 BS x 1-5 user networks was 6.4e-12 (dlsuma).
@@ -246,11 +243,11 @@ class TestRunTrial:
         run_trial(small_spec(scenario=C08_SCENARIO, algorithms=algorithms), 0, 25.0)
         assert len(calls) == 1
 
-    def test_criterion_08_seed_validates_one_network(self, monkeypatch):
-        # one validated build, the draw; the later SNR points and the balanced
-        # networks are derived from it, and each equals its validated build
-        validated, at_snr, balanced = [], [], []
-        post_init, derive = Network.__post_init__, harness._derived
+    def test_criterion_08_seed_draws_once_and_validates_every_network(self, monkeypatch):
+        # one draw per seed; each later SNR point and each balanced network is
+        # built through Network, so validated, and equals its validated build
+        drawn, validated, balanced = [], [], []
+        post_init, generate = Network.__post_init__, harness.generate_hetnet
         balance = twostage.power_balance_transform
 
         def balanced_once(net):
@@ -261,7 +258,7 @@ class TestRunTrial:
             Network, "__post_init__", lambda net: validated.append(net) or post_init(net)
         )
         monkeypatch.setattr(
-            harness, "_derived", lambda *a, **kw: at_snr.append(derive(*a, **kw)) or at_snr[-1]
+            harness, "generate_hetnet", lambda config: drawn.append(generate(config)) or drawn[-1]
         )
         monkeypatch.setattr(twostage, "power_balance_transform", balanced_once)
         spec = small_spec(
@@ -272,8 +269,9 @@ class TestRunTrial:
         )
         monte_carlo(spec)
         monkeypatch.undo()
-        assert (len(validated), len(at_snr), len(balanced)) == (1, 3, 4)
-        points = validated + at_snr
+        assert (len(drawn), len(validated), len(balanced)) == (1, 8, 4)
+        points = [net for net in validated if all(net is not b for _, b in balanced)]
+        assert points[0] is drawn[0].network
         # each point's network is balanced once, for ulsuma and dlsuma alike
         assert [id(base) for base, _ in balanced] == [id(net) for net in points]
         for snr, net in zip(spec.snr_db, points):
@@ -862,18 +860,9 @@ class TestNonFiniteAnswers:
         assert "Traceback" not in res.output
 
 
-def _cli_subprocess(*args, timeout=60) -> subprocess.CompletedProcess:
-    """Run the CLI in a fresh interpreter, with this checkout's package first
-    on the path and without the test run's warning filters."""
-    src = str(Path(harness.__file__).parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, "-m", "hetnet_maxmin.cli", *map(str, args)],
-        env={**os.environ, "PYTHONPATH": path},
-        capture_output=True,
-        text=True,
-        timeout=timeout,
-    )
+def _cli_subprocess(*args, timeout=60, preexec_fn=None) -> subprocess.CompletedProcess:
+    """Run the CLI in a fresh interpreter (see :func:`helpers.fresh_python`)."""
+    return fresh_python("-m", "hetnet_maxmin.cli", *args, timeout=timeout, preexec_fn=preexec_fn)
 
 
 _ONE_LINK_NETWORK = {
@@ -1218,6 +1207,25 @@ class TestCli:
         assert res.output == "error: budget must be finite\n"
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("command", ["gen", "sweep"])
+    def test_an_snr_beyond_float_power_exits_one_naming_the_budget(self, tmp_path, command):
+        # 10.0 ** 310 raises OverflowError where a product overflows to inf,
+        # so 3100 dB once ended in "error: (34, 'Numerical result out of range')"
+        scenario = {"n_macro": 1, "picos_per_macro": 0, "n_users": 1}
+        doc, out = tmp_path / "doc.json", tmp_path / "out"
+        if command == "gen":
+            doc.write_text(json.dumps({**scenario, "snr_db": 3100.0}))
+            args = ["gen", "--config", str(doc), "--out", str(out)]
+        else:
+            spec = {"scenario": scenario, "snr_db": [5.0, 3100.0], "algorithms": ["maxsnr"]}
+            doc.write_text(json.dumps({**spec, "n_runs": 2}))
+            args = ["sweep", "--spec", str(doc), "--out", str(out)]
+        res = CliRunner().invoke(cli_main, args)
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit), res.exception
+        assert res.output == "error: budget must be finite\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("where", ["config", "flag"])
     def test_gen_with_a_negative_seed_exits_one_naming_it(self, tmp_path, where):
         # numpy's "expected non-negative integer" once named no field
@@ -1473,16 +1481,7 @@ class TestCli:
         def limit_memory():
             resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 
-        src = str(Path(harness.__file__).parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        return subprocess.run(
-            [sys.executable, "-m", "hetnet_maxmin.cli", *map(str, args)],
-            env={**os.environ, "PYTHONPATH": path},
-            preexec_fn=limit_memory,
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
+        return _cli_subprocess(*args, timeout=120, preexec_fn=limit_memory)
 
     def test_gadget_on_huge_header_file_fails_before_allocating(self):
         # the file the CI smoke step runs through the installed entry point:

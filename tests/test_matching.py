@@ -5,18 +5,13 @@ matched-association solvers with their optimality certificates."""
 import itertools
 import json
 import math
-import os
-import subprocess
-import sys
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-import hetnet_maxmin
 from hetnet_maxmin.matching import (
     FORBIDDEN,
     AssignmentProblem,
@@ -33,7 +28,14 @@ from hetnet_maxmin.model import Network, ValidationError
 from hetnet_maxmin.oracle import brute_force_optimum
 from hetnet_maxmin.scenario import generate_hetnet, scenario_from_json
 
-from helpers import DATA, exhaustive_assignment, frozen_network, random_network, target_power
+from helpers import (
+    DATA,
+    exhaustive_assignment,
+    fresh_python,
+    frozen_network,
+    random_network,
+    target_power,
+)
 
 
 # Networks whose auction at the default eps is a price war: BSs with equal
@@ -173,15 +175,7 @@ class TestImportFootprint:
         # scenario tests, and scipy.optimize with it.  Without p1prime no
         # scipy package loads at all (dgesv comes from the _flapack extension
         # alone), and a serial run loads no process-pool module.
-        src = str(Path(hetnet_maxmin.__file__).parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-c", _FOOTPRINT_SCRIPT, run],
-            env={**os.environ, "PYTHONPATH": path},
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
+        proc = fresh_python("-c", _FOOTPRINT_SCRIPT, run, timeout=120)
         assert proc.returncode == 0, proc.stderr
         modules = json.loads(proc.stdout)
         assert modules.pop("scipy.optimize") is loaded

@@ -6,6 +6,7 @@ import math
 import sys
 import time
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from hypothesis.extra.numpy import arrays
 from hetnet_maxmin.model import (
     Network,
     ValidationError,
-    _derived,
     check_association,
     downlink_sinr,
     max_snr_association,
@@ -23,7 +23,7 @@ from hetnet_maxmin.model import (
     network_to_json,
 )
 
-from helpers import DATA, loop_downlink_sinr, loop_uplink_sinr, random_network
+from helpers import DATA, loop_downlink_sinr, loop_uplink_sinr, pair_block_network, random_network
 
 # Floats m * 10^e over the whole range, e in [-324, 308]: a decimal below half
 # the smallest subnormal parses to 0, and the top decade is clipped to the
@@ -36,16 +36,6 @@ WIDE_FLOATS = st.builds(
 
 GAMMA_PAIR = (math.sqrt(7.0) - 1.0) / 3.0
 P_LOW = (math.sqrt(7.0) - 1.0) / 2.0
-
-
-def pair_block_network() -> Network:
-    # Two BSs, two users; the first user hears 2 from both BSs, the second 1.
-    return Network(
-        gain=[[2.0, 1.0], [2.0, 1.0]],
-        budget=[1.0, 1.0],
-        noise_dl=[1.0, 1.0],
-        noise_ul=[1.0, 1.0],
-    )
 
 
 class TestDownlinkSinr:
@@ -253,7 +243,7 @@ class TestNoiseOverGain:
     def test_a_derived_gain_is_checked(self):
         net = Network(gain=[[1.0]], budget=[1.0], noise_dl=[1e-30], noise_ul=[1.0])
         with pytest.raises(ValidationError, match=r"noise_dl of users \[0\], noise_ul of BSs \[\]"):
-            _derived(net, budget=[1.0], gain=net.gain * 1e300)
+            replace(net, gain=net.gain * 1e300)
 
     @settings(max_examples=200, deadline=None)
     @given(

@@ -37,6 +37,7 @@ from helpers import (
     DATA,
     exhaustive_exact_optimum,
     frozen_network,
+    pair_block_network,
     random_formula,
     random_network,
     target_power,
@@ -51,15 +52,6 @@ def gadget_layout(formula: CnfFormula) -> tuple[list[int], list[int], list[int]]
     """Clause, positive and negated BS/user indices of the gadget's layout."""
     m, t = formula.n_clauses, formula.n_vars
     return list(range(m)), [m + 2 * i for i in range(t)], [m + 2 * i + 1 for i in range(t)]
-
-
-def pair_block_network() -> Network:
-    return Network(
-        gain=[[2.0, 1.0], [2.0, 1.0]],
-        budget=[1.0, 1.0],
-        noise_dl=[1.0, 1.0],
-        noise_ul=[1.0, 1.0],
-    )
 
 
 class TestBruteForce:

@@ -19,19 +19,17 @@ from hetnet_maxmin.power import (
 from hetnet_maxmin.oracle import brute_force_optimum
 from hetnet_maxmin.sumpower import dl_sumpower_power, ulsum, ulsum_exact
 
-from helpers import bisect_maxmin, frozen_network, loop_unit_sinr_power, random_network, target_power
+from helpers import (
+    bisect_maxmin,
+    frozen_network,
+    loop_unit_sinr_power,
+    pair_block_network,
+    random_network,
+    target_power,
+)
 
 GAMMA_PAIR = (math.sqrt(7.0) - 1.0) / 3.0
 P_LOW = (math.sqrt(7.0) - 1.0) / 2.0
-
-
-def pair_block_network() -> Network:
-    return Network(
-        gain=[[2.0, 1.0], [2.0, 1.0]],
-        budget=[1.0, 1.0],
-        noise_dl=[1.0, 1.0],
-        noise_ul=[1.0, 1.0],
-    )
 
 
 class TestUnitSinrPower:

@@ -4,17 +4,12 @@ uniformity, and config serialization."""
 
 import json
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import ks_2samp
 
-import hetnet_maxmin
 from hetnet_maxmin.model import ValidationError
 from hetnet_maxmin.scenario import (
     ScenarioConfig,
@@ -26,7 +21,7 @@ from hetnet_maxmin.scenario import (
     _in_hex,
 )
 
-from helpers import naive_cell_points
+from helpers import fresh_python, naive_cell_points
 
 
 def _skeleton(bs_positions, n_macro):
@@ -168,15 +163,7 @@ class TestMemory:
         # distances built one axis at a time peak near 190 MB, an (N, K, 2)
         # array of differences and its square near 280 MB
         pytest.importorskip("resource")
-        src = str(Path(hetnet_maxmin.__file__).parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-c", _PEAK_SCRIPT],
-            env={**os.environ, "PYTHONPATH": path},
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
+        proc = fresh_python("-c", _PEAK_SCRIPT, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert float(proc.stdout) < 240.0
 
@@ -344,6 +331,8 @@ class TestConfigSerialization:
             ScenarioConfig(n_macro=4, congested_cell=4)
         with pytest.raises(ValidationError, match="^seed must be non-negative, got -4"):
             ScenarioConfig(seed=-4)
+        with pytest.raises(ValidationError, match="exceeds the cap of 4000000 gain entries"):
+            ScenarioConfig(n_macro=2001, picos_per_macro=0, n_users=2000)
 
     @pytest.mark.parametrize("field", ["snr_db", "macro_spacing_m", "shadow_std_db"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
