@@ -43,17 +43,6 @@ class ValidationError(ValueError):
     """An input violates a structural contract (shape, sign, or link)."""
 
 
-def _vector(x, n: int, name: str) -> np.ndarray:
-    v = np.array(x, dtype=float)
-    if v.shape != (n,):
-        raise ValidationError(f"{name} must have shape ({n},), got {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise ValidationError(f"{name} must be finite")
-    if not np.all(v > 0):
-        raise ValidationError(f"{name} must be strictly positive")
-    return v
-
-
 @dataclass(frozen=True)
 class Network:
     """A cellular network snapshot.
@@ -66,6 +55,13 @@ class Network:
     Every user has a link, and no noise over a linked gain, used or not,
     rounds to 0 or to inf: the exact kernels rely on u = noise / gain being
     positive and finite.
+
+    Division rounds monotonically, so every quotient lies between the least
+    noise over the largest gain and the largest noise over the least linked
+    gain: when those two are in range, so is every quotient.  Otherwise each
+    noise is taken over the largest and the least linked gain it meets, its
+    extreme quotients, to name those out of range; a BS without a link gets
+    noise / 0 = inf and noise / inf = 0, which pass.
     """
 
     gain: np.ndarray
@@ -80,15 +76,47 @@ class Network:
         n, k = g.shape
         if n < 1 or k < 1:
             raise ValidationError("network needs at least one BS and one user")
-        if not np.all(np.isfinite(g)) or np.any(g < 0):
+        # every rule reads its arrays' least and largest entries; a NaN is both
+        # and fails every comparison
+        low, high = float(g.min()), float(g.max())
+        if not 0 <= low <= high < math.inf:
             raise ValidationError("gains must be finite and non-negative")
+        g.setflags(write=False)
         object.__setattr__(self, "gain", g)
-        object.__setattr__(self, "budget", _vector(self.budget, n, "budget"))
-        object.__setattr__(self, "noise_dl", _vector(self.noise_dl, k, "noise_dl"))
-        object.__setattr__(self, "noise_ul", _vector(self.noise_ul, n, "noise_ul"))
-        _check_links(g, self.noise_dl, self.noise_ul)
-        for name in ("gain", "budget", "noise_dl", "noise_ul"):
-            getattr(self, name).setflags(write=False)
+        extremes = []
+        for name, size in (("budget", n), ("noise_dl", k), ("noise_ul", n)):
+            v = np.array(getattr(self, name), dtype=float)
+            if v.shape != (size,):
+                raise ValidationError(f"{name} must have shape ({size},), got {v.shape}")
+            least, most = float(v.min()), float(v.max())
+            if not -math.inf < least <= most < math.inf:
+                raise ValidationError(f"{name} must be finite")
+            if least <= 0:
+                raise ValidationError(f"{name} must be strictly positive")
+            v.setflags(write=False)
+            object.__setattr__(self, name, v)
+            extremes.append((least, most))
+        _, (dl_least, dl_most), (ul_least, ul_most) = extremes
+        linked = g
+        if low == 0:
+            linked = np.where(g > 0, g, np.inf)
+            user_least = linked.min(axis=0)
+            if np.isinf(user_least).any():
+                unreachable = np.flatnonzero(np.isinf(user_least)).tolist()
+                raise ValidationError(f"users {unreachable} have no BS with positive gain")
+            low = float(user_least.min())
+        if min(dl_least, ul_least) / high > 0 and max(dl_most, ul_most) / low < math.inf:
+            return
+        with np.errstate(over="ignore", divide="ignore"):
+            for rounds, bound, dl, ul in (
+                ("underflows to 0", 0.0, self.noise_dl / g.max(axis=0), self.noise_ul / g.max(axis=1)),
+                ("overflows to inf", np.inf, self.noise_dl / linked.min(axis=0), self.noise_ul / linked.min(axis=1)),
+            ):
+                users, bss = np.flatnonzero(dl == bound).tolist(), np.flatnonzero(ul == bound).tolist()
+                if users or bss:
+                    raise ValidationError(
+                        f"noise over gain {rounds}: noise_dl of users {users}, noise_ul of BSs {bss}"
+                    )
 
     @property
     def n_bs(self) -> int:
@@ -97,41 +125,6 @@ class Network:
     @property
     def n_users(self) -> int:
         return self.gain.shape[1]
-
-
-def _check_links(gain: np.ndarray, noise_dl: np.ndarray, noise_ul: np.ndarray) -> None:
-    """:class:`Network`'s link rules: every user has a link, and every noise
-    over every linked gain, in both directions, is positive and finite.
-
-    Division rounds monotonically, so every quotient lies between the least
-    noise over the largest gain and the largest noise over the least linked
-    gain: when those two are in range, so is every quotient.  Otherwise each
-    noise is taken over the largest and the least linked gain it meets, its
-    extreme quotients, to name those out of range; a BS without a link gets
-    noise / 0 = inf and noise / inf = 0, which pass.
-    """
-    low, high = float(gain.min()), float(gain.max())
-    least = gain
-    if low == 0:
-        least = np.where(gain > 0, gain, np.inf)
-        user_least = least.min(axis=0)
-        if np.isinf(user_least).any():
-            unreachable = np.flatnonzero(np.isinf(user_least)).tolist()
-            raise ValidationError(f"users {unreachable} have no BS with positive gain")
-        low = float(user_least.min())
-    noise = np.concatenate((noise_dl, noise_ul))
-    if float(noise.min()) / high > 0 and float(noise.max()) / low < math.inf:
-        return
-    with np.errstate(over="ignore", divide="ignore"):
-        for rounds, bound, dl, ul in (
-            ("underflows to 0", 0.0, noise_dl / gain.max(axis=0), noise_ul / gain.max(axis=1)),
-            ("overflows to inf", np.inf, noise_dl / least.min(axis=0), noise_ul / least.min(axis=1)),
-        ):
-            users, bss = np.flatnonzero(dl == bound).tolist(), np.flatnonzero(ul == bound).tolist()
-            if users or bss:
-                raise ValidationError(
-                    f"noise over gain {rounds}: noise_dl of users {users}, noise_ul of BSs {bss}"
-                )
 
 
 def _unchecked(gain, budget, noise_dl, noise_ul) -> Network:
@@ -272,10 +265,15 @@ def _downlink_received(net: Network, a: np.ndarray, p: np.ndarray) -> tuple[np.n
 def max_snr_association(net: Network) -> np.ndarray:
     """Greedy association: each user picks argmax_n gain[n, k] * budget[n].
 
-    Ties break to the lowest BS index.
+    Ties break to the lowest BS index.  A score within 8 machine epsilons of
+    the best ties with it: scaling every budget by a common c rounds c * budget
+    and then its product with the gain, so two scores that tie exactly, such
+    as 10 * 100 and 100 * 10, can come apart by up to 4 half-ulps, and a strict
+    argmax would then let the scale choose the association.
     """
     score = net.gain * net.budget[:, None]
-    return np.argmax(score, axis=0).astype(int)
+    best = score.max(axis=0) * (1.0 - 8.0 * np.finfo(float).eps)
+    return np.argmax(score >= best, axis=0).astype(int)
 
 
 def network_to_json(net: Network) -> dict:

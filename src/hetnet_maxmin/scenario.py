@@ -46,6 +46,14 @@ _HEX_AXES = np.array(
 _MAX_CANDIDATES = 200_000
 
 
+def _linear(db: float) -> float:
+    """10^(db/10), inf where it exceeds the float range."""
+    try:
+        return 10.0 ** (db / 10.0)
+    except OverflowError:  # float ** raises where float * returns inf
+        return math.inf
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Geometry, power and user-layout knobs for one random HetNet draw.
@@ -103,14 +111,11 @@ class ScenarioConfig:
 
     @property
     def pico_power(self) -> float:
-        try:
-            return 10.0 ** (self.snr_db / 10.0)
-        except OverflowError:  # float ** raises where float * returns inf
-            return math.inf
+        return _linear(self.snr_db)
 
     @property
     def macro_power(self) -> float:
-        return self.pico_power * 10.0 ** (self.macro_power_gap_db / 10.0)
+        return self.pico_power * _linear(self.macro_power_gap_db)
 
 
 @dataclass(frozen=True)

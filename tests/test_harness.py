@@ -24,14 +24,13 @@ from hetnet_maxmin.harness import (
     Outcome,
     experiment_from_json,
     experiment_to_json,
-    export_cdf_csv,
     export_csv,
     export_json,
     monte_carlo,
     run_algorithm,
     run_trial,
 )
-from hetnet_maxmin.matching import InfeasibleMatchingError, default_eps, log_gain_matrix
+from hetnet_maxmin.matching import default_eps, log_gain_matrix
 from hetnet_maxmin.model import Network, ValidationError, downlink_sinr, max_snr_association
 from hetnet_maxmin.oracle import _TIE_RTOL
 from hetnet_maxmin.scenario import Geometry, ScenarioConfig, generate_hetnet, scenario_to_json
@@ -305,6 +304,14 @@ class TestRunTrial:
         cell = run_algorithm("maxsnr", net)
         assert cell.note == "error: users [0] are associated across a zero-gain link"
 
+    def test_maxsnr_keeps_an_exact_tie_under_a_common_power_scale(self):
+        # user 1 scores 100 * 10 at BS 0 and 10 * 100 at BS 1; times 10^1.75
+        # the rounded products came apart and BS 1 won, 9.95 against 0.989
+        net = Network(gain=[[10.0, 100.0], [0.0, 10.0]], budget=[10, 100], noise_dl=[1, 1], noise_ul=[1, 1])
+        c = 10.0**1.75
+        scaled = Network(net.gain, c * net.budget, c * net.noise_dl, c * net.noise_ul)
+        assert max_snr_association(net).tolist() == max_snr_association(scaled).tolist() == [0, 0]
+
     def test_unknown_algorithm_rejected(self):
         net = generate_hetnet(ScenarioConfig(n_macro=1, picos_per_macro=0, n_users=1)).network
         with pytest.raises(ValueError):
@@ -349,7 +356,7 @@ class TestRunTrial:
             assert other.min_sinr == pytest.approx(base.min_sinr, rel=RELABEL_RTOL), name
         try:
             eps = default_eps(log_gain_matrix(net))
-        except (ValidationError, InfeasibleMatchingError) as exc:
+        except ValidationError as exc:
             # not square, or no perfect matching: both sides are rejected alike
             for name in ("p1prime", "aufp"):
                 for network in (net, relabeled):
@@ -1207,17 +1214,29 @@ class TestCli:
         assert res.output == "error: budget must be finite\n"
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("command", ["gen", "sweep"])
-    def test_an_snr_beyond_float_power_exits_one_naming_the_budget(self, tmp_path, command):
-        # 10.0 ** 310 raises OverflowError where a product overflows to inf,
-        # so 3100 dB once ended in "error: (34, 'Numerical result out of range')"
+    @pytest.mark.parametrize(
+        "command, field",
+        [
+            pytest.param("gen", "snr_db", id="gen"),
+            pytest.param("sweep", "snr_db", id="sweep"),
+            pytest.param("gen", "macro_power_gap_db", id="gen-macro_power_gap_db"),
+            pytest.param("sweep", "macro_power_gap_db", id="sweep-macro_power_gap_db"),
+        ],
+    )
+    def test_an_snr_beyond_float_power_exits_one_naming_the_budget(self, tmp_path, command, field):
+        # 10.0 ** 310 raises OverflowError where a product overflows to inf, so
+        # an SNR or a macro gap of 3100 dB once ended in
+        # "error: (34, 'Numerical result out of range')"
         scenario = {"n_macro": 1, "picos_per_macro": 0, "n_users": 1}
+        if field == "macro_power_gap_db":  # the file the CI smoke step runs
+            scenario = json.loads((DATA / "scenario_overflow_macro_gap.json").read_text())
+        points = [5.0, 3100.0] if field == "snr_db" else [5.0]
         doc, out = tmp_path / "doc.json", tmp_path / "out"
         if command == "gen":
-            doc.write_text(json.dumps({**scenario, "snr_db": 3100.0}))
+            doc.write_text(json.dumps({**scenario, "snr_db": points[-1]}))
             args = ["gen", "--config", str(doc), "--out", str(out)]
         else:
-            spec = {"scenario": scenario, "snr_db": [5.0, 3100.0], "algorithms": ["maxsnr"]}
+            spec = {"scenario": scenario, "snr_db": points, "algorithms": ["maxsnr"]}
             doc.write_text(json.dumps({**spec, "n_runs": 2}))
             args = ["sweep", "--spec", str(doc), "--out", str(out)]
         res = CliRunner().invoke(cli_main, args)

@@ -159,6 +159,39 @@ class TestLoadBound:
         assert checked > 1500
 
 
+# A valid 2 x 3 network, whose BS and user vectors differ in length.
+VALID_FIELDS = {
+    "gain": [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]],
+    "budget": [1.0, 1.0],
+    "noise_dl": [1.0, 1.0, 1.0],
+    "noise_ul": [1.0, 1.0],
+}
+
+
+def _rejections():
+    """(fields replacing VALID_FIELDS', the exact message), for each rule."""
+    for value in (math.nan, math.inf, -math.inf, -1.0):
+        gain = [[1.0, 2.0, 3.0], [4.0, 5.0, value]]
+        yield pytest.param({"gain": gain}, "gains must be finite and non-negative", id=f"gain-{value}")
+    rules = {"finite": (math.nan, math.inf, -math.inf), "strictly positive": (0.0, -1.0)}
+    for name in ("budget", "noise_dl", "noise_ul"):
+        size = len(VALID_FIELDS[name])
+        for rule, values in rules.items():
+            for value in values:
+                bad = [1.0] * (size - 1) + [value]
+                yield pytest.param({name: bad}, f"{name} must be {rule}", id=f"{name}-{value}")
+        # a zero ahead of a NaN still reads "finite"
+        bad = [0.0, math.nan] + [1.0] * (size - 2)
+        yield pytest.param({name: bad}, f"{name} must be finite", id=f"{name}-0-nan")
+        shape = f"{name} must have shape ({size},), got ({size + 1},)"
+        yield pytest.param({name: [1.0] * (size + 1)}, shape, id=f"{name}-shape")
+    # the gain is reported before any vector, and the vectors in field order
+    vectors = {"budget": [0.0, 1.0], "noise_dl": [math.nan, 1.0, 1.0], "noise_ul": [1.0]}
+    gain = [[-1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]
+    yield pytest.param({"gain": gain, **vectors}, "gains must be finite and non-negative", id="gain-first")
+    yield pytest.param(vectors, "budget must be strictly positive", id="budget-first")
+
+
 class TestValidation:
     def test_zero_link_association_rejected(self):
         net = Network(gain=[[1.0, 0.0], [1.0, 1.0]], budget=[1, 1], noise_dl=[1, 1], noise_ul=[1, 1])
@@ -183,6 +216,12 @@ class TestValidation:
             Network(gain=[[np.inf]], budget=[1.0], noise_dl=[1.0], noise_ul=[1.0])
         with pytest.raises(ValidationError, match="power"):
             downlink_sinr(pair_block_network(), [0, 1], [-1.0, 1.0])
+
+    @pytest.mark.parametrize("bad, message", _rejections())
+    def test_each_rejection_names_its_field_and_rule(self, bad, message):
+        with pytest.raises(ValidationError) as info:
+            Network(**{**VALID_FIELDS, **bad})
+        assert str(info.value) == message
 
     def test_network_is_immutable(self):
         net = pair_block_network()

@@ -16,7 +16,6 @@ from hetnet_maxmin.model import (
     _BLOCK_ENTRIES,
     Network,
     ValidationError,
-    downlink_sinr,
     max_snr_association,
 )
 from hetnet_maxmin.oracle import (
