@@ -14,6 +14,7 @@ import contextlib
 import json
 import os
 import sys
+from dataclasses import replace
 
 import click
 
@@ -96,8 +97,8 @@ def main():
 @click.option("--geometry-out", default=None, help="Optional geometry JSON for plotting")
 def gen(config_path, seed, out_path, geometry_out):
     """Generate one random HetNet and emit its network JSON."""
-    overrides = {} if seed is None else {"seed": seed}
-    instance = generate_hetnet(scenario_from_json(_load_json(config_path), **overrides))
+    config = scenario_from_json(_load_json(config_path))
+    instance = generate_hetnet(config if seed is None else replace(config, seed=seed))
     _dump(network_to_json(instance.network), out_path)
     if geometry_out:
         _dump(geometry_to_json(instance.geometry), geometry_out)

@@ -308,13 +308,13 @@ def run_trial(
     generates one and stores it.
     """
     seed = spec.seed_base + trial_index
-    config = replace(spec.scenario, snr_db=float(snr_db), seed=seed)
     draws = {} if draws is None else draws
     if seed in draws:
         drawn = draws[seed]
-        net = replace(drawn.network, budget=_budget(config, drawn.geometry.bs_is_macro))
+        budget = _budget(spec.scenario, float(snr_db), drawn.geometry.bs_is_macro)
+        net = replace(drawn.network, budget=budget)
     else:
-        draws[seed] = generate_hetnet(config)
+        draws[seed] = generate_hetnet(replace(spec.scenario, snr_db=float(snr_db), seed=seed))
         net = draws[seed].network
     relaxations: dict = {}  # this network's only, so it dies with the trial
     cells = {name: run_algorithm(name, net, relaxations=relaxations) for name in spec.algorithms}
@@ -390,8 +390,8 @@ def monte_carlo(spec: ExperimentSpec, jobs: int = 1) -> MonteCarloResult:
             means[(name, snr)] = MeanCell(
                 mean, int(ok.size), len(cells) - len(valued), len(valued) - int(ok.size)
             )
-            clipped = np.sort(np.minimum(ok, CDF_CLIP)) if ok.size else np.array([])
-            probs = (np.arange(clipped.size) + 1) / clipped.size if clipped.size else np.array([])
+            clipped = np.sort(np.minimum(ok, CDF_CLIP))
+            probs = (np.arange(clipped.size) + 1) / clipped.size
             cdf[(name, snr)] = (clipped, probs)
     return MonteCarloResult(spec=spec, records=records, means=means, cdf=cdf)
 

@@ -131,19 +131,20 @@ class AuctionState:
 _SCALING_FACTOR = 10.0
 
 
-def _eps_floor(finite: np.ndarray) -> float:
-    """The float spacing of the values an auction over these allowed gains
-    compares: with a smaller eps, ``gain - price`` can round back to ``gain``
-    and a tie never break."""
-    return float(np.spacing(2 * np.abs(finite).max() + (finite.max() - finite.min())))
+def _gain_range(prob: AssignmentProblem) -> tuple[float, float]:
+    """The spread of the allowed gains and the auction's eps floor: the float
+    spacing of the values an auction over them compares.  With a smaller
+    eps, ``gain - price`` can round back to ``gain`` and a tie never break."""
+    finite = prob.gain[prob.gain > FORBIDDEN]
+    spread = float(finite.max() - finite.min())
+    return spread, float(np.spacing(2 * np.abs(finite).max() + spread))
 
 
 def default_eps(prob: AssignmentProblem) -> float:
     """1e-6 times the spread of allowed gains (1e-6 if the spread is zero),
     never below the auction's eps floor."""
-    finite = prob.gain[prob.gain > FORBIDDEN]
-    spread = float(finite.max() - finite.min())
-    return max(1e-6 * spread if spread > 0 else 1e-6, _eps_floor(finite))
+    spread, floor = _gain_range(prob)
+    return max(1e-6 * spread if spread > 0 else 1e-6, floor)
 
 
 def auction(prob: AssignmentProblem, eps: float) -> AuctionState:
@@ -171,16 +172,13 @@ def auction(prob: AssignmentProblem, eps: float) -> AuctionState:
     """
     gain = prob.gain
     k = prob.k
-    allowed = gain > FORBIDDEN
-    finite_vals = gain[allowed]
-    floor = _eps_floor(finite_vals)
+    spread, floor = _gain_range(prob)
     if not floor <= eps < np.inf:
         raise ValueError(
             f"eps must be finite and at least the gains' float spacing {floor!r}, got {eps!r}"
         )
-    spread = float(finite_vals.max() - finite_vals.min())
     # users with no allowed alternative (including k = 1)
-    solo = allowed.sum(axis=0) < 2
+    solo = (gain > FORBIDDEN).sum(axis=0) < 2
     prices = np.zeros(k)
     # sweep draws at the default eps took at most 64 rounds at k = 18 and
     # 521 at k = 100; a longer run is a price war

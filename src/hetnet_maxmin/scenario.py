@@ -109,14 +109,6 @@ class ScenarioConfig:
     def n_bs(self) -> int:
         return (self.picos_per_macro + 1) * self.n_macro
 
-    @property
-    def pico_power(self) -> float:
-        return _linear(self.snr_db)
-
-    @property
-    def macro_power(self) -> float:
-        return self.pico_power * _linear(self.macro_power_gap_db)
-
 
 @dataclass(frozen=True)
 class Geometry:
@@ -270,7 +262,7 @@ def generate_hetnet(config: ScenarioConfig) -> HetnetInstance:
 
     network = Network(
         gain=gain,
-        budget=_budget(config, bs_is_macro),
+        budget=_budget(config, config.snr_db, bs_is_macro),
         noise_dl=np.full(config.n_users, config.noise),
         noise_ul=np.full(len(bs_is_macro), config.noise),
     )
@@ -284,19 +276,20 @@ def generate_hetnet(config: ScenarioConfig) -> HetnetInstance:
     return HetnetInstance(network=network, geometry=geometry)
 
 
-def _budget(config: ScenarioConfig, bs_is_macro: np.ndarray) -> np.ndarray:
-    """The per-BS budgets at ``config``'s SNR; ``snr_db`` enters a draw only here."""
-    return np.where(bs_is_macro, config.macro_power, config.pico_power)
+def _budget(config: ScenarioConfig, snr_db: float, bs_is_macro: np.ndarray) -> np.ndarray:
+    """The per-BS budgets at ``snr_db``: the one place an SNR becomes budgets."""
+    pico = _linear(snr_db)
+    return np.where(bs_is_macro, pico * _linear(config.macro_power_gap_db), pico)
 
 
 def scenario_to_json(config: ScenarioConfig) -> dict:
     return _to_json(config)
 
 
-def scenario_from_json(doc: dict, **overrides) -> ScenarioConfig:
-    """Build a config from a JSON document, with keyword overrides on top."""
+def scenario_from_json(doc: dict) -> ScenarioConfig:
+    """Build a config from a JSON document; a malformed one raises ValidationError."""
     _check_document(doc, ScenarioConfig, "scenario")
-    return ScenarioConfig(**{**doc, **overrides})
+    return ScenarioConfig(**doc)
 
 
 def geometry_to_json(geometry: Geometry) -> dict:

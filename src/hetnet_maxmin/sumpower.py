@@ -224,14 +224,13 @@ def convergence_rate_bound(net: Network, sum_budget: float | None = None) -> flo
     Diagnostic only; observed decay is usually much faster.
     """
     budget = _sum_budget(net, sum_budget)
+    a_k = _unit_power_map(net)(np.zeros(net.n_users))[1]  # the floor: the map at zero power
     linked = net.gain > 0
     safe_gain = np.where(linked, net.gain, 1.0)
-    floor = np.where(linked, net.noise_ul[:, None] / safe_gain, np.inf)
     ceil = np.where(
         linked,
         (net.noise_ul + budget * net.gain.max(axis=1))[:, None] / safe_gain,
         np.inf,
     )
-    a_k = floor.min(axis=0)
     b_k = ceil.min(axis=0)
     return float(1.0 - np.min(a_k / b_k))

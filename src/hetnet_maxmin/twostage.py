@@ -118,7 +118,12 @@ def dlsum(net: Network, *, stage1: UlsumResult | None = None) -> TwoStageResult:
 
 def _to_original_domain(net: Network, res: SolveResult) -> SolveResult:
     """Map a solution of the balanced problem back to the original network."""
-    p = res.power * net.budget[res.association] / float(np.max(net.budget))
+    budget, scale = net.budget[res.association], float(np.max(net.budget))
+    with np.errstate(over="ignore"):
+        p = res.power * budget / scale
+    finite = np.isfinite(p)
+    if not finite.all():  # the product overflowed; dividing first stays in range
+        p = np.where(finite, p, res.power * (budget / scale))
     sinr = _downlink_sinr(net, res.association, p)
     return replace(res, power=p, sinr=sinr, min_sinr=float(np.min(sinr)))
 

@@ -777,11 +777,9 @@ class TestExports:
             small_spec(seed_base=-1)
 
 
-# A 2 x 2 network whose budgets overflow the sum-power relaxation's float
-# range: ulsum and ulsuma return NaN, and dlsum a NaN upper bound.
-_OVERFLOW_BUDGETS = Network(
-    np.array([[1.0, 0.5], [0.5, 1.0]]), np.full(2, 1e308), np.ones(2), np.ones(2)
-)
+# A 2 x 2 network whose budgets of 1e308 overflow the sum-power relaxation's
+# float range: ulsum and ulsuma return NaN, and dlsum a NaN upper bound.
+_OVERFLOW_BUDGETS = frozen_network("overflow_relaxation_budget_2x2")
 
 
 class TestNonFiniteAnswers:
@@ -809,38 +807,66 @@ class TestNonFiniteAnswers:
                 ALGORITHMS[name](_OVERFLOW_BUDGETS)
         assert "overflow" in str(warned[0].message)
 
-    def test_sweep_counts_non_finite_cells_as_failed(self, tmp_path):
-        # every budget at 1540 dB is finite, but dlsuma's rescale of its
-        # balanced powers overflows; its NaN cells were once counted as ok
-        # and averaged into a mean of nan
+    @staticmethod
+    def _sweep_4x4(tmp_path, snr_db: float, algorithms: list[str]):
         spec, out = tmp_path / "spec.json", tmp_path / "r.csv"
-        doc = {**_SMALL_SPEC, "snr_db": [1540.0], "algorithms": ["maxsnr", "dlsuma"], "n_runs": 4}
+        doc = {**_SMALL_SPEC, "snr_db": [snr_db], "algorithms": algorithms, "n_runs": 4}
         doc["scenario"] = scenario_to_json(ScenarioConfig(n_macro=4, picos_per_macro=0, n_users=4))
         spec.write_text(json.dumps(doc))
-        with pytest.warns(RuntimeWarning) as warned:
-            res = CliRunner().invoke(cli_main, ["sweep", "--spec", str(spec), "--out", str(out)])
-        assert "overflow" in str(warned[0].message)
+        res = CliRunner().invoke(cli_main, ["sweep", "--spec", str(spec), "--out", str(out)])
         assert res.exit_code == 0, res.output
-        assert res.output.splitlines()[1] == (
-            "dlsuma @ 1540 dB: mean min-SINR nan (0 ok, 0 non-converged, 4 failed)"
-        )
-        notes = [row["note"] for row in load_records_csv(out) if row["algorithm"] == "dlsuma"]
-        assert notes == ["error: min_sinr is not finite (nan): the network overflows the float range"] * 4
+        return res.output.splitlines(), load_records_csv(out)
+
+    def test_sweep_counts_non_finite_cells_as_failed(self, tmp_path):
+        # at 3064 dB every macro budget is 1e308, so the pooled budget of the
+        # sum-power relaxation overflows; NaN cells were once counted as ok
+        # and averaged into a mean of nan
+        with pytest.warns(RuntimeWarning) as warned:
+            lines, rows = self._sweep_4x4(tmp_path, 3064.0, ["ulsuma", "dlsuma"])
+        assert "overflow" in str(warned[0].message)
+        assert lines == [
+            f"{name} @ 3064 dB: mean min-SINR nan (0 ok, 0 non-converged, 4 failed)"
+            for name in ("ulsuma", "dlsuma")
+        ]
+        for name, field in (("ulsuma", "min_sinr"), ("dlsuma", "upper_bound")):
+            notes = [row["note"] for row in rows if row["algorithm"] == name]
+            assert notes == [f"error: {field} is not finite (nan): the network overflows the float range"] * 4
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_dlsuma_answers_at_1540_db_without_overflow(self, tmp_path):
+        # every budget at 1540 dB is finite, and dlsuma's rescale of its
+        # balanced powers once overflowed in power * budget before dividing
+        # by the largest budget, so every cell failed
+        lines, rows = self._sweep_4x4(tmp_path, 1540.0, ["dlsuma"])
+        assert lines == ["dlsuma @ 1540 dB: mean min-SINR 12.746 (4 ok, 0 non-converged, 0 failed)"]
+        for row in rows:  # a few ulps above the bound at most
+            assert row["min_sinr_linear"] <= row["upper_bound"] * (1 + 1e-12), row
 
     @pytest.mark.parametrize(
-        "name, value",
-        [("overflow_sinr_gain_2x2", "inf"), ("overflow_power_budget_2x2", "nan")],
+        "name, alg, field, value",
+        [
+            ("overflow_sinr_gain_2x2", "dlsuma", "min_sinr", "inf"),
+            ("overflow_relaxation_budget_2x2", "ulsum", "min_sinr", "nan"),
+            ("overflow_relaxation_budget_2x2", "dlsuma", "upper_bound", "nan"),
+        ],
     )
-    def test_solve_with_a_non_finite_answer_exits_one(self, name, value):
+    def test_solve_with_a_non_finite_answer_exits_one(self, name, alg, field, value):
         # the files the CI step runs through the installed entry point: gains
-        # of 1e300 cancel in the SINR's interference to 0, and budgets of 1e300
-        # overflow the rescaled powers; solve once printed "min_sinr": Infinity
-        # or NaN, which is not JSON, and exited 0
-        proc = _cli_subprocess("solve", "--net", DATA / f"{name}.json", "--alg", "dlsuma")
+        # of 1e300 cancel in the SINR's interference to 0, and budgets of 1e308
+        # overflow the relaxation's pooled budget; solve once printed
+        # "min_sinr": Infinity or NaN, which is not JSON, and exited 0
+        proc = _cli_subprocess("solve", "--net", DATA / f"{name}.json", "--alg", alg)
         assert proc.returncode == 1, proc.stderr
-        assert f"error: min_sinr is not finite ({value})" in proc.stderr.splitlines()[-1]
+        assert f"error: {field} is not finite ({value})" in proc.stderr.splitlines()[-1]
         assert "Traceback" not in proc.stderr
         assert proc.stdout == ""
+
+    def test_dlsuma_solves_budgets_of_1e300(self):
+        # the CI step's file: dlsuma's rescale once overflowed to NaN here,
+        # where maxsnr and brute read 2.0
+        proc = _cli_subprocess("solve", "--net", DATA / "overflow_power_budget_2x2.json", "--alg", "dlsuma")
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["min_sinr"] == pytest.approx(2.0, rel=1e-15, abs=0)
 
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -1245,18 +1271,30 @@ class TestCli:
         assert res.output == "error: budget must be finite\n"
         assert not out.exists()
 
-    @pytest.mark.parametrize("where", ["config", "flag"])
+    @pytest.mark.parametrize("where", ["config", "flag", "config-under-flag"])
     def test_gen_with_a_negative_seed_exits_one_naming_it(self, tmp_path, where):
-        # numpy's "expected non-negative integer" once named no field
+        # numpy's "expected non-negative integer" once named no field, and a
+        # --seed flag once hid an invalid seed in the config document
         config, out = tmp_path / "scenario.json", tmp_path / "net.json"
         doc = scenario_to_json(ScenarioConfig(n_macro=4, picos_per_macro=0, n_users=4))
-        config.write_text(json.dumps({**doc, "seed": -4} if where == "config" else doc))
-        flag = ["--seed", "-4"] if where == "flag" else []
+        config.write_text(json.dumps({**doc, "seed": -4} if where.startswith("config") else doc))
+        flag = {"config": [], "flag": ["--seed", "-4"], "config-under-flag": ["--seed", "42"]}[where]
         res = CliRunner().invoke(cli_main, ["gen", "--config", str(config), "--out", str(out), *flag])
         assert res.exit_code == 1
         assert isinstance(res.exception, SystemExit), res.exception
         assert res.output == "error: seed must be non-negative, got -4\n"
         assert not out.exists()
+
+    def test_gen_seed_flag_replaces_the_config_seed(self, tmp_path):
+        outs = []
+        for seed, flag in ((1, ["--seed", "42"]), (42, [])):
+            config, out = tmp_path / f"scenario{seed}.json", tmp_path / f"net{seed}.json"
+            scenario = ScenarioConfig(n_macro=4, picos_per_macro=0, n_users=4, seed=seed)
+            config.write_text(json.dumps(scenario_to_json(scenario)))
+            res = CliRunner().invoke(cli_main, ["gen", "--config", str(config), "--out", str(out), *flag])
+            assert res.exit_code == 0, res.output
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
 
     def test_gen_with_an_underflowing_noise_exits_one_naming_it(self, tmp_path):
         # path-loss gains of at least 1e10 take a noise of 1e-320 to 0

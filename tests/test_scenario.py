@@ -18,6 +18,7 @@ from hetnet_maxmin.scenario import (
     place_users,
     scenario_from_json,
     scenario_to_json,
+    _budget,
     _in_hex,
 )
 
@@ -92,8 +93,9 @@ class TestChannel:
         config = ScenarioConfig(n_macro=2, picos_per_macro=1, n_users=2, snr_db=20.0, seed=0)
         net = generate_hetnet(config).network
         geo = generate_hetnet(config).geometry
-        assert config.pico_power == pytest.approx(100.0)
-        assert config.macro_power == pytest.approx(3981.0717055349733)
+        np.testing.assert_array_equal(_budget(config, 20.0, geo.bs_is_macro), net.budget)
+        # past the float range both kinds read inf, which Network then rejects
+        np.testing.assert_array_equal(_budget(config, 3100.0, geo.bs_is_macro), np.inf)
         np.testing.assert_allclose(net.budget[geo.bs_is_macro], 3981.0717055349733)
         np.testing.assert_allclose(net.budget[~geo.bs_is_macro], 100.0)
         np.testing.assert_array_equal(net.noise_dl, np.ones(2))
@@ -309,10 +311,6 @@ class TestConfigSerialization:
         config = ScenarioConfig(n_macro=4, picos_per_macro=2, n_users=7, snr_db=25.0, seed=6)
         doc = json.loads(json.dumps(scenario_to_json(config)))
         assert scenario_from_json(doc) == config
-
-    def test_overrides(self):
-        doc = scenario_to_json(ScenarioConfig(seed=1))
-        assert scenario_from_json(doc, seed=42).seed == 42
 
     def test_unknown_field_rejected(self):
         with pytest.raises(ValidationError):
