@@ -11,7 +11,6 @@ place where an error becomes ``error: <message>`` and exit 1.
 from __future__ import annotations
 
 import contextlib
-import json
 import os
 import sys
 from dataclasses import replace
@@ -28,7 +27,7 @@ from .harness import (
     export_json,
     monte_carlo,
 )
-from .model import _to_json, network_from_json, network_to_json
+from .model import _dump_json, _load_json, _to_json, network_from_json, network_to_json
 from .oracle import build_3sat_gadget, cnf_from_dimacs, verify_sat_equivalence
 from .scenario import generate_hetnet, geometry_to_json, scenario_from_json
 
@@ -37,18 +36,13 @@ from .scenario import generate_hetnet, geometry_to_json, scenario_from_json
 click.UsageError.exit_code = 1
 
 
-def _load_json(path):
-    with open(path) as fh:
-        return json.load(fh)
-
-
 def _dump(doc: dict, out):
-    text = json.dumps(doc)
+    data = _dump_json(doc)
     if out is None or out == "-":
-        click.echo(text)
+        click.echo(data, nl=False)
     else:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
+        with open(out, "wb") as fh:
+            fh.write(data)
 
 
 @contextlib.contextmanager
@@ -74,8 +68,9 @@ def _outputs(*paths):
 
 class _Cli(click.Group):
     def invoke(self, ctx):
-        # ValueError covers ValidationError (InfeasibleMatchingError too) and
-        # json.JSONDecodeError, ArithmeticError a finite geometry too large for
+        # ValueError covers ValidationError (InfeasibleMatchingError and a file
+        # that is not JSON too: the codec raises it from orjson.JSONDecodeError,
+        # itself a ValueError), ArithmeticError a finite geometry too large for
         # float arithmetic, and Warning a numpy warning that the warning
         # filters raise as an error
         try:

@@ -27,7 +27,6 @@ so the cells of a trial can sum to more than the trial took.
 from __future__ import annotations
 
 import csv
-import json
 import math
 import os
 import time
@@ -43,6 +42,7 @@ from .model import (
     ValidationError,
     _check_document,
     _check_field_types,
+    _dump_json,
     _of_type,
     _to_json,
     max_snr_association,
@@ -274,6 +274,12 @@ class ExperimentSpec:
             raise ValidationError("n_runs must be at least 1")
         if self.seed_base < 0:
             raise ValidationError(f"seed_base must be non-negative, got {self.seed_base}")
+        # each trial's seed goes into the JSON export, and the codec writes no
+        # integer of 2**64 or more
+        if int(self.seed_base) + int(self.n_runs) > 2**64:
+            raise ValidationError(
+                f"seeds must stay below 2**64, got seed_base {self.seed_base} and n_runs {self.n_runs}"
+            )
         if not all(_of_type(s, "float") for s in self.snr_db):
             raise ValidationError(f"snr_db entries must be numbers, got {list(self.snr_db)}")
         snr_db = tuple(float(s) for s in self.snr_db)
@@ -485,8 +491,8 @@ def export_json(result: MonteCarloResult, path) -> None:
             for (name, snr), cell in result.means.items()
         ],
     }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
+    with open(path, "wb") as fh:
+        fh.write(_dump_json(doc, indent=True))
 
 
 def experiment_to_json(spec: ExperimentSpec) -> dict:

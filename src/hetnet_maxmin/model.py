@@ -176,7 +176,7 @@ def _of_type(value, kind: str) -> bool:
 
 def _check_field_types(obj) -> None:
     """Check every scalar field of a dataclass, optional ones too, against its
-    annotation; a float field must also be finite (JSON admits NaN and Infinity)."""
+    annotation; a float field must also be finite."""
     for name, f in obj.__dataclass_fields__.items():
         kind, value = f.type.removesuffix(" | None"), getattr(obj, name)
         if kind not in _SCALARS or (value is None and kind != f.type):
@@ -206,6 +206,29 @@ def _to_json(value):
     if isinstance(value, tuple):
         return [_to_json(v) for v in value]
     return value
+
+
+def _load_json(path):
+    """The document in the JSON file at ``path``.  With :func:`_dump_json` this
+    is the package's one codec: orjson, imported on the first document read or
+    written, so a process that handles none (a sweep worker) never loads it.
+    NaN, Infinity and numbers beyond the float range are not JSON: a file
+    holding one raises ValidationError naming it."""
+    import orjson
+
+    with open(path, "rb") as fh:
+        try:
+            return orjson.loads(fh.read())
+        except orjson.JSONDecodeError as exc:
+            raise ValidationError(f"{path} is not JSON: {exc}") from exc
+
+
+def _dump_json(doc, indent: bool = False) -> bytes:
+    """``doc``, JSON data, as compact text (two-space indented with ``indent``)
+    ending in a newline; floats keep every bit, and a non-finite one is null."""
+    import orjson
+
+    return orjson.dumps(doc, option=orjson.OPT_APPEND_NEWLINE | (orjson.OPT_INDENT_2 if indent else 0))
 
 
 def check_association(net: Network, assoc) -> np.ndarray:
@@ -269,9 +292,14 @@ def max_snr_association(net: Network) -> np.ndarray:
     the best ties with it: scaling every budget by a common c rounds c * budget
     and then its product with the gain, so two scores that tie exactly, such
     as 10 * 100 and 100 * 10, can come apart by up to 4 half-ulps, and a strict
-    argmax would then let the scale choose the association.
+    argmax would then let the scale choose the association.  Budgets near the
+    float limit can overflow a score; then every score is taken over the
+    largest budget, a common scale that the 8-epsilon rule absorbs.
     """
-    score = net.gain * net.budget[:, None]
+    with np.errstate(over="ignore"):
+        score = net.gain * net.budget[:, None]
+    if not np.isfinite(score).all():
+        score = net.gain * (net.budget / net.budget.max())[:, None]
     best = score.max(axis=0) * (1.0 - 8.0 * np.finfo(float).eps)
     return np.argmax(score >= best, axis=0).astype(int)
 

@@ -601,6 +601,20 @@ class TestExports:
             result.records[0].cells["maxsnr"].min_sinr
         )
 
+    def test_zero_min_sinr_exports_null_db(self, tmp_path):
+        # its dB value is -inf, which json.dump once wrote as -Infinity
+        result = monte_carlo(small_spec(n_runs=1, algorithms=("maxsnr",)))
+        record = result.records[0]
+        zero = replace(record, cells={"maxsnr": replace(record.cells["maxsnr"], min_sinr=0.0)})
+        path = tmp_path / "zero.json"
+        export_json(replace(result, records=(zero,)), path)
+
+        def refuse(constant):
+            raise AssertionError(f"not JSON: {constant}")
+
+        cell = json.loads(path.read_text(), parse_constant=refuse)["records"][0]["algorithms"]["maxsnr"]
+        assert (cell["min_sinr"], cell["min_sinr_db"]) == (0.0, None)
+
     def test_reimported_records_reproduce_means(self, tmp_path):
         spec = small_spec(n_runs=25, snr_db=(10.0, 20.0), algorithms=("maxsnr", "ulsuma"))
         result = monte_carlo(spec)
@@ -769,6 +783,11 @@ class TestExports:
             experiment_from_json({**_SMALL_SPEC, field: values})
         with pytest.raises(ValidationError, match=message):
             small_spec(**{field: tuple(values)})
+
+    def test_spec_rejects_seeds_of_64_bits(self):
+        small_spec(seed_base=2**64 - 3, n_runs=3)
+        with pytest.raises(ValidationError, match=r"^seeds must stay below 2\*\*64"):
+            small_spec(seed_base=2**64 - 3, n_runs=4)
 
     def test_spec_rejects_a_negative_seed_base(self):
         # numpy's generators take no negative seed: the first trial once failed
@@ -1142,7 +1161,7 @@ class TestCli:
                 pytest.param("gen", {**_SMALL_SPEC["scenario"], field: value}, id=f"gen-{field}")
                 for field, value in _BAD_SCENARIO_FIELDS.items()
             ),
-            # json.dumps writes NaN and Infinity, and json.load reads them back
+            # json.dumps writes Infinity, which the package's codec refuses
             pytest.param(
                 "gen",
                 {**_SMALL_SPEC["scenario"], "macro_spacing_m": math.inf},
@@ -1221,7 +1240,8 @@ class TestCli:
         )
         assert res.exit_code == 1
         assert isinstance(res.exception, SystemExit), res.exception
-        assert res.output.startswith("error: snr_db")
+        # NaN is not JSON, so the codec refuses the file before any spec rule
+        assert res.output.startswith(f"error: {DATA / 'experiment_nan_snr.json'} is not JSON: ")
         assert not out.exists()
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
@@ -1309,6 +1329,66 @@ class TestCli:
         assert res.output.startswith("error: noise over gain underflows to 0: ")
         assert len(res.output.splitlines()) == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400"])
+    @pytest.mark.parametrize(
+        "command, doc",
+        [
+            ("solve", {**_ONE_LINK_NETWORK, "budget": ["@"]}),
+            ("gen", {**_SMALL_SPEC["scenario"], "noise": "@"}),
+            ("sweep", {**_SMALL_SPEC, "snr_db": ["@"]}),
+        ],
+        ids=["network", "scenario", "experiment"],
+    )
+    def test_non_json_number_exits_one_naming_the_file(self, tmp_path, command, doc, literal):
+        # the stdlib's json reads these literals (1e400 as inf); the codec
+        # refuses each one at parse
+        path, out = tmp_path / "doc.json", tmp_path / "out"
+        path.write_text(json.dumps(doc).replace('"@"', literal))
+        args = {
+            "gen": ["--config", str(path)],
+            "solve": ["--net", str(path), "--alg", "maxsnr"],
+        }.get(command, ["--spec", str(path)])
+        res = CliRunner().invoke(cli_main, [command, *args, "--out", str(out)])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit), res.exception
+        assert res.output.startswith(f"error: {path} is not JSON: ")
+        assert len(res.output.splitlines()) == 1
+        assert not out.exists()
+
+    def test_sweep_with_a_seed_of_64_bits_exits_one_before_any_trial(self, tmp_path):
+        # the codec writes no integer of 2**64 or more; the sweep once ran
+        # every trial and wrote seed 2**64 to its outputs
+        spec, out, doc = tmp_path / "spec.json", tmp_path / "r.csv", tmp_path / "r.json"
+        spec.write_text(json.dumps({**_SMALL_SPEC, "seed_base": 2**64 - 1, "n_runs": 2}))
+        res = CliRunner().invoke(
+            cli_main, ["sweep", "--spec", str(spec), "--out", str(out), "--json-out", str(doc)]
+        )
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit), res.exception
+        assert res.output == (
+            f"error: seeds must stay below 2**64, got seed_base {2**64 - 1} and n_runs 2\n"
+        )
+        assert list(tmp_path.iterdir()) == [spec]
+
+    def test_gen_at_n_equal_k_100_round_trips_exactly(self, tmp_path):
+        # the benchmark's largest scale config: the written document, read by
+        # the stdlib's json with no non-JSON constant, holds the draw's bits
+        config = ScenarioConfig(n_macro=25, picos_per_macro=3, n_users=100, snr_db=35.0, seed=5)
+        path, out = tmp_path / "config.json", tmp_path / "net.json"
+        path.write_text(json.dumps(scenario_to_json(config)))
+        res = CliRunner().invoke(cli_main, ["gen", "--config", str(path), "--out", str(out)])
+        assert res.exit_code == 0, res.output
+
+        def refuse(constant):
+            raise AssertionError(f"not JSON: {constant}")
+
+        with open(out) as fh:
+            doc = json.load(fh, parse_constant=refuse)
+        net = generate_hetnet(config).network
+        assert (doc["n_bs"], doc["n_users"]) == (100, 100)
+        for name in ("gain", "budget", "noise_dl", "noise_ul"):
+            assert np.array(doc[name], dtype=float).tobytes() == getattr(net, name).tobytes(), name
 
     def test_sweep_with_a_negative_seed_base_exits_one_naming_it(self, tmp_path):
         spec, out = tmp_path / "spec.json", tmp_path / "r.csv"

@@ -145,12 +145,14 @@ class TestAssignmentProblem:
                 AssignmentProblem(gain=gain)
 
 
-# Runs every algorithm on an N = K draw, or only the Hungarian reference, in
-# a fresh interpreter and prints which of scipy.optimize, scipy, scipy.linalg
-# and concurrent.futures.process were imported.
+# Imports the CLI, runs every algorithm on an N = K draw, or only the
+# Hungarian reference, in a fresh interpreter and prints which of
+# scipy.optimize, scipy, scipy.linalg, concurrent.futures.process and orjson
+# were imported.
 _FOOTPRINT_SCRIPT = """
 import json
 import sys
+import hetnet_maxmin.cli
 from hetnet_maxmin.harness import ExperimentSpec, run_trial
 from hetnet_maxmin.matching import solve_p1prime
 from hetnet_maxmin.scenario import ScenarioConfig, generate_hetnet
@@ -163,7 +165,7 @@ else:
     spec = ExperimentSpec(scenario=scenario, snr_db=(15.0,), algorithms=algorithms, n_runs=1)
     cells = run_trial(spec, 0, 15.0).cells
     assert all(cell.min_sinr is not None for cell in cells.values()), cells
-names = ("scipy.optimize", "scipy", "scipy.linalg", "concurrent.futures.process")
+names = ("scipy.optimize", "scipy", "scipy.linalg", "concurrent.futures.process", "orjson")
 print(json.dumps({name: name in sys.modules for name in names}))
 """
 
@@ -174,10 +176,13 @@ class TestImportFootprint:
         # a fresh interpreter: this one already imported scipy.stats for the
         # scenario tests, and scipy.optimize with it.  Without p1prime no
         # scipy package loads at all (dgesv comes from the _flapack extension
-        # alone), and a serial run loads no process-pool module.
+        # alone), and a serial run loads no process-pool module.  Importing
+        # the CLI and running trials reads and writes no document, so neither
+        # loads the JSON codec.
         proc = fresh_python("-c", _FOOTPRINT_SCRIPT, run, timeout=120)
         assert proc.returncode == 0, proc.stderr
         modules = json.loads(proc.stdout)
+        assert modules.pop("orjson") is False
         assert modules.pop("scipy.optimize") is loaded
         if not loaded:
             assert modules == {"scipy": False, "scipy.linalg": False, "concurrent.futures.process": False}

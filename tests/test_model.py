@@ -16,12 +16,15 @@ from hypothesis.extra.numpy import arrays
 from hetnet_maxmin.model import (
     Network,
     ValidationError,
+    _dump_json,
+    _load_json,
     check_association,
     downlink_sinr,
     max_snr_association,
     network_from_json,
     network_to_json,
 )
+from hetnet_maxmin.scenario import ScenarioConfig, generate_hetnet
 
 from helpers import DATA, loop_downlink_sinr, loop_uplink_sinr, pair_block_network, random_network
 
@@ -136,6 +139,25 @@ class TestMaxSnrAssociation:
     def test_tie_breaks_to_lowest_index(self):
         net = Network(gain=[[1.0], [1.0]], budget=[1.0, 1.0], noise_dl=[1.0], noise_ul=[1, 1])
         assert max_snr_association(net).tolist() == [0]
+
+    def test_overflowing_scores_keep_the_stronger_gain(self):
+        # 2e308 and 3e308 both overflow to inf, which once tied to BS 0
+        net = Network(gain=[[2.0], [3.0]], budget=[1e308, 1e308], noise_dl=[1.0], noise_ul=[1, 1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert max_snr_association(net).tolist() == [1]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_budgets_of_1e308_associate_as_at_3000_db(self, seed):
+        # at 3064 dB every macro budget is 1e308, and seeds 0, 1 and 3 once
+        # overflowed a score; all budgets are equal, so the gains decide
+        config = ScenarioConfig(n_macro=4, picos_per_macro=0, n_users=4, seed=seed)
+        at = {
+            snr: generate_hetnet(replace(config, snr_db=snr)).network for snr in (3000.0, 3064.0)
+        }
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert max_snr_association(at[3064.0]).tolist() == max_snr_association(at[3000.0]).tolist()
 
 
 class TestLoadBound:
@@ -317,6 +339,27 @@ class TestNoiseOverGain:
         start = time.process_time()
         self._rule_matches_every_quotient()
         assert time.process_time() - start < 10.0
+
+
+class TestCodec:
+    # the stdlib json module is the independent reference: values must agree
+    # bit for bit both ways, while the codec's own bytes are left unpinned
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=20))
+    def test_floats_round_trip_bit_for_bit_both_ways(self, tmp_path_factory, values):
+        path = tmp_path_factory.getbasetemp() / "codec.json"
+        path.write_text(json.dumps(values))
+        read = _load_json(path)
+        written = json.loads(_dump_json(values))
+        for got in (read, written):
+            assert np.array(got, dtype=float).tobytes() == np.array(values, dtype=float).tobytes()
+
+    def test_indented_document_equals_the_compact_one(self):
+        doc = {"a": [1, 2.5e-7, None, True], "b": {"c": "d"}}
+        compact, indented = _dump_json(doc), _dump_json(doc, indent=True)
+        assert compact.endswith(b"\n") and indented.endswith(b"\n")
+        assert b"\n  " in indented
+        assert json.loads(compact) == json.loads(indented) == doc
 
 
 class TestNetworkJson:

@@ -335,7 +335,8 @@ class TestConfigSerialization:
     @pytest.mark.parametrize("field", ["snr_db", "macro_spacing_m", "shadow_std_db"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_floats_rejected(self, field, value):
-        # JSON admits NaN and Infinity, so a document can carry them
+        # the codec refuses NaN and Infinity in a file, but a document built
+        # in Python can still carry them
         with pytest.raises(ValidationError, match=f"{field} must be finite"):
             scenario_from_json({field: value})
 
