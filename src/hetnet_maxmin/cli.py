@@ -47,11 +47,16 @@ def _dump(doc: dict, out):
 
 @contextlib.contextmanager
 def _outputs(*paths):
-    """Create a sweep's distinct outputs, so that a bad path fails before any trial
-    runs; if anything raises, remove the files this sweep created and no other."""
+    """Check that a command's distinct output files can be created, so that a
+    bad path fails before any work; if anything raises, remove the files this
+    command created and no other.  An absent path is skipped.  A file the
+    check creates is removed at once, so that its writer creates it afresh:
+    ext4 flushes a file truncated to rewrite it when it is closed, about
+    0.2 ms a file."""
     paths = [path for path in paths if path]
     if len({os.path.realpath(path) for path in paths}) < len(paths):
-        raise ValueError(f"sweep outputs must be distinct files, got {paths}")
+        command = click.get_current_context().info_name
+        raise ValueError(f"{command} outputs must be distinct files, got {paths}")
     created = []
     try:
         for path in paths:
@@ -59,10 +64,12 @@ def _outputs(*paths):
             open(path, "a").close()
             if not existed:
                 created.append(path)
+                os.remove(path)
         yield
     except BaseException:
         for path in created:
-            os.remove(path)
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(path)
         raise
 
 
@@ -93,10 +100,12 @@ def main():
 def gen(config_path, seed, out_path, geometry_out):
     """Generate one random HetNet and emit its network JSON."""
     config = scenario_from_json(_load_json(config_path))
-    instance = generate_hetnet(config if seed is None else replace(config, seed=seed))
-    _dump(network_to_json(instance.network), out_path)
-    if geometry_out:
-        _dump(geometry_to_json(instance.geometry), geometry_out)
+    # "-" is stdout here, while a sweep writes "-" as a file name
+    with _outputs(*(path for path in (out_path, geometry_out) if path != "-")):
+        instance = generate_hetnet(config if seed is None else replace(config, seed=seed))
+        _dump(network_to_json(instance.network), out_path)
+        if geometry_out:
+            _dump(geometry_to_json(instance.geometry), geometry_out)
 
 
 def _solve_document(alg: str, out: Outcome) -> dict:

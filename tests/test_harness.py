@@ -7,6 +7,7 @@ import math
 import re
 import subprocess
 import time
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -93,6 +94,11 @@ def assert_same_network(net: Network, want: Network) -> None:
         assert not got.flags.writeable, field.name
         assert (got.dtype, got.shape) == (expected.dtype, expected.shape), field.name
         assert got.tobytes() == expected.tobytes(), field.name
+
+
+def _refuse_constant(constant):
+    """A ``parse_constant`` hook: a document holds no NaN or Infinity."""
+    raise AssertionError(f"not JSON: {constant}")
 
 
 def small_spec(**overrides) -> ExperimentSpec:
@@ -608,11 +614,7 @@ class TestExports:
         zero = replace(record, cells={"maxsnr": replace(record.cells["maxsnr"], min_sinr=0.0)})
         path = tmp_path / "zero.json"
         export_json(replace(result, records=(zero,)), path)
-
-        def refuse(constant):
-            raise AssertionError(f"not JSON: {constant}")
-
-        cell = json.loads(path.read_text(), parse_constant=refuse)["records"][0]["algorithms"]["maxsnr"]
+        cell = json.loads(path.read_text(), parse_constant=_refuse_constant)["records"][0]["algorithms"]["maxsnr"]
         assert (cell["min_sinr"], cell["min_sinr_db"]) == (0.0, None)
 
     def test_reimported_records_reproduce_means(self, tmp_path):
@@ -870,46 +872,61 @@ class TestNonFiniteAnswers:
         ],
     )
     def test_solve_with_a_non_finite_answer_exits_one(self, name, alg, field, value):
-        # the files the CI step runs through the installed entry point: gains
-        # of 1e300 cancel in the SINR's interference to 0, and budgets of 1e308
-        # overflow the relaxation's pooled budget; solve once printed
+        # gains of 1e300 cancel in the SINR's interference to 0, and budgets
+        # of 1e308 overflow the relaxation's pooled budget; solve once printed
         # "min_sinr": Infinity or NaN, which is not JSON, and exited 0
         proc = _cli_subprocess("solve", "--net", DATA / f"{name}.json", "--alg", alg)
         assert proc.returncode == 1, proc.stderr
-        assert f"error: {field} is not finite ({value})" in proc.stderr.splitlines()[-1]
+        assert proc.stderr.splitlines()[-1].startswith(f"error: {field} is not finite ({value})")
         assert "Traceback" not in proc.stderr
         assert proc.stdout == ""
 
     def test_dlsuma_solves_budgets_of_1e300(self):
-        # the CI step's file: dlsuma's rescale once overflowed to NaN here,
-        # where maxsnr and brute read 2.0
+        # dlsuma's rescale once overflowed to NaN here, where maxsnr and brute
+        # read 2.0; the document holds no NaN or Infinity anywhere
         proc = _cli_subprocess("solve", "--net", DATA / "overflow_power_budget_2x2.json", "--alg", "dlsuma")
         assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout)["min_sinr"] == pytest.approx(2.0, rel=1e-15, abs=0)
+        doc = json.loads(proc.stdout, parse_constant=_refuse_constant)
+        assert doc["min_sinr"] == pytest.approx(2.0, rel=1e-15, abs=0)
 
-
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize(
-        "name, alg, reason",
-        [("underflow_noise_1x1", alg, "noise over gain underflows to 0") for alg in ALGORITHMS]
-        + [("overflow_noise_1x1", alg, "noise over gain overflows to inf") for alg in ALGORITHMS]
-        + [("overflow_sinr_gain_2x2", "dlsuma", "divide by zero")],
+        "name, alg, reason, action",
+        [
+            pytest.param(name, alg, reason, action, id=f"{name}-{alg}-{reason}{suffix}")
+            for name, reason in (
+                ("underflow_noise_1x1", "noise over gain underflows to 0"),
+                ("overflow_noise_1x1", "noise over gain overflows to inf"),
+            )
+            for action, suffix in (("error", ""), ("default", "-default-warnings"))
+            for alg in ALGORITHMS
+        ]
+        + [
+            pytest.param(
+                "overflow_sinr_gain_2x2", "dlsuma", "divide by zero", "error",
+                id="overflow_sinr_gain_2x2-dlsuma-divide by zero",
+            )
+        ],
     )
-    def test_arithmetic_errors_exit_one(self, name, alg, reason):
-        # the files the CI step runs: noises of 1e-320 against a gain of 1e10
-        # underflow to 0 over the gain, which once left the relaxation's unit
-        # powers a zero sum to divide by and the per-BS kernel an infinite
-        # SINR, and noises of 1e300 against a gain of 1e-20 overflow to inf,
-        # which once ended in numpy's "Array must not contain infs or NaNs";
-        # both now fail the network's construction; gains of 1e300 leave
-        # an interference that cancels to 0 (a RuntimeWarning raised as an
-        # error); both once left the CLI as tracebacks
-        res = CliRunner().invoke(cli_main, ["solve", "--net", str(DATA / f"{name}.json"), "--alg", alg])
+    def test_arithmetic_errors_exit_one(self, name, alg, reason, action):
+        # noises of 1e-320 against a gain of 1e10 underflow to 0 over the
+        # gain, which once left the relaxation's unit powers a zero sum to
+        # divide by and the per-BS kernel an infinite SINR, and noises of
+        # 1e300 against a gain of 1e-20 overflow to inf, which once ended in
+        # numpy's "Array must not contain infs or NaNs"; both now fail the
+        # network's construction, under either warning filter and with no
+        # warning; gains of 1e300 leave an interference that cancels to 0
+        # (a RuntimeWarning raised as an error); both once left the CLI as
+        # tracebacks
+        assert len(ALGORITHMS) == 8
+        with warnings.catch_warnings(record=True) as warned:
+            warnings.simplefilter(action, RuntimeWarning)
+            res = CliRunner().invoke(cli_main, ["solve", "--net", str(DATA / f"{name}.json"), "--alg", alg])
         assert res.exit_code == 1
         assert isinstance(res.exception, SystemExit), res.exception
         assert res.stderr.startswith("error: ") and reason in res.stderr
         assert len(res.stderr.splitlines()) == 1
         assert "Traceback" not in res.output
+        assert [w for w in warned if issubclass(w.category, RuntimeWarning)] == []
 
 
 def _cli_subprocess(*args, timeout=60, preexec_fn=None) -> subprocess.CompletedProcess:
@@ -1210,19 +1227,17 @@ class TestCli:
         assert not (tmp_path / "out").exists()
 
     def test_solve_aufp_on_tied_gains_ends_infeasible(self):
-        # the file the CI smoke step runs through the installed entry point:
-        # the default eps breaks the ties, and the match cannot give SINR 1
-        res = CliRunner().invoke(
-            cli_main, ["solve", "--net", str(DATA / "tied_3x3.json"), "--alg", "aufp"]
-        )
-        assert res.exit_code == 2, res.output
-        assert json.loads(res.output)["status"] == "infeasible"
+        # equal gains everywhere: the default eps breaks the ties within 10 s,
+        # and the match cannot give SINR 1
+        proc = _cli_subprocess("solve", "--net", DATA / "tied_3x3.json", "--alg", "aufp", timeout=10)
+        assert proc.returncode == 2, proc.stderr
+        assert json.loads(proc.stdout)["status"] == "infeasible"
 
     @pytest.mark.parametrize("name", ["price_war_equal_rows_3x3", "price_war_equal_columns_3x3"])
     def test_solve_aufp_on_a_price_war_ends_within_k_eps(self, name):
-        # the files the CI step runs through the installed entry point under
-        # `timeout 10`: at the default eps the plain auction's war would
-        # take about 280,000 (equal rows) or 500,000 (equal columns) rounds
+        # equal gain rows and equal gain columns, each solved within 10 s: at
+        # the default eps the plain auction's war would take about 280,000
+        # (equal rows) or 500,000 (equal columns) rounds
         docs = {}
         for alg in ("aufp", "p1prime"):
             proc = _cli_subprocess("solve", "--net", DATA / f"{name}.json", "--alg", alg, timeout=10)
@@ -1233,7 +1248,7 @@ class TestCli:
         assert docs["aufp"]["assignment_total_gain"] >= docs["p1prime"]["assignment_total_gain"] - gap
 
     def test_sweep_over_nan_snr_exits_one_before_creating_its_output(self, tmp_path):
-        # the file the CI smoke step runs through the installed entry point
+        # a spec whose one SNR point is NaN
         out = tmp_path / "nan.csv"
         res = CliRunner().invoke(
             cli_main, ["sweep", "--spec", str(DATA / "experiment_nan_snr.json"), "--out", str(out)]
@@ -1246,8 +1261,8 @@ class TestCli:
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_sweep_over_an_overflowing_snr_point_exits_one(self, tmp_path, jobs):
-        # the file the CI smoke step runs: the macro budget at 3075 dB
-        # overflows to inf, so that point's network, built from the seed's
+        # a spec whose macro budget at 3075 dB overflows to inf, so that
+        # point's network, built from the seed's
         # 5 dB draw, fails its validation as a fresh draw would
         out, cdf = tmp_path / "r.csv", tmp_path / "c.csv"
         spec = DATA / "experiment_overflow_snr.json"
@@ -1274,12 +1289,15 @@ class TestCli:
         # an SNR or a macro gap of 3100 dB once ended in
         # "error: (34, 'Numerical result out of range')"
         scenario = {"n_macro": 1, "picos_per_macro": 0, "n_users": 1}
-        if field == "macro_power_gap_db":  # the file the CI smoke step runs
+        if field == "macro_power_gap_db":  # a macro gap of 3100 dB
             scenario = json.loads((DATA / "scenario_overflow_macro_gap.json").read_text())
         points = [5.0, 3100.0] if field == "snr_db" else [5.0]
         doc, out = tmp_path / "doc.json", tmp_path / "out"
         if command == "gen":
-            doc.write_text(json.dumps({**scenario, "snr_db": points[-1]}))
+            if field == "macro_power_gap_db":  # the file as written, at 15 dB
+                doc = DATA / "scenario_overflow_macro_gap.json"
+            else:
+                doc.write_text(json.dumps({**scenario, "snr_db": points[-1]}))
             args = ["gen", "--config", str(doc), "--out", str(out)]
         else:
             spec = {"scenario": scenario, "snr_db": points, "algorithms": ["maxsnr"]}
@@ -1379,12 +1397,8 @@ class TestCli:
         path.write_text(json.dumps(scenario_to_json(config)))
         res = CliRunner().invoke(cli_main, ["gen", "--config", str(path), "--out", str(out)])
         assert res.exit_code == 0, res.output
-
-        def refuse(constant):
-            raise AssertionError(f"not JSON: {constant}")
-
         with open(out) as fh:
-            doc = json.load(fh, parse_constant=refuse)
+            doc = json.load(fh, parse_constant=_refuse_constant)
         net = generate_hetnet(config).network
         assert (doc["n_bs"], doc["n_users"]) == (100, 100)
         for name in ("gain", "budget", "noise_dl", "noise_ul"):
@@ -1401,8 +1415,8 @@ class TestCli:
 
     @pytest.mark.parametrize("existing", [False, True], ids=["new-out", "existing-out"])
     def test_failed_sweep_removes_the_outputs_it_created(self, tmp_path, existing):
-        # the file the CI smoke step runs through the installed entry point: a
-        # pico ring just inside the macro's corner distance that no draw lands in
+        # a spec whose pico ring lies just inside the macro's corner distance,
+        # where no draw lands
         out, cdf, doc = tmp_path / "r.csv", tmp_path / "c.csv", tmp_path / "r.json"
         if existing:
             out.write_bytes(b"kept\n")
@@ -1490,8 +1504,16 @@ class TestCli:
         assert res.exit_code == 0, res.output
         assert out.read_bytes() == (DATA / "sweep_3x0_k3_all_algorithms.csv").read_bytes()
         assert cdf.read_bytes() == (DATA / "sweep_3x0_k3_all_algorithms_cdf.csv").read_bytes()
-        assert len(json.loads(doc.read_text())["records"]) == 4
+        records = json.loads(doc.read_text(), parse_constant=_refuse_constant)["records"]
+        assert len(records) == 4
         assert len(calls) == 2 * 2  # 2 SNRs x 2 runs, each trial once
+        # each relaxation entry is its two-stage sibling's stage 1, so their
+        # bounds agree exactly
+        for record in records:
+            cells = record["algorithms"]
+            for relaxed, two_stage in (("ulsuma", "dlsuma"), ("ulsum", "dlsum")):
+                bound = cells[relaxed]["upper_bound"]
+                assert bound is not None and bound == cells[two_stage]["upper_bound"], record
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_criterion_08_size_sweep_matches_its_pinned_files(self, tmp_path, jobs):
@@ -1553,6 +1575,38 @@ class TestCli:
         assert set(doc) == {f.name for f in fields(Geometry)}
         assert len(doc["bs_positions"]) == 4 and len(doc["user_cell"]) == 4
 
+    def test_gen_outputs_must_be_distinct_files(self, tmp_path):
+        # --out same.json --geometry-out same.json once exited 0 with only the
+        # geometry in same.json
+        config, same = self._write_scenario(tmp_path), tmp_path / "same.json"
+        args = ["gen", "--config", str(config), "--out", str(same), "--geometry-out", str(same)]
+        res = CliRunner().invoke(cli_main, args)
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit), res.exception
+        assert res.output.startswith("error: gen outputs must be distinct files")
+        assert list(tmp_path.iterdir()) == [config]
+
+    def test_gen_writes_both_documents_to_stdout_under_dash(self, tmp_path, monkeypatch):
+        # "-" is stdout, not a file that the output rule checks or creates
+        monkeypatch.chdir(tmp_path)
+        config = self._write_scenario(tmp_path)
+        args = ["gen", "--config", str(config), "--out", "-", "--geometry-out", "-"]
+        res = CliRunner().invoke(cli_main, args)
+        assert res.exit_code == 0, res.output
+        assert res.output.count('"n_bs"') == 1 and res.output.count('"bs_positions"') == 1
+        assert list(tmp_path.iterdir()) == [config]
+
+    def test_gen_with_an_unwritable_geometry_output_leaves_no_network(self, tmp_path):
+        # the network document was once written before the geometry's path failed
+        config, out = self._write_scenario(tmp_path), tmp_path / "net.json"
+        geometry = tmp_path / "no-such-dir" / "geometry.json"
+        args = ["gen", "--config", str(config), "--out", str(out), "--geometry-out", str(geometry)]
+        res = CliRunner().invoke(cli_main, args)
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit), res.exception
+        assert res.output.startswith("error: ") and "No such file" in res.output
+        assert list(tmp_path.iterdir()) == [config]
+
     def test_sweep_json_document_round_trips_its_spec(self, tmp_path):
         spec_doc = {**_SMALL_SPEC, "algorithms": ["maxsnr", "p1prime"], "n_runs": 2}
         spec = tmp_path / "spec.json"
@@ -1572,7 +1626,6 @@ class TestCli:
 
     @pytest.mark.parametrize("alg", ["p1prime", "aufp"])
     def test_solve_without_perfect_matching_exits_one(self, alg):
-        # the file the CI smoke step runs through the installed entry point:
         # BSs 1 and 2 reach only user 0
         net_path = DATA / "no_perfect_matching_3x3.json"
         start = time.process_time()
@@ -1582,6 +1635,15 @@ class TestCli:
         assert isinstance(res.exception, SystemExit), res.exception
         assert res.output.startswith("error: no perfect matching")
         assert "Traceback" not in res.output
+
+    def test_solve_brute_keeps_the_optimum_of_a_wide_range_network(self):
+        # the screen's LU solve puts -5.3e-27 beside entries of 1e-7 in the
+        # optimum's least power, which a sign test once dropped
+        net_path = DATA / "brute_screen_rounding_3x4.json"
+        res = CliRunner().invoke(cli_main, ["solve", "--net", str(net_path), "--alg", "brute"])
+        assert res.exit_code == 0, res.output
+        doc = json.loads(res.output)
+        assert doc["association"] == [2, 0, 1, 1] and doc["min_sinr"] >= 0.9999999999, doc
 
     def test_gadget_verify(self, tmp_path):
         cnf = tmp_path / "f.cnf"
@@ -1595,25 +1657,39 @@ class TestCli:
         assert json.loads(plain.output)["n_bs"] == 7
 
     def test_gadget_verify_on_unsatisfiable_file(self):
-        # the file the CI smoke step runs through the installed entry point
+        # one variable, required both true and false
         res = CliRunner().invoke(cli_main, ["gadget", "--cnf", str(DATA / "unsat_1var.cnf"), "--verify"])
         assert res.exit_code == 0, res.output
         doc = json.loads(res.output)
         assert doc["sat_by_solver"] is False and doc["agrees"] is True
 
     def test_gadget_verify_on_satlib_trailer_file(self):
-        # the file the CI smoke step runs: SATLIB's "%" and "0" trailer once
-        # read as an empty clause
+        # SATLIB's "%" and "0" trailer once read as an empty clause; the
+        # gadget of its 2 clauses and 3 variables has 2 + 2 * 3 BSs and users
         path = DATA / "satlib_trailer_3var.cnf"
         res = CliRunner().invoke(cli_main, ["gadget", "--cnf", str(path), "--verify"])
         assert res.exit_code == 0, res.output
         assert json.loads(res.output)["agrees"] is True
+        plain = CliRunner().invoke(cli_main, ["gadget", "--cnf", str(path)])
+        assert plain.exit_code == 0, plain.output
+        doc = json.loads(plain.output)
+        assert doc["n_bs"] == doc["n_users"] == 8
+
+    def test_gadget_verify_on_the_four_variable_file(self):
+        # 3 clauses and 4 variables: 11 BSs and 16,384 candidates, decoded in
+        # 31 chunks of at most 2^16 // 11^2 = 541
+        path = DATA / "sat_4var_3clause.cnf"
+        res = CliRunner().invoke(cli_main, ["gadget", "--cnf", str(path), "--verify"])
+        assert res.exit_code == 0, res.output
+        doc = json.loads(res.output)
+        assert doc["agrees"] is True and doc["sat_by_solver"] is True
+        assert repr(doc["network_opt"]) == "0.5485837703548635"
 
     @staticmethod
     def run_in_2_gb(*args):
         """Run the CLI in a subprocess whose address space is capped at 2 GB."""
         resource = pytest.importorskip("resource")
-        cap = 2 * 1024**3
+        cap = 2_000_000 * 1024
 
         def limit_memory():
             resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
@@ -1621,7 +1697,6 @@ class TestCli:
         return _cli_subprocess(*args, timeout=120, preexec_fn=limit_memory)
 
     def test_gadget_on_huge_header_file_fails_before_allocating(self):
-        # the file the CI smoke step runs through the installed entry point:
         # 30,000 variables would need a 60,001 x 60,001 gain matrix (26.8 GiB)
         for extra in ([], ["--verify"]):
             proc = self.run_in_2_gb("gadget", "--cnf", DATA / "huge_header_30000var.cnf", *extra)
@@ -1631,7 +1706,6 @@ class TestCli:
             assert proc.stdout == ""
 
     def test_gen_on_huge_scenario_file_fails_before_allocating(self):
-        # the file the CI smoke step runs through the installed entry point:
         # 10,000 BSs and 10^6 users once died in user placement, allocating
         # a 10,000 x 10^6 distance array (74.5 GiB)
         proc = self.run_in_2_gb("gen", "--config", DATA / "scenario_huge_10000bs_1000000users.json")
@@ -1641,7 +1715,7 @@ class TestCli:
         assert proc.stdout == ""
 
     def test_gen_on_fractional_user_count_file(self):
-        # the file the CI smoke step runs through the installed entry point
+        # a scenario of 3.5 users
         path = DATA / "scenario_fractional_users.json"
         res = CliRunner().invoke(cli_main, ["gen", "--config", str(path)])
         assert res.exit_code == 1
@@ -1649,7 +1723,7 @@ class TestCli:
         assert res.output.startswith("error: n_users must be of type int")
 
     def test_gen_then_aufp_on_the_start_up_import_config(self, tmp_path):
-        # the file the CI start-up import step runs: a criterion-09 N = K draw
+        # the config of the start-up footprint test: a criterion-09 N = K draw
         # whose matched solve is below SINR 1, so solve exits 2
         runner = CliRunner()
         net_path = tmp_path / "net.json"

@@ -145,18 +145,40 @@ class TestAssignmentProblem:
                 AssignmentProblem(gain=gain)
 
 
-# Imports the CLI, runs every algorithm on an N = K draw, or only the
+# Imports the CLI, then runs every algorithm on an N = K draw, or only the
 # Hungarian reference, in a fresh interpreter and prints which of
 # scipy.optimize, scipy, scipy.linalg, concurrent.futures.process and orjson
-# were imported.
+# were imported.  Given "cli", a config and a directory, it instead runs
+# `gen` on the config and `solve` on its draw with aufp, dlsuma and p1prime,
+# through the CLI's entry point, and prints each step's exit code and which
+# of those modules are imported after it.
 _FOOTPRINT_SCRIPT = """
 import json
+import os
 import sys
 import hetnet_maxmin.cli
 from hetnet_maxmin.harness import ExperimentSpec, run_trial
 from hetnet_maxmin.matching import solve_p1prime
 from hetnet_maxmin.scenario import ScenarioConfig, generate_hetnet
 
+names = ("scipy.optimize", "scipy", "scipy.linalg", "concurrent.futures.process", "orjson")
+if sys.argv[1] == "cli":
+    config, out = sys.argv[2:]
+    net = os.path.join(out, "net.json")
+    steps = {"import": None, "gen": ["gen", "--config", config, "--out", net]}
+    for alg in ("aufp", "dlsuma", "p1prime"):
+        steps[alg] = ["solve", "--net", net, "--alg", alg, "--out", os.path.join(out, alg + ".json")]
+    report = {}
+    for step, args in steps.items():
+        code = None
+        if args:
+            try:
+                hetnet_maxmin.cli.main(args)
+            except SystemExit as exc:
+                code = exc.code
+        report[step] = {"exit": code, "loaded": [name for name in names if name in sys.modules]}
+    print(json.dumps(report))
+    sys.exit()
 scenario = ScenarioConfig(n_macro=3, picos_per_macro=0, n_users=3, seed=5)
 if sys.argv[1] == "p1prime":
     assert solve_p1prime(generate_hetnet(scenario).network).result.min_sinr > 0
@@ -165,7 +187,6 @@ else:
     spec = ExperimentSpec(scenario=scenario, snr_db=(15.0,), algorithms=algorithms, n_runs=1)
     cells = run_trial(spec, 0, 15.0).cells
     assert all(cell.min_sinr is not None for cell in cells.values()), cells
-names = ("scipy.optimize", "scipy", "scipy.linalg", "concurrent.futures.process", "orjson")
 print(json.dumps({name: name in sys.modules for name in names}))
 """
 
@@ -186,6 +207,27 @@ class TestImportFootprint:
         assert modules.pop("scipy.optimize") is loaded
         if not loaded:
             assert modules == {"scipy": False, "scipy.linalg": False, "concurrent.futures.process": False}
+
+    def test_each_command_loads_the_codec_and_scipy_only_where_it_needs_them(self, tmp_path):
+        # importing the CLI and the harness loads no JSON codec, and gen, which
+        # writes a document, loads it; gen and solve with aufp or dlsuma load
+        # neither scipy.linalg nor scipy.optimize, and p1prime loads
+        # scipy.optimize.  The draw is a criterion-09 N = K one whose matched
+        # solves may end below SINR 1, so solve exits 0 or 2.
+        config = DATA / "scenario_9x1_k18_15db.json"
+        proc = fresh_python("-c", _FOOTPRINT_SCRIPT, "cli", config, tmp_path, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout)
+        assert list(report) == ["import", "gen", "aufp", "dlsuma", "p1prime"]
+        assert [report[step]["exit"] for step in ("import", "gen")] == [None, 0]
+        for alg in ("aufp", "dlsuma", "p1prime"):
+            assert report[alg]["exit"] in (0, 2), report
+        assert [step for step in report if "orjson" in report[step]["loaded"]] == [
+            "gen", "aufp", "dlsuma", "p1prime"
+        ]
+        for step in ("import", "gen", "aufp", "dlsuma"):
+            assert not {"scipy.linalg", "scipy.optimize"} & set(report[step]["loaded"]), report
+        assert "scipy.optimize" in report["p1prime"]["loaded"]
 
 
 class TestHungarian:

@@ -5,18 +5,23 @@ read is surface the paper's pipelines do not need: a test that wants a
 kernel calls the private kernel, and an oracle belongs in ``helpers``.  A
 name counts as read when some module of the package, or
 ``tests/test_acceptance.py``, loads it as a name, imports it, or uses it as
-an attribute.
+an attribute.  The README's library quick start, which imports public names
+from their modules, runs as written.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
 import hetnet_maxmin
 
+from helpers import fresh_python
+
 PACKAGE = Path(hetnet_maxmin.__file__).parent
 ACCEPTANCE = Path(__file__).parent / "test_acceptance.py"
+README = Path(__file__).parents[1] / "README.md"
 MODULES = sorted(PACKAGE.glob("*.py"))
 
 
@@ -60,3 +65,12 @@ def test_the_scan_sees_every_public_module():
     # a rename of the package directory or of __all__ must not leave the
     # check above with nothing to check
     assert sum(bool(public_names(parse(path))) for path in MODULES) >= 8
+
+
+def test_readme_quick_start_runs_as_written():
+    # the README's python blocks, in order, in a fresh interpreter where a
+    # numeric RuntimeWarning is an error
+    code = "".join(re.findall(r"^```python\n(.*?)^```$", README.read_text(), re.M | re.S))
+    assert code.strip()
+    proc = fresh_python("-W", "error::RuntimeWarning", "-c", code, timeout=120)
+    assert proc.returncode == 0, proc.stderr
