@@ -46,17 +46,21 @@ def _dump(doc: dict, out):
 
 
 @contextlib.contextmanager
-def _outputs(*paths):
-    """Check that a command's distinct output files can be created, so that a
-    bad path fails before any work; if anything raises, remove the files this
-    command created and no other.  An absent path is skipped.  A file the
-    check creates is removed at once, so that its writer creates it afresh:
-    ext4 flushes a file truncated to rewrite it when it is closed, about
-    0.2 ms a file."""
-    paths = [path for path in paths if path]
-    if len({os.path.realpath(path) for path in paths}) < len(paths):
+def _outputs(source, *paths):
+    """The one output rule of every command: its outputs are distinct files
+    other than its input ``source``, compared after resolving symlinks and
+    ``..``; ``-`` (stdout) and an absent path are skipped.  Each file is
+    created and removed before any work, so that a bad path fails first and
+    its writer creates it afresh (ext4 flushes a file truncated to rewrite
+    it when it is closed, about 0.2 ms a file).  If anything raises,
+    ``SystemExit`` included, the files this command created are removed."""
+    paths = [path for path in paths if path and path != "-"]
+    resolved = {os.path.realpath(path) for path in paths}
+    if len(resolved) < len(paths) or os.path.realpath(source) in resolved:
         command = click.get_current_context().info_name
-        raise ValueError(f"{command} outputs must be distinct files, got {paths}")
+        raise ValueError(
+            f"{command} outputs must be distinct files other than its input {source}, got {paths}"
+        )
     created = []
     try:
         for path in paths:
@@ -100,8 +104,7 @@ def main():
 def gen(config_path, seed, out_path, geometry_out):
     """Generate one random HetNet and emit its network JSON."""
     config = scenario_from_json(_load_json(config_path))
-    # "-" is stdout here, while a sweep writes "-" as a file name
-    with _outputs(*(path for path in (out_path, geometry_out) if path != "-")):
+    with _outputs(config_path, out_path, geometry_out):
         instance = generate_hetnet(config if seed is None else replace(config, seed=seed))
         _dump(network_to_json(instance.network), out_path)
         if geometry_out:
@@ -124,8 +127,10 @@ def solve(net_path, alg, out_path):
     Exits 2 when the run did not converge or a matched solve is not optimal,
     and 1 when the algorithm rejects the network.
     """
-    outcome = ALGORITHMS[alg](network_from_json(_load_json(net_path)))
-    _dump(_solve_document(alg, outcome), out_path)
+    net = network_from_json(_load_json(net_path))
+    with _outputs(net_path, out_path):
+        outcome = ALGORITHMS[alg](net)
+        _dump(_solve_document(alg, outcome), out_path)
     sys.exit(0 if outcome.converged and outcome.status in (None, "optimal") else 2)
 
 
@@ -139,7 +144,9 @@ def solve(net_path, alg, out_path):
 def sweep(spec_path, out_path, cdf_out, json_out, jobs, timings):
     """Monte-Carlo sweep over the spec's SNR grid; one run writes every output."""
     spec = experiment_from_json(_load_json(spec_path))
-    with _outputs(out_path, cdf_out, json_out):
+    if "-" in (out_path, cdf_out, json_out):
+        raise ValueError("sweep outputs must be files: its stdout carries the summary, got -")
+    with _outputs(spec_path, out_path, cdf_out, json_out):
         result = monte_carlo(spec, jobs=jobs)
         export_csv(result, out_path, timings=timings)
         if cdf_out:
@@ -162,11 +169,12 @@ def gadget(cnf_path, verify, out_path):
     """Build the satisfiability network gadget for a 3-CNF formula."""
     with open(cnf_path) as fh:
         formula = cnf_from_dimacs(fh.read())
-    if not verify:
-        _dump(network_to_json(build_3sat_gadget(formula)), out_path)
-        return
-    report = verify_sat_equivalence(formula)
-    _dump(_to_json(report), out_path)
+    with _outputs(cnf_path, out_path):
+        if not verify:
+            _dump(network_to_json(build_3sat_gadget(formula)), out_path)
+            return
+        report = verify_sat_equivalence(formula)
+        _dump(_to_json(report), out_path)
     sys.exit(0 if report.agrees else 2)
 
 

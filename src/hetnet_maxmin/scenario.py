@@ -257,8 +257,13 @@ def generate_hetnet(config: ScenarioConfig) -> HetnetInstance:
         hi = bs_positions.max(axis=0) + config.macro_spacing_m / _SQRT3
         sq = _sq_distances(bs_positions, user_positions, np.maximum(hi - lo, 1e-9))
     dist = np.maximum(np.sqrt(sq, out=sq), 1.0, out=sq)  # a 1 m floor keeps gains finite
-    shadow_db = rng.standard_normal(dist.shape) * config.shadow_std_db
-    gain = 10.0 ** (shadow_db / 10.0) * (config.pathloss_ref_m / dist) ** config.pathloss_exp
+    gain = rng.standard_normal(dist.shape)  # 10 ** (z * std / 10) * (ref / dist) ** exp, in place
+    gain *= config.shadow_std_db
+    gain /= 10.0
+    np.power(10.0, gain, out=gain)
+    np.divide(config.pathloss_ref_m, dist, out=dist)
+    dist **= config.pathloss_exp
+    gain *= dist
 
     network = Network(
         gain=gain,

@@ -15,8 +15,8 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
-from hetnet_maxmin import harness, twostage
-from hetnet_maxmin.cli import main as cli_main
+from hetnet_maxmin import cli, harness, twostage
+from hetnet_maxmin.cli import _solve_document, main as cli_main
 from hetnet_maxmin.harness import (
     ALGORITHMS,
     AlgoCell,
@@ -32,7 +32,14 @@ from hetnet_maxmin.harness import (
     run_trial,
 )
 from hetnet_maxmin.matching import default_eps, log_gain_matrix
-from hetnet_maxmin.model import Network, ValidationError, downlink_sinr, max_snr_association
+from hetnet_maxmin.model import (
+    Network,
+    ValidationError,
+    _dump_json,
+    downlink_sinr,
+    max_snr_association,
+    network_to_json,
+)
 from hetnet_maxmin.oracle import _TIE_RTOL
 from hetnet_maxmin.scenario import Geometry, ScenarioConfig, generate_hetnet, scenario_to_json
 
@@ -948,6 +955,78 @@ _SMALL_SPEC = {
     "algorithms": ["maxsnr"],
     "n_runs": 1,
 }
+# The inputs that the output-rule table copies from tests/data into its
+# working directory, by the name that its command lines use.
+_RULE_INPUTS = {
+    "scenario.json": "scenario_9x1_k18_15db.json",
+    "net.json": "uni_3x0_k3_10db_seed3.json",
+    "tied.json": "tied_3x3.json",
+    "spec.json": "sweep_3x0_k3_all_algorithms.json",
+    "formula.cnf": "unsat_1var.cnf",
+}
+_CLASH = {
+    command: rf"error: {command} outputs must be distinct files other than its input .*\n"
+    for command in ("gen", "solve", "sweep", "gadget")
+}
+_NO_DIR = r"error: .*No such file or directory: 'no-such-dir/out'\n"
+_SWEEP_DASH = "error: sweep outputs must be files: its stdout carries the summary, got -\n"
+# One row per clause of the output rule: a command line, run in a directory
+# that holds _RULE_INPUTS, an older output old.csv and an empty sub/ ({tmp}
+# is the directory's absolute path); the exit code; a regex that the whole output
+# matches; and the files the command leaves, each with a regex that its
+# whole text matches.
+_OUTPUT_RULE = [
+    # outputs that name one file, spelled alike or not
+    ("gen --config scenario.json --out same.json --geometry-out same.json", 1, _CLASH["gen"], {}),
+    ("sweep --spec spec.json --out r --cdf-out r", 1, _CLASH["sweep"], {}),
+    ("sweep --spec spec.json --out r --json-out ./r", 1, _CLASH["sweep"], {}),
+    ("sweep --spec spec.json --out r.csv --cdf-out r --json-out sub/../r", 1, _CLASH["sweep"], {}),
+    # an output that names the command's input
+    ("gen --config scenario.json --out scenario.json", 1, _CLASH["gen"], {}),
+    ("gen --config scenario.json --out n.json --geometry-out ./scenario.json", 1, _CLASH["gen"], {}),
+    ("solve --net net.json --alg maxsnr --out net.json", 1, _CLASH["solve"], {}),
+    ("sweep --spec spec.json --out spec.json", 1, _CLASH["sweep"], {}),
+    ("sweep --spec spec.json --out r.csv --cdf-out {tmp}/spec.json", 1, _CLASH["sweep"], {}),
+    ("sweep --spec spec.json --out r.csv --json-out ./spec.json", 1, _CLASH["sweep"], {}),
+    ("gadget --cnf formula.cnf --out formula.cnf", 1, _CLASH["gadget"], {}),
+    ("gadget --cnf formula.cnf --verify --out ./formula.cnf", 1, _CLASH["gadget"], {}),
+    # an output that cannot be created: the outputs created before it are
+    # gone, and an older file keeps its bytes
+    ("gen --config scenario.json --out no-such-dir/out", 1, _NO_DIR, {}),
+    ("gen --config scenario.json --out n.json --geometry-out no-such-dir/out", 1, _NO_DIR, {}),
+    ("solve --net net.json --alg maxsnr --out no-such-dir/out", 1, _NO_DIR, {}),
+    ("sweep --spec spec.json --out no-such-dir/out", 1, _NO_DIR, {}),
+    ("sweep --spec spec.json --out r.csv --json-out no-such-dir/out", 1, _NO_DIR, {}),
+    ("sweep --spec spec.json --out r.csv --cdf-out no-such-dir/out", 1, _NO_DIR, {}),
+    ("sweep --spec spec.json --out old.csv --cdf-out c --json-out no-such-dir/out", 1, _NO_DIR, {}),
+    ("gadget --cnf formula.cnf --out no-such-dir/out", 1, _NO_DIR, {}),
+    ("gadget --cnf formula.cnf --verify --out no-such-dir/out", 1, _NO_DIR, {}),
+    # "-" is stdout, except to sweep, whose stdout carries its summary
+    ("sweep --spec spec.json --out -", 1, _SWEEP_DASH, {}),
+    ("sweep --spec spec.json --out r.csv --cdf-out -", 1, _SWEEP_DASH, {}),
+    ("sweep --spec spec.json --out r.csv --json-out -", 1, _SWEEP_DASH, {}),
+    (
+        "gen --config scenario.json --out - --geometry-out -",
+        0,
+        r'{"n_bs":.*}\n{"bs_positions":.*}\n',
+        {},
+    ),
+    ("solve --net net.json --alg maxsnr --out -", 0, r'{"algorithm":"maxsnr",.*}\n', {}),
+    ("gadget --cnf formula.cnf --out -", 0, r'{"n_bs":4,.*}\n', {}),
+    (
+        "gadget --cnf formula.cnf --verify --out -",
+        0,
+        r'{"sat_by_solver":false,.*"agrees":true,.*}\n',
+        {},
+    ),
+    # a document whose command exits 2 is kept
+    (
+        "solve --net tied.json --alg p1prime --out x.json",
+        2,
+        "",
+        {"x.json": r'{"algorithm":"p1prime",.*"status":"infeasible",.*}\n'},
+    ),
+]
 # Scenario fields of the wrong type: a fractional count once indexed past an
 # array or silently built fewer macros, and a string once raised TypeError.
 _BAD_SCENARIO_FIELDS = {
@@ -1002,27 +1081,11 @@ class TestCli:
         assert res.exit_code == 2
         assert json.loads(res.output)["status"] == "infeasible"
 
-    @pytest.mark.parametrize("broken", ["input", "out"])
-    @pytest.mark.parametrize("command", ["gen", "solve", "sweep", "cdf", "gadget"])
-    def test_missing_file_exits_one(self, tmp_path, command, broken):
-        # "cdf" is a sweep whose --cdf-out is the output under test
-        spec = tmp_path / "spec.json"
-        spec.write_text(json.dumps(_SMALL_SPEC))
-        option, path = {
-            "gen": ("--config", self._write_scenario(tmp_path)),
-            "solve": ("--net", DATA / "uni_3x0_k3_10db_seed3.json"),
-            "sweep": ("--spec", spec),
-            "cdf": ("--spec", spec),
-            "gadget": ("--cnf", DATA / "unsat_1var.cnf"),
-        }[command]
-        if broken == "input":
-            path = tmp_path / "no-such-file"
-        out = tmp_path / ("no-such-dir" if broken == "out" else "") / "out"
-        if command == "cdf":
-            args = ["sweep", option, str(path), "--out", str(tmp_path / "r.csv")]
-            args += ["--cdf-out", str(out)]
-        else:
-            args = [command, option, str(path), "--out", str(out)]
+    @pytest.mark.parametrize("command", ["gen", "solve", "sweep", "gadget"])
+    def test_missing_input_exits_one(self, tmp_path, command):
+        # a missing output directory is a row of _OUTPUT_RULE
+        option = {"gen": "--config", "solve": "--net", "sweep": "--spec", "gadget": "--cnf"}[command]
+        args = [command, option, str(tmp_path / "no-such-file"), "--out", str(tmp_path / "out")]
         res = CliRunner().invoke(cli_main, args + (["--alg", "maxsnr"] if command == "solve" else []))
         assert res.exit_code == 1
         assert isinstance(res.exception, SystemExit), res.exception
@@ -1431,63 +1494,64 @@ class TestCli:
             assert out.read_bytes() == b"kept\n"
 
     @pytest.mark.parametrize(
-        "command, outputs",
-        [
-            ("sweep", ["--out", "{missing}"]),
-            ("sweep", ["--out", "{tmp}/r.csv", "--json-out", "{missing}"]),
-            ("sweep", ["--out", "{tmp}/r.csv", "--cdf-out", "{missing}"]),
-            (
-                "sweep",
-                ["--out", "{tmp}/old.csv", "--cdf-out", "{tmp}/c.csv", "--json-out", "{missing}"],
-            ),
-        ],
-        ids=["sweep-out", "sweep-json-out", "cdf-out", "existing-out"],
+        "line, code, output, left", _OUTPUT_RULE, ids=[row[0] for row in _OUTPUT_RULE]
     )
-    def test_unwritable_output_fails_before_any_trial(
-        self, tmp_path, monkeypatch, command, outputs
+    def test_every_command_follows_the_output_rule(
+        self, tmp_path, monkeypatch, line, code, output, left
     ):
+        # the inputs are copies, so a command that breaks the rule overwrites
+        # a copy and never tests/data; a row that exits 1 fails before any of
+        # the commands' work, and no row changes a file that was there before
         calls = []
-        monkeypatch.setattr(harness, "run_trial", lambda *args: calls.append(args))
-        spec = tmp_path / "spec.json"
-        spec.write_text(json.dumps(_SMALL_SPEC))
-        old = tmp_path / "old.csv"
-        old.write_text("kept\n")
-        missing = tmp_path / "no-such-dir" / "out"
-        args = [a.format(tmp=tmp_path, missing=missing) for a in outputs]
-        res = CliRunner().invoke(cli_main, [command, "--spec", str(spec), *args])
-        assert res.exit_code == 1
-        assert isinstance(res.exception, SystemExit), res.exception
-        assert "error:" in res.output and "No such file" in res.output
-        assert "Traceback" not in res.output
-        assert calls == []
-        # the outputs created before the failure are gone; an older file is untouched
-        assert sorted(tmp_path.iterdir()) == [old, spec]
-        assert old.read_text() == "kept\n"
 
-    @pytest.mark.parametrize(
-        "outputs",
-        [
-            ["--out", "{dir}/r", "--cdf-out", "{dir}/r"],
-            ["--out", "{dir}/r", "--json-out", "{dir}/./r"],
-            ["--out", "{dir}/r.csv", "--cdf-out", "{dir}/r", "--json-out", "{dir}/../out/r"],
-        ],
-        ids=["out-cdf-out", "out-json-out", "cdf-out-json-out"],
-    )
-    def test_clashing_outputs_fail_before_any_trial_or_file(self, tmp_path, monkeypatch, outputs):
-        # --out r --json-out r once exited 0 with only the JSON in r
-        calls = []
-        monkeypatch.setattr(harness, "run_trial", lambda *a: calls.append(a))
-        spec = tmp_path / "spec.json"
-        spec.write_text(json.dumps(_SMALL_SPEC))
-        out_dir = tmp_path / "out"
-        out_dir.mkdir()
-        args = [a.format(dir=out_dir) for a in outputs]
-        res = CliRunner().invoke(cli_main, ["sweep", "--spec", str(spec), *args])
-        assert res.exit_code == 1
-        assert isinstance(res.exception, SystemExit), res.exception
-        assert res.output.startswith("error: sweep outputs must be distinct files")
-        assert calls == []
-        assert list(out_dir.iterdir()) == []
+        def recorded(work):
+            def run(*args, **kwargs):
+                calls.append(work)
+                return work(*args, **kwargs)
+
+            return run
+
+        monkeypatch.setattr(cli, "generate_hetnet", recorded(cli.generate_hetnet))
+        monkeypatch.setattr(harness, "run_trial", recorded(harness.run_trial))
+        monkeypatch.setattr(cli, "build_3sat_gadget", recorded(cli.build_3sat_gadget))
+        monkeypatch.setattr(cli, "verify_sat_equivalence", recorded(cli.verify_sat_equivalence))
+        for name, run in list(ALGORITHMS.items()):
+            monkeypatch.setitem(ALGORITHMS, name, recorded(run))
+        for name, source in _RULE_INPUTS.items():
+            (tmp_path / name).write_bytes((DATA / source).read_bytes())
+        (tmp_path / "old.csv").write_text("kept\n")
+        (tmp_path / "sub").mkdir()
+        before = {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()}
+        monkeypatch.chdir(tmp_path)
+        res = CliRunner().invoke(cli_main, line.format(tmp=tmp_path).split())
+        assert res.exit_code == code, res.output
+        assert res.exception is None or isinstance(res.exception, SystemExit), res.exception
+        assert re.fullmatch(output, res.output), res.output
+        assert bool(calls) == (code != 1)
+        after = {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()}
+        for name, text in left.items():
+            assert re.fullmatch(text, after.pop(tmp_path / name).decode()), name
+        assert after == before
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.booleans().flatmap(lambda sq: networks(3, 5, square=sq)))
+    def test_solve_agrees_with_the_registry_in_process(self, tmp_path_factory, net):
+        # solve on the network's own document prints the in-process outcome's
+        # document, float for float, or exits 1 with the error line that the
+        # in-process call raises
+        path = tmp_path_factory.mktemp("agreement") / "net.json"
+        path.write_bytes(_dump_json(network_to_json(net)))
+        for alg, run in ALGORITHMS.items():
+            res = CliRunner().invoke(cli_main, ["solve", "--net", str(path), "--alg", alg])
+            try:
+                out = run(net)
+            except (ValueError, ArithmeticError, Warning) as exc:
+                assert (res.exit_code, res.output) == (1, f"error: {exc}\n"), alg
+                continue
+            code = 0 if out.converged and out.status in (None, "optimal") else 2
+            assert res.exit_code == code, (alg, res.output)
+            doc = json.loads(_dump_json(_solve_document(alg, out)))
+            assert json.loads(res.stdout) == doc, alg
 
     def test_one_sweep_writes_every_pinned_output(self, tmp_path, monkeypatch):
         calls = []
@@ -1574,38 +1638,6 @@ class TestCli:
         doc = json.loads(geometry.read_text())
         assert set(doc) == {f.name for f in fields(Geometry)}
         assert len(doc["bs_positions"]) == 4 and len(doc["user_cell"]) == 4
-
-    def test_gen_outputs_must_be_distinct_files(self, tmp_path):
-        # --out same.json --geometry-out same.json once exited 0 with only the
-        # geometry in same.json
-        config, same = self._write_scenario(tmp_path), tmp_path / "same.json"
-        args = ["gen", "--config", str(config), "--out", str(same), "--geometry-out", str(same)]
-        res = CliRunner().invoke(cli_main, args)
-        assert res.exit_code == 1
-        assert isinstance(res.exception, SystemExit), res.exception
-        assert res.output.startswith("error: gen outputs must be distinct files")
-        assert list(tmp_path.iterdir()) == [config]
-
-    def test_gen_writes_both_documents_to_stdout_under_dash(self, tmp_path, monkeypatch):
-        # "-" is stdout, not a file that the output rule checks or creates
-        monkeypatch.chdir(tmp_path)
-        config = self._write_scenario(tmp_path)
-        args = ["gen", "--config", str(config), "--out", "-", "--geometry-out", "-"]
-        res = CliRunner().invoke(cli_main, args)
-        assert res.exit_code == 0, res.output
-        assert res.output.count('"n_bs"') == 1 and res.output.count('"bs_positions"') == 1
-        assert list(tmp_path.iterdir()) == [config]
-
-    def test_gen_with_an_unwritable_geometry_output_leaves_no_network(self, tmp_path):
-        # the network document was once written before the geometry's path failed
-        config, out = self._write_scenario(tmp_path), tmp_path / "net.json"
-        geometry = tmp_path / "no-such-dir" / "geometry.json"
-        args = ["gen", "--config", str(config), "--out", str(out), "--geometry-out", str(geometry)]
-        res = CliRunner().invoke(cli_main, args)
-        assert res.exit_code == 1
-        assert isinstance(res.exception, SystemExit), res.exception
-        assert res.output.startswith("error: ") and "No such file" in res.output
-        assert list(tmp_path.iterdir()) == [config]
 
     def test_sweep_json_document_round_trips_its_spec(self, tmp_path):
         spec_doc = {**_SMALL_SPEC, "algorithms": ["maxsnr", "p1prime"], "n_runs": 2}

@@ -6,18 +6,22 @@ kernel calls the private kernel, and an oracle belongs in ``helpers``.  A
 name counts as read when some module of the package, or
 ``tests/test_acceptance.py``, loads it as a name, imports it, or uses it as
 an attribute.  The README's library quick start, which imports public names
-from their modules, runs as written.
+from their modules, and its CLI block run as written.
 """
 
 import ast
 import re
+import shlex
+import shutil
 from pathlib import Path
 
 import pytest
+from click.testing import CliRunner
 
 import hetnet_maxmin
+from hetnet_maxmin.cli import main as cli_main
 
-from helpers import fresh_python
+from helpers import DATA, fresh_python
 
 PACKAGE = Path(hetnet_maxmin.__file__).parent
 ACCEPTANCE = Path(__file__).parent / "test_acceptance.py"
@@ -74,3 +78,21 @@ def test_readme_quick_start_runs_as_written():
     assert code.strip()
     proc = fresh_python("-W", "error::RuntimeWarning", "-c", code, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_cli_block_runs_as_written(tmp_path, monkeypatch):
+    # each hetnet-maxmin line of the README's sh blocks, in order, on copies
+    # of committed inputs under the file names that the README uses
+    for name, source in [
+        ("scenario.json", "scenario_9x1_k18_15db.json"),
+        ("experiment.json", "sweep_3x0_k3_all_algorithms.json"),
+        ("formula.cnf", "unsat_1var.cnf"),
+    ]:
+        shutil.copyfile(DATA / source, tmp_path / name)
+    monkeypatch.chdir(tmp_path)
+    blocks = "".join(re.findall(r"^```sh\n(.*?)^```$", README.read_text(), re.M | re.S))
+    lines = [shlex.split(line) for line in blocks.splitlines() if line.startswith("hetnet-maxmin ")]
+    assert lines
+    for line in lines:
+        res = CliRunner().invoke(cli_main, line[1:])
+        assert res.exit_code == 0, (line, res.output)
